@@ -66,6 +66,7 @@ from .walk import (
     initial_state,
     norm,
     step,
+    trajectory,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,14 @@ override file values, and unknown keys are hard errors so a typo in a
 physics parameter cannot pass silently.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
-3 I/O error.
+3 I/O error.  Every failure prints one ``error:`` line on stderr and no
+traceback.  Exceptions map onto the codes by class:
+
+* ``UsageError``, ``ValueError`` (bad physical input) -> 1;
+* ``ResourceLimitError`` (a hard cap) and ``MemoryError`` -> 1;
+* ``ArithmeticError`` (a failed numerical self-check, such as a snapshot
+  that does not sum to 1 or a pole hit) -> 2, like a failed ``verify``;
+* ``OSError`` while writing the output -> 3.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import verify
+from . import verify, walk
 from .coin import ModelParams, make_boundary_coin, make_bulk_coin
 from .edge import (
     decay_ratio,
@@ -31,8 +38,11 @@ from .edge import (
     localization_length,
     observables,
 )
+from .errors import ResourceLimitError
 from .genfun import bounded_gf_table
-from .walk import MAX_EVOLVE_STEPS, initial_state, step
+# initial_state and step are not called here; they stay importable from
+# this module because benches/spans.py wraps them by name on it.
+from .walk import MAX_EVOLVE_STEPS, initial_state, step  # noqa: F401
 
 __all__ = ["RunConfig", "main", "app", "parse_config_text", "emit_config"]
 
@@ -281,15 +291,12 @@ def run_evolve(cfg: RunConfig) -> tuple[list[str], list[list]]:
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
-    wanted = set(_snapshot_times(cfg.steps))
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    state = initial_state()
-    if 0 in wanted:
-        snapshots[0] = (np.abs(state.psi_L) ** 2, np.abs(state.psi_R) ** 2)
-    for tau in range(1, cfg.steps + 1):
-        state = step(state, u, ub)
-        if tau in wanted:
-            snapshots[tau] = (np.abs(state.psi_L) ** 2, np.abs(state.psi_R) ** 2)
+    snapshots = dict(
+        walk.trajectory(
+            u, ub, cfg.steps, _snapshot_times(cfg.steps),
+            lambda s: (s.tau, (np.abs(s.psi_L) ** 2, np.abs(s.psi_R) ** 2)),
+        )
+    )
     return ["tau", "n", "prob_L", "prob_R"], _probability_rows(snapshots)
 
 
@@ -456,12 +463,15 @@ def main(argv: list[str] | None = None) -> int:
                 else _render_csv(header, rows)
             )
             code = 0
-    except UsageError as exc:
+    except (UsageError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"error: numerical self-check failed: {exc}", file=sys.stderr)
+        return 2
     try:
         _emit(cfg, text)
     except OSError as exc:

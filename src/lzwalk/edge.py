@@ -218,32 +218,25 @@ def observables(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edg
     """Edge-mode momentum and energy expectation values.
 
     Level n carries momentum +/- j0*n (sign by moving direction) and energy
-    E0*n^2.  J_direct and E_direct sum these weights over the geometric mode
-    on even sites, normalized by the total weight 1 - r, until the geometric
-    tail is below 1e-15 relative.  J_paper_form evaluates the alternative
-    closed expression j0 p (2-p-2 cos(theta) sqrt(1-p)) /
-    [2 sqrt(1-p) (sqrt(1-p) cos(theta) - 1)^2]; the two differ by a constant
-    factor sqrt(1-p) and are both reported.
+    E0*n^2.  Summed over the geometric mode and normalized by its weight
+    1 - r, these give the closed forms
+
+        J_direct = j0 * 2 r / (1 + r)^2,
+        E_direct = E0 * 4 r (1 + r^2) / (1 - r^2)^2,
+
+    evaluated in constant time for every r < 1, however close to the
+    threshold; 1 - r^2 is formed as (1 - r)(1 + r) to keep its relative
+    accuracy as r approaches 1.
+    J_paper_form evaluates the alternative closed expression
+    j0 p (2-p-2 cos(theta) sqrt(1-p)) / [2 sqrt(1-p) (sqrt(1-p) cos(theta) - 1)^2];
+    the two momentum forms differ by a constant factor sqrt(1-p) and are
+    both reported.
     """
     theta = _check_p_theta(p, theta)
     r = _require_localized(p, theta)
-    w = (1.0 - r) ** 2
-    total = 1.0 - r
-    j_sum = 0.0
-    e_sum = 0.0
-    n = 2
-    one_minus_r2 = 1.0 - r * r
-    while True:
-        rn1 = r ** (n - 1)
-        rn = rn1 * r
-        j_term = n * (rn1 - rn) * w / total
-        e_term = n * n * (rn1 + rn) * w / total
-        j_sum += j_term
-        e_sum += e_term
-        # remaining terms are below e_term * (1+2/n)^2 / (1 - r^2)
-        if e_term * 4.0 / one_minus_r2 < 1e-15 * max(e_sum, 1.0):
-            break
-        n += 2
+    one_minus_r2 = (1.0 - r) * (1.0 + r)
+    j_direct = 2.0 * r / (1.0 + r) ** 2
+    e_direct = 4.0 * r * (1.0 + r * r) / one_minus_r2**2
     sq = math.sqrt(1.0 - p)
     cos_t = math.cos(theta)
     j_paper = (
@@ -251,7 +244,7 @@ def observables(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edg
         * (2.0 - p - 2.0 * cos_t * sq)
         / (2.0 * sq * (sq * cos_t - 1.0) ** 2)
     )
-    return EdgeObservables(j0 * j_sum, j0 * j_paper, E0 * e_sum)
+    return EdgeObservables(j0 * j_direct, j0 * j_paper, E0 * e_direct)
 
 
 @dataclass(frozen=True)

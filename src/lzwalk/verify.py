@@ -74,10 +74,8 @@ def check_norm_drift(
         beta, gamma, gt = (float(x) for x in rng.uniform(-math.pi, math.pi, size=3))
         u = make_bulk_coin(p, beta, gamma)
         ub = make_boundary_coin(gt)
-        state = walk.initial_state()
-        for _ in range(steps):
-            state = walk.step(state, u, ub)
-            worst = max(worst, abs(walk.norm(state) - 1.0))
+        for total in walk.trajectory(u, ub, steps, range(1, steps + 1), walk.norm):
+            worst = max(worst, abs(total - 1.0))
     return _result("norm_drift", worst, tol, f"{sets} parameter sets x {steps} steps")
 
 
@@ -96,9 +94,8 @@ def check_three_way(
         for theta in theta_values:
             for beta in beta_values:
                 u, ub = _coin_pair(p, theta, beta)
-                states = [walk.initial_state()]
-                for _ in range(max(tau_pathsum, tau_series)):
-                    states.append(walk.step(states[-1], u, ub))
+                horizon = max(tau_pathsum, tau_series)
+                states = walk.trajectory(u, ub, horizon, range(horizon + 1))
                 for tau in range(tau_pathsum + 1):
                     st = states[tau]
                     for n in range(tau % 2, tau + 1, 2):
@@ -291,15 +288,11 @@ def check_edge_vs_simulation(
 ) -> CheckResult:
     """Residue-extracted mode weights against time-averaged site probabilities."""
     u, ub = _coin_pair(p, theta)
-    state = walk.initial_state()
-    samples = []
-    for tau in range(1, steps + 1):
-        state = walk.step(state, u, ub)
-        if tau >= avg_start and tau % 2 == 0:
-            samples.append(
-                np.abs(state.psi_L[: n_max + 1]) ** 2
-                + np.abs(state.psi_R[: n_max + 1]) ** 2
-            )
+    times = [tau for tau in range(max(avg_start, 1), steps + 1) if tau % 2 == 0]
+    samples = walk.trajectory(
+        u, ub, steps, times,
+        lambda s: np.abs(s.psi_L[: n_max + 1]) ** 2 + np.abs(s.psi_R[: n_max + 1]) ** 2,
+    )
     averaged = np.mean(samples, axis=0)
     mode = edge.floquet_mode(p, theta, n_max)
     worst = 0.0
@@ -322,13 +315,9 @@ def check_quasi_energy_slope(
 ) -> CheckResult:
     """Phase slope of the simulated return amplitude against arg(z_pole^2)/2."""
     u, ub = _coin_pair(p, theta)
-    state = walk.initial_state()
-    amps = [complex(state.psi_L[0])]
-    for _ in range(steps):
-        state = walk.step(state, u, ub)
-        amps.append(complex(state.psi_L[0]))
     taus = np.arange(fit_start, steps + 1, 2)
-    phase = np.unwrap(np.angle(np.array([amps[t] for t in taus])))
+    amps = walk.trajectory(u, ub, steps, taus, lambda s: complex(s.psi_L[0]))
+    phase = np.unwrap(np.angle(np.array(amps)))
     slope = float(np.polyfit(taus, phase, 1)[0])
     expected = cmath.phase(edge.pole(p, theta)) / 2.0
     return _result(

@@ -13,8 +13,8 @@ import pytest
 from lzwalk import (
     bounded_gf_table,
     decay_ratio,
+    evolve,
     floquet_mode,
-    initial_state,
     localization_length,
     make_boundary_coin,
     make_bulk_coin,
@@ -22,8 +22,8 @@ from lzwalk import (
     observables,
     pole,
     pqrs_residual,
-    step,
     thresholds,
+    trajectory,
     transition_amplitude,
 )
 from lzwalk.cli import main
@@ -41,10 +41,7 @@ def report(k: int, ok: bool, detail: str) -> None:
 
 
 def evolve_states(u, ub, steps):
-    states = [initial_state()]
-    for _ in range(steps):
-        states.append(step(states[-1], u, ub))
-    return states
+    return trajectory(u, ub, steps, range(steps + 1))
 
 
 def test_criterion_1_three_way_oracle_equivalence():
@@ -93,10 +90,8 @@ def test_criterion_2_unitarity_drift():
             float(rng.uniform(-math.pi, math.pi)),
         )
         ub = make_boundary_coin(float(rng.uniform(-math.pi, math.pi)))
-        s = initial_state()
-        for _ in range(500):
-            s = step(s, u, ub)
-            worst = max(worst, abs(norm(s) - 1.0))
+        for total in trajectory(u, ub, 500, range(1, 501), norm):
+            worst = max(worst, abs(total - 1.0))
     report(2, worst < 1e-11, f"norm drift {worst:.2e} over 20 sets x 500 steps (tol 1e-11)")
 
 
@@ -147,14 +142,11 @@ def long_run():
     """One 400-step run at the reference point, shared by criteria 5 and 6."""
     u = make_bulk_coin(0.2, 0.0, THETA)
     ub = make_boundary_coin(0.0)
-    s = initial_state()
-    site0 = [complex(s.psi_L[0])]
-    near = []
-    for tau in range(1, 401):
-        s = step(s, u, ub)
-        site0.append(complex(s.psi_L[0]))
-        if tau >= 300 and tau % 2 == 0:
-            near.append(np.abs(s.psi_L[:7]) ** 2 + np.abs(s.psi_R[:7]) ** 2)
+    site0 = trajectory(u, ub, 400, range(401), lambda s: complex(s.psi_L[0]))
+    near = trajectory(
+        u, ub, 400, range(300, 401, 2),
+        lambda s: np.abs(s.psi_L[:7]) ** 2 + np.abs(s.psi_R[:7]) ** 2,
+    )
     return site0, np.mean(near, axis=0)
 
 
@@ -212,9 +204,7 @@ def test_criterion_7_critical_exponents():
 def test_criterion_8_delocalization():
     u = make_bulk_coin(0.7, 0.0, THETA)
     ub = make_boundary_coin(0.0)
-    s = initial_state()
-    for _ in range(400):
-        s = step(s, u, ub)
+    s = evolve(u, ub, 400)
     mass = float(np.sum(np.abs(s.psi_L[:11]) ** 2 + np.abs(s.psi_R[:11]) ** 2))
     r_min = min(decay_ratio(float(p), 0.0) for p in np.linspace(0.01, 0.99, 50))
     ok = mass < 0.05 and r_min >= 1.0

@@ -1,10 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from lzwalk import decay_ratio, localization_length, observables
+import lzwalk.walk
+from lzwalk import ResourceLimitError, decay_ratio, localization_length, observables
 from lzwalk.cli import RunConfig, emit_config, main, parse_config_text
 
 THETA = math.pi / 4
@@ -270,3 +272,39 @@ def test_verify_json(capsys):
 def test_bad_mode_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1
+
+
+def test_sweep_bracketing_critical_field_is_fast(capsys):
+    # 1 - r reaches about 2e-8 on this grid; the edge observables are
+    # closed forms, so the cost does not grow as F approaches F_c
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "sweep", "--theta", "0.7853981633974483",
+        "--fmin", "4.53235", "--fmax", "4.53236", "--points", "2",
+    )
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+    _, rows = parse_csv(out)
+    assert [r[-1] for r in rows] == ["true", "true"]
+    assert all(float(r[5]) < 0.5 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "exc, expected",
+    [
+        (ResourceLimitError("steps = 9 exceeds the configured cap of 5"), 1),
+        (MemoryError(), 1),
+        (ArithmeticError("norm drifted by 1e-3 after 9 steps"), 2),
+    ],
+    ids=["ResourceLimitError", "MemoryError", "ArithmeticError"],
+)
+def test_exit_code_per_exception_class(monkeypatch, capsys, exc, expected):
+    def failing_trajectory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(lzwalk.walk, "trajectory", failing_trajectory)
+    code, out, err = run_cli(capsys, "evolve", "--p", "0.2", "--steps", "8")
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -247,7 +247,7 @@ def test_energy_divergence_exponent():
 
 
 def test_momentum_stays_finite_through_threshold():
-    for d in (1e-2, 1e-4, 1e-6):
+    for d in (1e-2, 1e-4, 1e-6, 1e-8):
         obs = observables(0.5 * (1 - d), THETA_REF)
         assert obs.J_direct < 0.5 + 1e-9
 

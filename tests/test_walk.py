@@ -14,8 +14,10 @@ from lzwalk import (
     make_bulk_coin,
     norm,
     step,
+    trajectory,
     transition_amplitude,
 )
+from lzwalk.walk import WalkState
 from conftest import P_REF, THETA_REF
 
 
@@ -166,3 +168,103 @@ def test_near_boundary_mass_approaches_edge_weight(ref_coins):
                 float(np.sum(np.abs(s.psi_L[:11]) ** 2 + np.abs(s.psi_R[:11]) ** 2))
             )
     assert np.mean(masses) == pytest.approx(expected, abs=0.02)
+
+
+def reference_step(psi_L, psi_R, u, ub):
+    """The update rule on dense arrays, written out directly.
+
+    Every product puts the coin coefficient first, as the package does:
+    numpy's complex multiply may use fused multiply-add, and then ``x * a``
+    and ``a * x`` can differ in the last bit.
+    """
+    tau = len(psi_L) - 1
+    new_L = np.zeros(tau + 2, dtype=np.complex128)
+    new_R = np.zeros(tau + 2, dtype=np.complex128)
+    new_L[:tau] = u.a * psi_L[1:] + u.b * psi_R[1:]
+    new_R[2:] = u.c * psi_L[1:] + u.d * psi_R[1:]
+    new_R[1] = ub.c * psi_L[0] + ub.d * psi_R[0]
+    return new_L, new_R
+
+
+def reference_walk(u, ub, steps):
+    psi_L, psi_R = np.array([1.0 + 0.0j]), np.array([0.0 + 0.0j])
+    states = [(psi_L, psi_R)]
+    for _ in range(steps):
+        psi_L, psi_R = reference_step(psi_L, psi_R, u, ub)
+        states.append((psi_L, psi_R))
+    return states
+
+
+@pytest.mark.parametrize("p", [0.2, 0.49, 0.8])
+def test_trajectory_bit_identical_to_reference_stepper(p):
+    u = make_bulk_coin(p, 0.0, THETA_REF)
+    ub = make_boundary_coin(0.0)
+    steps = 1200
+    ref = reference_walk(u, ub, steps)
+    states = trajectory(u, ub, steps, range(steps + 1))
+    assert [s.tau for s in states] == list(range(steps + 1))
+    for s, (ref_L, ref_R) in zip(states, ref):
+        assert np.array_equal(s.psi_L, ref_L) and np.array_equal(s.psi_R, ref_R), s.tau
+    final = states[-1]
+    assert np.array_equal(evolve(u, ub, steps).psi_L, final.psi_L)
+    if p == 0.2:
+        # the light-cone edge has underflowed to exact zeros (the last
+        # occupied site is about 1120), so the comparison above covered
+        # the kernel's trimming of trailing zeros
+        occupied = np.flatnonzero((final.psi_L != 0.0) | (final.psi_R != 0.0))
+        assert occupied[-1] < steps - 50
+
+
+def test_step_on_states_with_both_parities(phased_coins):
+    u, ub = phased_coins
+    rng = np.random.default_rng(17)
+    for sites in (1, 2, 3, 10, 257):
+        amps = rng.standard_normal((2, sites)) + 1j * rng.standard_normal((2, sites))
+        amps[1, 0] = 0.0  # no right mover on the boundary site, as in any walk
+        amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+        state = WalkState(sites - 1, amps[0], amps[1])
+        new = step(state, u, ub)
+        ref_L, ref_R = reference_step(state.psi_L, state.psi_R, u, ub)
+        assert new.tau == sites
+        assert np.array_equal(new.psi_L, ref_L) and np.array_equal(new.psi_R, ref_R)
+        assert norm(new) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_trajectory_zero_steps(ref_coins):
+    u, ub = ref_coins
+    (s,) = trajectory(u, ub, 0, [0])
+    assert s.tau == 0
+    assert np.array_equal(s.psi_L, initial_state().psi_L)
+    assert np.array_equal(s.psi_R, initial_state().psi_R)
+    assert trajectory(u, ub, 0, []) == []
+
+
+def test_trajectory_snapshot_times(phased_coins):
+    u, ub = phased_coins
+    ref = reference_walk(u, ub, 9)
+    states = trajectory(u, ub, 9, [9, 0, 4, 4, 5])
+    assert [s.tau for s in states] == [0, 4, 5, 9]
+    for s in states:
+        ref_L, ref_R = ref[s.tau]
+        assert np.array_equal(s.psi_L, ref_L) and np.array_equal(s.psi_R, ref_R)
+    # an observer sees the same snapshots, and only its results are kept
+    assert trajectory(u, ub, 9, [9, 0, 4, 4, 5], norm) == [norm(s) for s in states]
+
+
+def test_trajectory_rejects_bad_times_and_caps(ref_coins):
+    u, ub = ref_coins
+    with pytest.raises(ValueError, match="snapshot times"):
+        trajectory(u, ub, 4, [5])
+    with pytest.raises(ValueError, match="snapshot times"):
+        trajectory(u, ub, 4, [-1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        trajectory(u, ub, -1, [])
+    with pytest.raises(ResourceLimitError, match="cap"):
+        trajectory(u, ub, 10, [10], max_steps=5)
+
+
+def test_trajectory_odd_parity_sites_exactly_zero(phased_coins):
+    u, ub = phased_coins
+    for s in trajectory(u, ub, 301, range(302)):
+        off = np.arange(s.tau + 1) % 2 != s.tau % 2
+        assert np.all(s.psi_L[off] == 0.0) and np.all(s.psi_R[off] == 0.0)
