@@ -22,6 +22,7 @@ traceback.  Exceptions map onto the codes by class:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,7 +69,6 @@ class RunConfig:
     j0: float = 1.0
     E0: float = 1.0
     steps: int = 200
-    order: int | None = None
     fmin: float | None = None
     fmax: float | None = None
     points: int | None = None
@@ -79,14 +79,16 @@ class RunConfig:
     unitarity_tol: float = 1e-11
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_FLOAT_KEYS = {
-    "p", "field", "fbar", "beta", "gamma", "gamma_tilde", "L", "j0", "E0",
-    "fmin", "fmax", "unitarity_tol",
-}
-_INT_KEYS = {"steps", "order", "points", "tau_max"}
-_BOOL_KEYS = {"log"}
-# remaining keys (mode, out, format) stay strings
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(value)
+    return value == "true"
+
+
+# the value parser of each config key, read off its RunConfig annotation
+# ("float | None" -> float)
+_VALUE_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str}
+_KEY_PARSERS = {f.name: _VALUE_PARSERS[f.type.split(" | ")[0]] for f in fields(RunConfig)}
 
 
 def _fmt(x: float) -> str:
@@ -105,21 +107,12 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KEY_PARSERS:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
         if key in out:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _BOOL_KEYS:
-                if value not in ("true", "false"):
-                    raise ValueError(value)
-                out[key] = value == "true"
-            else:
-                out[key] = value
+            out[key] = _KEY_PARSERS[key](value)
         except ValueError:
             raise UsageError(f"config line {lineno}: bad value for {key!r}: {value!r}") from None
     return out
@@ -142,7 +135,9 @@ def emit_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     class Parser(argparse.ArgumentParser):
         def error(self, message):  # exit 1, not argparse's default 2
             raise UsageError(message)
@@ -168,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--j0", type=float, help="momentum unit (default 1)")
     parser.add_argument("--E0", type=float, help="energy unit (default 1)")
     parser.add_argument("--steps", type=int, help="number of walk steps (default 200)")
-    parser.add_argument("--order", type=int, help="series truncation order")
     parser.add_argument("--fmin", type=float, help="sweep start field")
     parser.add_argument("--fmax", type=float, help="sweep end field")
     parser.add_argument("--points", type=int, help="sweep grid size (>= 2)")
@@ -200,7 +194,7 @@ def _resolve_config(argv: list[str]) -> RunConfig:
             raise UsageError("--theta conflicts with explicit --gamma/--gamma-tilde")
         values["gamma"] = ns.theta
         values["gamma_tilde"] = 0.0
-    for key in _FIELD_TYPES:
+    for key in _KEY_PARSERS:
         if key == "mode":
             continue
         flag = getattr(ns, key, None)
@@ -212,8 +206,6 @@ def _resolve_config(argv: list[str]) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.mode not in MODES:
-        raise UsageError(f"unknown mode {cfg.mode!r}")
     if cfg.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg.format!r}")
     needs_point = cfg.mode in ("evolve", "series", "edge")
@@ -243,11 +235,6 @@ def _validate_config(cfg: RunConfig) -> None:
             raise UsageError(f"need 0 < fmin <= fmax, got {cfg.fmin}, {cfg.fmax}")
         if cfg.log and cfg.fmin <= 0.0:
             raise UsageError("--log needs a positive fmin")
-    if cfg.mode == "series":
-        if cfg.order is not None and cfg.order < cfg.steps + 1:
-            raise UsageError(
-                f"series mode needs --order > --steps ({cfg.order} <= {cfg.steps})"
-            )
     if cfg.fbar <= 0.0:
         raise UsageError(f"--fbar must be positive, got {cfg.fbar}")
 
@@ -304,8 +291,7 @@ def run_series(cfg: RunConfig) -> tuple[list[str], list[list]]:
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
-    order = cfg.order if cfg.order is not None else cfg.steps + 1
-    tab_L, tab_R = bounded_gf_table(u, ub, cfg.steps, max(order, 2))
+    tab_L, tab_R = bounded_gf_table(u, ub, cfg.steps, max(cfg.steps + 1, 2))
     snapshots = {
         tau: (np.abs(tab_L[: tau + 1, tau]) ** 2, np.abs(tab_R[: tau + 1, tau]) ** 2)
         for tau in _snapshot_times(cfg.steps)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coin import Coin, ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
 from .errors import DelocalizedError
-from .genfun import lambda_plus_eval
+from .genfun import bounded_denominator, bounded_numerators, lambda_plus_eval
 
 __all__ = [
     "CRITICAL_BAND",
@@ -160,7 +160,6 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     boundary = make_boundary_coin(0.0)
     a, c, d = coin.a, coin.c, coin.d
     det = coin.det
-    ct = boundary.c
 
     z2 = pole(p, theta)
     zp = cmath.sqrt(z2)
@@ -170,16 +169,14 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     dF_dz = d * d * lam * lam - 2.0 * d * det * zp * lam + det * abs(a) ** 2
     lam_prime = -dF_dz / dF_dlam
     # the denominator h = 1 - c~ A(z) vanishes at the pole by construction
-    h = 1.0 - ct * (d * lam - det * zp) * zp / c
+    h = bounded_denominator(coin, boundary, lam, zp)
     assert abs(h) < 1e-8, f"pole location inconsistent: |h| = {abs(h):.3e}"
     a_prime = (d * (lam_prime * zp + lam) - 2.0 * det * zp) / c
-    h_prime = -ct * a_prime
+    h_prime = -boundary.c * a_prime
     rho = -2.0 / (zp * h_prime)
 
     def residues(n: int) -> tuple[complex, complex]:
-        pref = (d * lam / a) ** (n - 1)
-        g_L = pref * (ct * d / (a * c)) * (lam - a * zp)
-        g_R = pref * ct * zp
+        g_L, g_R = bounded_numerators(coin, boundary, n, lam, zp)
         return g_L * rho, g_R * rho
 
     sites = np.arange(0, n_max + 1, 2, dtype=np.int64)

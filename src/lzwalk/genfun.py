@@ -21,7 +21,11 @@ From lam follow the closed forms
     PsiL(0->0)  = 1 + z (a PsiL(0->1) + b PsiR(0->1)),  PsiR(0->0) = 0.
 
 Every operation comes in a pointwise flavor (complex argument) and a
-series flavor (``*_series``, truncated to a fixed order).
+series flavor (``*_series``, truncated to a fixed order).  The pointwise
+denominator h(z) = 1 - c~ A(z) and the site numerators h PsiL, h PsiR are
+coded once, in ``bounded_denominator`` and ``bounded_numerators``, which take
+lam(z) as an argument; ``bounded_gf``, the residues in ``edge.floquet_mode``
+and the pole check in ``verify`` all call them.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ import math
 import numpy as np
 
 from .coin import Coin
-from .errors import BranchAmbiguityError, PoleError, SingularityError
+from .errors import BranchAmbiguityError, PoleError, ResourceLimitError, SingularityError
 
 __all__ = [
     "DEFAULT_ORDER",
+    "MAX_TABLE_STEPS",
     "Series",
     "lambda_plus_series",
     "lambda_plus_eval",
@@ -43,6 +48,8 @@ __all__ = [
     "absorbing_gf_series",
     "b_gf_closed",
     "b_gf_closed_series",
+    "bounded_denominator",
+    "bounded_numerators",
     "bounded_gf",
     "bounded_gf_series",
     "gf_site0",
@@ -51,6 +58,10 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 1024
+
+# largest n_max and order - 1 of bounded_gf_table; at the cap it holds two
+# 2001 x 2001 complex tables (122 MiB) and takes 13 s on a 2-core VM
+MAX_TABLE_STEPS = 2000
 
 _DEGENERATE_TOL = 1e-15
 
@@ -380,6 +391,21 @@ def bounded_gf_series(
     return pref * kernel_L, pref * kernel_R
 
 
+def bounded_denominator(coin: Coin, boundary_coin: Coin, lam: complex, z: complex) -> complex:
+    """h(z) = 1 - c~ A(z) at a point, given the branch value lam = lam(z)."""
+    return 1.0 - boundary_coin.c * (coin.d * lam - coin.det * z) * z / coin.c
+
+
+def bounded_numerators(
+    coin: Coin, boundary_coin: Coin, n: int, lam: complex, z: complex
+) -> tuple[complex, complex]:
+    """(h PsiL(0->n; z), h PsiR(0->n; z)) for a site n >= 1, given lam = lam(z)."""
+    a, c, d = coin.a, coin.c, coin.d
+    ct = boundary_coin.c
+    pref = (d * lam / a) ** (n - 1)
+    return pref * (ct * d / (a * c)) * (lam - a * z), pref * ct * z
+
+
 def bounded_gf(
     coin: Coin, boundary_coin: Coin, n: int, z: complex
 ) -> tuple[complex, complex]:
@@ -391,16 +417,12 @@ def bounded_gf(
     if n < 1:
         raise ValueError(f"bounded_gf needs n >= 1, got {n} (site 0 has its own form)")
     _check_entries(coin, "acd")
-    a, c, d = coin.a, coin.c, coin.d
-    ct = boundary_coin.c
     lam = lambda_plus_eval(coin, z)
-    den = 1.0 - ct * (d * lam - coin.det * z) * z / c
+    den = bounded_denominator(coin, boundary_coin, lam, z)
     if abs(den) < 1e-12:
         raise PoleError(f"generating function has a pole at z = {z}")
-    pref = (d * lam / a) ** (n - 1)
-    psi_L = pref * (ct * d / (a * c)) * (lam - a * z) / den
-    psi_R = pref * ct * z / den
-    return complex(psi_L), complex(psi_R)
+    g_L, g_R = bounded_numerators(coin, boundary_coin, n, lam, z)
+    return complex(g_L / den), complex(g_R / den)
 
 
 def gf_site0(coin: Coin, boundary_coin: Coin, z: complex) -> complex:
@@ -422,28 +444,28 @@ def bounded_gf_table(
 
     Row n, column tau holds psi_L(n, tau) resp. psi_R(n, tau).  Shares the
     branch series and the denominator inversion across sites, so it is the
-    cheap way to tabulate many sites at once.
+    cheap way to tabulate many sites at once.  Site 0 follows from row 1.
+    Raises ResourceLimitError, before allocating, when n_max or order - 1
+    exceeds MAX_TABLE_STEPS.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if max(n_max, order - 1) > MAX_TABLE_STEPS:
+        raise ResourceLimitError(
+            f"a series table to n = {n_max}, order {order} exceeds the cap of "
+            f"{MAX_TABLE_STEPS} steps"
+        )
     _check_entries(coin, "acd")
     t, kernel_L, kernel_R = _bounded_parts_series(coin, boundary_coin, order)
-    psi_L = np.zeros((n_max + 1, order), dtype=np.complex128)
-    psi_R = np.zeros((n_max + 1, order), dtype=np.complex128)
+    rows = max(n_max, 1) + 1
+    psi_L = np.zeros((rows, order), dtype=np.complex128)
+    psi_R = np.zeros((rows, order), dtype=np.complex128)
     pref = Series.constant(1.0, order)
-    row_L1 = row_R1 = None
-    for n in range(1, n_max + 1):
-        sL = pref * kernel_L
-        sR = pref * kernel_R
-        psi_L[n] = sL.coeffs
-        psi_R[n] = sR.coeffs
-        if n == 1:
-            row_L1, row_R1 = sL, sR
+    for n in range(1, rows):
+        psi_L[n] = (pref * kernel_L).coeffs
+        psi_R[n] = (pref * kernel_R).coeffs
         pref = pref * t
-    if n_max >= 1:
-        zs = Series.monomial(1, order)
-        site0 = 1.0 + zs * (coin.a * row_L1 + coin.b * row_R1)
-    else:
-        site0 = gf_site0_series(coin, boundary_coin, order)
+    zs = Series.monomial(1, order)
+    site0 = 1.0 + zs * (coin.a * Series(psi_L[1]) + coin.b * Series(psi_R[1]))
     psi_L[0] = site0.coeffs
-    return psi_L, psi_R
+    return psi_L[: n_max + 1], psi_R[: n_max + 1]

@@ -79,6 +79,35 @@ def check_norm_drift(
     return _result("norm_drift", worst, tol, f"{sets} parameter sets x {steps} steps")
 
 
+def three_way_residual(
+    u: Coin, ub: Coin, tau_pathsum: int, tau_series: int, n_series: int
+) -> float:
+    """Largest gap between walk amplitudes and path sums (tau <= tau_pathsum)
+    or series coefficients (tau <= tau_series, n <= n_series) for one coin pair."""
+    worst = 0.0
+    horizon = max(tau_pathsum, tau_series)
+    states = walk.trajectory(u, ub, horizon, range(horizon + 1))
+    for tau in range(tau_pathsum + 1):
+        st = states[tau]
+        for n in range(tau % 2, tau + 1, 2):
+            amp = pathsum.transition_amplitude(n, tau, u, ub).apply()
+            worst = max(
+                worst,
+                abs(amp[0] - st.psi_L[n]),
+                abs(amp[1] - st.psi_R[n]),
+            )
+    tab_L, tab_R = genfun.bounded_gf_table(u, ub, n_series, tau_series + 1)
+    for tau in range(tau_series + 1):
+        st = states[tau]
+        for n in range(0, min(tau, n_series) + 1):
+            worst = max(
+                worst,
+                abs(tab_L[n, tau] - st.psi_L[n]),
+                abs(tab_R[n, tau] - st.psi_R[n]),
+            )
+    return worst
+
+
 def check_three_way(
     p_values=(0.2, 0.5, 0.8),
     theta_values=(math.pi / 4,),
@@ -89,31 +118,12 @@ def check_three_way(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Walk amplitudes against path enumeration and series coefficients."""
-    worst = 0.0
-    for p in p_values:
-        for theta in theta_values:
-            for beta in beta_values:
-                u, ub = _coin_pair(p, theta, beta)
-                horizon = max(tau_pathsum, tau_series)
-                states = walk.trajectory(u, ub, horizon, range(horizon + 1))
-                for tau in range(tau_pathsum + 1):
-                    st = states[tau]
-                    for n in range(tau % 2, tau + 1, 2):
-                        amp = pathsum.transition_amplitude(n, tau, u, ub).apply()
-                        worst = max(
-                            worst,
-                            abs(amp[0] - st.psi_L[n]),
-                            abs(amp[1] - st.psi_R[n]),
-                        )
-                tab_L, tab_R = genfun.bounded_gf_table(u, ub, n_series, tau_series + 1)
-                for tau in range(tau_series + 1):
-                    st = states[tau]
-                    for n in range(0, min(tau, n_series) + 1):
-                        worst = max(
-                            worst,
-                            abs(tab_L[n, tau] - st.psi_L[n]),
-                            abs(tab_R[n, tau] - st.psi_R[n]),
-                        )
+    worst = max(
+        three_way_residual(*_coin_pair(p, theta, beta), tau_pathsum, tau_series, n_series)
+        for p in p_values
+        for theta in theta_values
+        for beta in beta_values
+    )
     grids = f"{len(p_values)}x{len(theta_values)}x{len(beta_values)} parameter sets"
     return _result("three_way_equivalence", worst, tol, grids)
 
@@ -228,8 +238,7 @@ def check_pole_zero(
     """The reported pole is a zero of the denominator on the physical branch."""
     u, ub = _coin_pair(p, theta)
     zp = cmath.sqrt(edge.pole(p, theta))
-    lam = genfun.lambda_plus_eval(u, zp)
-    h = 1.0 - ub.c * (u.d * lam - u.det * zp) * zp / u.c
+    h = genfun.bounded_denominator(u, ub, genfun.lambda_plus_eval(u, zp), zp)
     return _result("pole_denominator_zero", abs(h), tol)
 
 
@@ -328,11 +337,7 @@ def check_quasi_energy_slope(
     )
 
 
-def run_all(
-    tau_max: int = 10,
-    unitarity_tol: float = 1e-11,
-    order: int = 12,
-) -> list[CheckResult]:
+def run_all(tau_max: int = 10, unitarity_tol: float = 1e-11) -> list[CheckResult]:
     """Run the full suite; path enumeration is bounded by tau_max."""
     tau_max = min(tau_max, pathsum.TAU_CAP)
     return [
@@ -340,7 +345,7 @@ def run_all(
         check_norm_drift(tol=unitarity_tol),
         check_three_way(tau_pathsum=tau_max),
         check_pqrs_structure(tau_max=tau_max),
-        check_recursion_relation(order=min(order, tau_max)),
+        check_recursion_relation(order=min(12, tau_max)),
         check_absorbing_gf(tau_max=tau_max),
         check_closed_forms(tau_max=tau_max),
         check_parseval(),

@@ -1,8 +1,16 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from lzwalk import make_boundary_coin, make_bulk_coin
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic
+settings.register_profile(
+    "lzwalk", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile("lzwalk")
 
 # reference parameter point used throughout: p = 0.2, theta = pi/4
 P_REF = 0.2

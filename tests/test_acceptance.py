@@ -4,14 +4,11 @@ PASS/FAIL line with the measured value next to its pinned tolerance.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import cmath
 import math
 
 import numpy as np
-import pytest
 
 from lzwalk import (
-    bounded_gf_table,
     decay_ratio,
     evolve,
     floquet_mode,
@@ -20,14 +17,20 @@ from lzwalk import (
     make_bulk_coin,
     norm,
     observables,
-    pole,
     pqrs_residual,
     thresholds,
     trajectory,
     transition_amplitude,
 )
 from lzwalk.cli import main
-from lzwalk.verify import check_recursion_relation
+from lzwalk.verify import (
+    check_edge_mode,
+    check_edge_vs_simulation,
+    check_observable_ratio,
+    check_quasi_energy_slope,
+    check_recursion_relation,
+    check_three_way,
+)
 
 P_GRID = (0.2, 0.5, 0.8)
 THETA_GRID = (math.pi / 6, math.pi / 4, math.pi / 3)
@@ -40,43 +43,15 @@ def report(k: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def evolve_states(u, ub, steps):
-    return trajectory(u, ub, steps, range(steps + 1))
-
-
 def test_criterion_1_three_way_oracle_equivalence():
-    worst_path = 0.0
-    worst_series = 0.0
-    for p in P_GRID:
-        for theta in THETA_GRID:
-            for beta in BETA_GRID:
-                u = make_bulk_coin(p, beta, theta)
-                ub = make_boundary_coin(0.0)
-                states = evolve_states(u, ub, 40)
-                for tau in range(13):
-                    st = states[tau]
-                    for n in range(tau % 2, tau + 1, 2):
-                        amp_L, amp_R = transition_amplitude(n, tau, u, ub).apply()
-                        worst_path = max(
-                            worst_path,
-                            abs(amp_L - st.psi_L[n]),
-                            abs(amp_R - st.psi_R[n]),
-                        )
-                tab_L, tab_R = bounded_gf_table(u, ub, 8, 41)
-                for tau in range(41):
-                    st = states[tau]
-                    for n in range(0, min(tau, 8) + 1):
-                        worst_series = max(
-                            worst_series,
-                            abs(tab_L[n, tau] - st.psi_L[n]),
-                            abs(tab_R[n, tau] - st.psi_R[n]),
-                        )
-    worst = max(worst_path, worst_series)
+    res = check_three_way(
+        P_GRID, THETA_GRID, BETA_GRID, tau_pathsum=12, tau_series=40, n_series=8, tol=1e-10
+    )
     report(
         1,
-        worst < 1e-10,
-        f"walk=paths residual {worst_path:.2e}, walk=series residual "
-        f"{worst_series:.2e} over 18 parameter sets (tol 1e-10)",
+        res.passed,
+        f"walk=paths to tau 12, walk=series to tau 40 at n <= 8: residual "
+        f"{res.residual:.2e} over {res.detail} (tol {res.tol:.0e})",
     )
 
 
@@ -115,67 +90,34 @@ def test_criterion_3_expansion_structure_and_recursion():
 
 
 def test_criterion_4_geometric_mode_from_residues():
+    mode = check_edge_mode(0.2, THETA, 20, tol=1e-10)
     r = decay_ratio(0.2, THETA)
-    w = (1.0 - r) ** 2
-    mode = floquet_mode(0.2, THETA, 20)
-    worst = 0.0
-    for i, n in enumerate(mode.sites):
-        expect_L = w * r ** int(n)
-        expect_R = 0.0 if n == 0 else w * r ** int(n - 1)
-        worst = max(
-            worst,
-            abs(abs(mode.phi_L[i]) ** 2 - expect_L),
-            abs(abs(mode.phi_R[i]) ** 2 - expect_R),
-        )
     big = floquet_mode(0.2, THETA, 120)
     weight_err = abs(float(np.sum(big.probabilities())) - (1.0 - r))
-    ok = worst < 1e-10 and weight_err < 1e-10
+    ok = mode.passed and weight_err < 1e-10
     report(
         4,
         ok,
-        f"mode residual {worst:.2e}, weight error {weight_err:.2e} (tol 1e-10)",
+        f"mode residual {mode.residual:.2e}, weight error {weight_err:.2e} (tol 1e-10)",
     )
 
 
-@pytest.fixture(scope="module")
-def long_run():
-    """One 400-step run at the reference point, shared by criteria 5 and 6."""
-    u = make_bulk_coin(0.2, 0.0, THETA)
-    ub = make_boundary_coin(0.0)
-    site0 = trajectory(u, ub, 400, range(401), lambda s: complex(s.psi_L[0]))
-    near = trajectory(
-        u, ub, 400, range(300, 401, 2),
-        lambda s: np.abs(s.psi_L[:7]) ** 2 + np.abs(s.psi_R[:7]) ** 2,
-    )
-    return site0, np.mean(near, axis=0)
-
-
-def test_criterion_5_simulation_matches_floquet_weights(long_run):
-    _, averaged = long_run
-    mode = floquet_mode(0.2, THETA, 6)
-    worst = 0.0
-    for n, expected in zip(mode.sites, mode.probabilities()):
-        rel = abs(averaged[n] - float(expected)) / float(expected)
-        worst = max(worst, rel)
+def test_criterion_5_simulation_matches_floquet_weights():
+    res = check_edge_vs_simulation(0.2, THETA, steps=400, avg_start=300, n_max=6, tol=0.03)
     report(
         5,
-        worst < 0.03,
-        f"near-boundary time-average vs mode, max relative error {worst:.4f} (tol 0.03)",
+        res.passed,
+        f"near-boundary time-average vs mode, max relative error {res.residual:.4f} "
+        f"(tol {res.tol})",
     )
 
 
-def test_criterion_6_quasi_energy_phase_slope(long_run):
-    site0, _ = long_run
-    taus = np.arange(100, 401, 2)
-    phase = np.unwrap(np.angle(np.array([site0[t] for t in taus])))
-    slope = float(np.polyfit(taus, phase, 1)[0])
-    expected = cmath.phase(pole(0.2, THETA)) / 2.0
-    err = abs(-slope - expected)
+def test_criterion_6_quasi_energy_phase_slope():
+    res = check_quasi_energy_slope(0.2, THETA, steps=400, fit_start=100, tol=1e-3)
     report(
         6,
-        err < 1e-3,
-        f"phase slope {-slope:.8f} vs arg(z_pole^2)/2 = {expected:.8f}, "
-        f"error {err:.2e} (tol 1e-3)",
+        res.passed,
+        f"phase slope vs arg(z_pole^2)/2, error {res.residual:.2e} (tol {res.tol:.0e})",
     )
 
 
@@ -267,20 +209,19 @@ def test_criterion_9_sweep_shape(tmp_path):
 
 
 def test_criterion_10_momentum_form_discrepancy_ledger():
-    worst = 0.0
-    pairs = []
-    for theta in THETA_GRID:
-        p_c = math.sin(theta) ** 2
-        for frac in (0.1, 0.4, 0.7, 0.95):
-            p = frac * p_c
-            obs = observables(p, theta)
-            dev = abs(obs.J_paper_form / obs.J_direct - 1.0 / math.sqrt(1.0 - p))
-            worst = max(worst, dev)
-            pairs.append((p, theta))
+    results = [
+        check_observable_ratio(
+            tuple(frac * math.sin(theta) ** 2 for frac in (0.1, 0.4, 0.7, 0.95)),
+            theta,
+            tol=1e-10,
+        )
+        for theta in THETA_GRID
+    ]
+    worst = max(res.residual for res in results)
     report(
         10,
-        worst < 1e-10,
-        f"J_paper_form/J_direct = 1/sqrt(1-p) to {worst:.2e} over {len(pairs)} "
+        all(res.passed for res in results),
+        f"J_paper_form/J_direct = 1/sqrt(1-p) to {worst:.2e} over {4 * len(results)} "
         "points (tol 1e-10); both values reported side by side in every output",
     )
 

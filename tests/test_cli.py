@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 import lzwalk.walk
-from lzwalk import ResourceLimitError, decay_ratio, localization_length, observables
+from lzwalk import (
+    MAX_EVOLVE_STEPS,
+    ResourceLimitError,
+    decay_ratio,
+    localization_length,
+    observables,
+)
 from lzwalk.cli import RunConfig, emit_config, main, parse_config_text
+from lzwalk.genfun import MAX_TABLE_STEPS
 
 THETA = math.pi / 4
 
@@ -97,11 +104,6 @@ def test_series_mode_agrees_with_evolve(capsys):
         assert re_[:2] == rs_[:2]
         assert float(rs_[2]) == pytest.approx(float(re_[2]), abs=1e-10)
         assert float(rs_[3]) == pytest.approx(float(re_[3]), abs=1e-10)
-
-
-def test_series_order_must_exceed_steps(capsys):
-    code, _, err = run_cli(capsys, "series", "--p", "0.2", "--steps", "10", "--order", "5")
-    assert code == 1 and "order" in err
 
 
 def test_series_zero_steps(capsys):
@@ -287,6 +289,18 @@ def test_sweep_bracketing_critical_field_is_fast(capsys):
     _, rows = parse_csv(out)
     assert [r[-1] for r in rows] == ["true", "true"]
     assert all(float(r[5]) < 0.5 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "mode, steps", [("evolve", MAX_EVOLVE_STEPS + 1), ("series", MAX_TABLE_STEPS + 1)]
+)
+def test_steps_beyond_cap_exit_1_at_once(capsys, mode, steps):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, mode, "--p", "0.2", "--steps", str(steps))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(steps - 1) in err
 
 
 @pytest.mark.parametrize(

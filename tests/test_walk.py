@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lzwalk import (
+    MAX_EVOLVE_STEPS,
     ResourceLimitError,
     decay_ratio,
     distribution,
@@ -116,7 +117,7 @@ def test_evolve_zero_steps_is_initial_state(ref_coins):
 def test_evolve_step_cap(ref_coins):
     u, ub = ref_coins
     with pytest.raises(ResourceLimitError, match="cap"):
-        evolve(u, ub, 10, max_steps=5)
+        evolve(u, ub, MAX_EVOLVE_STEPS + 1)
 
 
 def test_distribution_examples(ref_coins):
@@ -260,7 +261,7 @@ def test_trajectory_rejects_bad_times_and_caps(ref_coins):
     with pytest.raises(ValueError, match="nonnegative"):
         trajectory(u, ub, -1, [])
     with pytest.raises(ResourceLimitError, match="cap"):
-        trajectory(u, ub, 10, [10], max_steps=5)
+        trajectory(u, ub, MAX_EVOLVE_STEPS + 1, [MAX_EVOLVE_STEPS + 1])
 
 
 def test_trajectory_odd_parity_sites_exactly_zero(phased_coins):
