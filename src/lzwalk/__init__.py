@@ -34,17 +34,14 @@ from .errors import (
     SingularityError,
 )
 from .genfun import (
-    DEFAULT_ORDER,
     Series,
     absorbing_gf,
     absorbing_gf_series,
     b_gf_closed,
     b_gf_closed_series,
     bounded_gf,
-    bounded_gf_series,
     bounded_gf_table,
     gf_site0,
-    gf_site0_series,
     lambda_plus_eval,
     lambda_plus_series,
 )

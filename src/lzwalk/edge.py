@@ -30,7 +30,7 @@ import numpy as np
 
 from .coin import Coin, ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
 from .errors import DelocalizedError
-from .genfun import bounded_denominator, bounded_numerators, lambda_plus_eval
+from .genfun import bounded_denominator, bounded_numerators, lambda_plus_eval, site_factor
 
 __all__ = [
     "CRITICAL_BAND",
@@ -62,12 +62,19 @@ def _check_p_theta(p: float, theta: float) -> float:
 
 
 def decay_ratio(p: float, theta: float) -> float:
-    """Per-two-sites decay ratio of the edge-mode probabilities."""
+    """Per-two-sites decay ratio of the edge-mode probabilities.
+
+    With s = sqrt(1-p) the denominator 2 - p - 2 cos(theta) s equals
+    (1 - s)^2 + 4 s sin^2(theta/2), and 1 - s = p / (1 + s).  Both terms are
+    divided by p, so r = 1 / (p/(1+s)^2 + 4 s sin^2(theta/2)/p) keeps full
+    relative accuracy for every p in (0, 1), with neither cancellation nor
+    underflow; it is +inf only where p/(1+s)^2 itself underflows at theta = 0.
+    """
     theta = _check_p_theta(p, theta)
-    den = 2.0 - p - 2.0 * math.cos(theta) * math.sqrt(1.0 - p)
-    # den >= (1 - sqrt(1-p))^2 > 0 for any p in (0,1) and real theta
-    assert den > 0.0
-    return p / den
+    s = math.sqrt(1.0 - p)
+    half = math.sin(0.5 * theta)
+    den = p / (1.0 + s) ** 2 + 4.0 * s * half * half / p
+    return 1.0 / den if den > 0.0 else math.inf
 
 
 def is_localized(p: float, theta: float) -> bool:
@@ -79,7 +86,8 @@ def pole(p: float, theta: float) -> complex:
     theta = _check_p_theta(p, theta)
     s = math.sqrt(1.0 - p)
     num = 1.0 - cmath.exp(-1j * theta) * s
-    return num / num.conjugate()
+    # num vanishes only at theta = 0 once s rounds to 1; z_pole^2 = 1 at theta = 0
+    return num / num.conjugate() if num else 1.0 + 0.0j
 
 
 def thresholds(theta: float, Fbar: float) -> tuple[float, float]:
@@ -174,10 +182,12 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     a_prime = (d * (lam_prime * zp + lam) - 2.0 * det * zp) / c
     h_prime = -boundary.c * a_prime
     rho = -2.0 / (zp * h_prime)
+    g_L, g_R = bounded_numerators(coin, boundary, lam, zp)
+    t = site_factor(coin, lam)
 
     def residues(n: int) -> tuple[complex, complex]:
-        g_L, g_R = bounded_numerators(coin, boundary, n, lam, zp)
-        return g_L * rho, g_R * rho
+        pref = t ** (n - 1)
+        return pref * g_L * rho, pref * g_R * rho
 
     sites = np.arange(0, n_max + 1, 2, dtype=np.int64)
     phi_L = np.zeros(len(sites), dtype=np.complex128)

@@ -11,27 +11,28 @@ coefficient recurrence (lam_1 = Delta |a|^2 / d, then
 lam_k = d [lam^2]_{k-1} - Delta lam_{k-2}), so no series square root is ever
 needed; only odd-order coefficients are nonzero.
 
-From lam follow the closed forms
+From lam and the site factor t = d lam / a follow the closed forms
 
     A(z)        = (d lam - Delta z) z / c          (absorbing return)
-    Bq(0->n; z) = (d lam / a)^n / d
-    Br(0->n; z) = (d lam / a)^n (lam - a z)/(a c z)
-    PsiL(0->n)  = (d lam / a)^{n-1} (c~ d/(a c)) (lam - a z) / (1 - c~ A)
-    PsiR(0->n)  = (d lam / a)^{n-1} c~ z / (1 - c~ A)        for n >= 1,
+    Bq(0->n; z) = t^n / d
+    Br(0->n; z) = t^n (lam - a z)/(a c z)
+    PsiL(0->n)  = t^{n-1} (c~ d/(a c)) (lam - a z) / (1 - c~ A)
+    PsiR(0->n)  = t^{n-1} c~ z / (1 - c~ A)        for n >= 1,
     PsiL(0->0)  = 1 + z (a PsiL(0->1) + b PsiR(0->1)),  PsiR(0->0) = 0.
 
-Every operation comes in a pointwise flavor (complex argument) and a
-series flavor (``*_series``, truncated to a fixed order).  The pointwise
-denominator h(z) = 1 - c~ A(z) and the site numerators h PsiL, h PsiR are
-coded once, in ``bounded_denominator`` and ``bounded_numerators``, which take
-lam(z) as an argument; ``bounded_gf``, the residues in ``edge.floquet_mode``
-and the pole check in ``verify`` all call them.
+Every function comes in a pointwise flavor (complex argument) and a series
+flavor (``*_series`` or ``bounded_gf_table``, truncated to a fixed order).
+Each closed form is coded once, as a function of lam and z that are either
+two complex numbers or two ``Series`` of one order: A(z), the site factor
+``site_factor``, the denominator h = 1 - c~ A in ``bounded_denominator``, the
+site-1 numerators h PsiL, h PsiR in ``bounded_numerators`` and the site-0
+form.  Both flavors call them, and so do the residues in
+``edge.floquet_mode`` and the pole check in ``verify``.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -39,31 +40,30 @@ from .coin import Coin
 from .errors import BranchAmbiguityError, PoleError, ResourceLimitError, SingularityError
 
 __all__ = [
-    "DEFAULT_ORDER",
     "MAX_TABLE_STEPS",
     "Series",
     "lambda_plus_series",
     "lambda_plus_eval",
+    "site_factor",
+    "bounded_denominator",
+    "bounded_numerators",
     "absorbing_gf",
     "absorbing_gf_series",
     "b_gf_closed",
     "b_gf_closed_series",
-    "bounded_denominator",
-    "bounded_numerators",
     "bounded_gf",
-    "bounded_gf_series",
     "gf_site0",
-    "gf_site0_series",
     "bounded_gf_table",
 ]
-
-DEFAULT_ORDER = 1024
 
 # largest n_max and order - 1 of bounded_gf_table; at the cap it holds two
 # 2001 x 2001 complex tables (122 MiB) and takes 13 s on a 2-core VM
 MAX_TABLE_STEPS = 2000
 
 _DEGENERATE_TOL = 1e-15
+
+# relative gap below which the two root moduli of the quadratic count as tied
+_MODULUS_TIE_TOL = 1e-9
 
 
 class Series:
@@ -96,10 +96,6 @@ class Series:
         self._c = c
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls(np.zeros(order, dtype=np.complex128))
 
     @classmethod
     def constant(cls, value: complex, order: int) -> "Series":
@@ -196,15 +192,6 @@ class Series:
             e >>= 1
         return result
 
-    def shift_up(self, k: int = 1) -> "Series":
-        """Multiply by z^k; the top k coefficients fall off the truncation."""
-        if k < 0:
-            raise ValueError("shift_up takes k >= 0")
-        c = np.zeros(self.order, dtype=np.complex128)
-        if k < self.order:
-            c[k:] = self._c[: self.order - k]
-        return Series(c)
-
     def shift_down(self, k: int = 1, tol: float = 1e-9) -> "Series":
         """Divide by z^k; the k lowest coefficients must vanish within tol."""
         if k < 0:
@@ -237,7 +224,7 @@ def _check_entries(coin: Coin, need: str) -> None:
             )
 
 
-def lambda_plus_series(coin: Coin, order: int = DEFAULT_ORDER) -> Series:
+def lambda_plus_series(coin: Coin, order: int) -> Series:
     """Coefficients of the vanishing-at-zero root of the cleared quadratic.
 
     lam_k depends only on lam_j with j <= k-2, so the recurrence is exact;
@@ -276,15 +263,17 @@ def _quadratic_roots(coin: Coin, z: complex) -> tuple[complex, complex]:
     return q / A, C / q
 
 
-def lambda_plus_eval(coin: Coin, z: complex, modulus_tie_tol: float = 1e-9) -> complex:
+def lambda_plus_eval(coin: Coin, z: complex) -> complex:
     """Value of the physical branch at a point.
 
     Of the two quadratic roots, the branch connected to the z = 0 germ is
-    the smaller-modulus one (the root moduli multiply to a constant of unit
-    modulus for unitary coins).  When the moduli agree within
-    ``modulus_tie_tol`` relatively, the point sits on a branch cut: inside
-    the unit disk the Taylor series is summed instead; on or outside the
-    circle a BranchAmbiguityError is raised.
+    the smaller-modulus one.  For a unitary coin the root moduli multiply to
+    |Delta| |a|^2 / |d|^2 = 1, and inside the unit disk the branch maps the
+    disk into itself with lam(0) = 0, so |lam(z)| <= |z| (Schwarz lemma) and
+    the relative gap between the moduli, 1 - |lam|^2, is at least 1 - |z|^2.
+    A tie within 1e-9 therefore needs |z| >= 1 - 5e-10, next to or on the
+    unit circle, where no pointwise branch choice exists: it raises
+    BranchAmbiguityError.
     """
     z = complex(z)
     if z == 0:
@@ -292,118 +281,84 @@ def lambda_plus_eval(coin: Coin, z: complex, modulus_tie_tol: float = 1e-9) -> c
     _check_entries(coin, "d")
     r1, r2 = _quadratic_roots(coin, z)
     m1, m2 = abs(r1), abs(r2)
-    if abs(m1 - m2) <= modulus_tie_tol * max(m1, m2, 1e-300):
-        az = abs(z)
-        if az >= 1.0:
-            raise BranchAmbiguityError(
-                f"root moduli coincide at z = {z}; no pointwise branch choice "
-                "exists on or outside the unit circle"
-            )
-        # tail of the Taylor sum is bounded by ~|z|^order/(1-|z|)
-        needed = int(math.ceil(42.0 / max(-math.log10(az), 1e-12))) + 8
-        if needed > 200_000:
-            raise BranchAmbiguityError(
-                f"series fallback at |z| = {az} would need {needed} terms"
-            )
-        return lambda_plus_series(coin, max(needed, 64))(z)
+    if abs(m1 - m2) <= _MODULUS_TIE_TOL * max(m1, m2, 1e-300):
+        raise BranchAmbiguityError(
+            f"root moduli coincide at z = {z}; no pointwise branch choice exists there"
+        )
     return r1 if m1 < m2 else r2
 
 
-# -- closed-form generating functions ---------------------------------
+# -- closed forms, shared by both flavors ------------------------------
+#
+# lam and z are two complex numbers (lam = lam(z) at a point) or two Series
+# of one order (the branch series and the monomial z).
+
+
+def _absorbing(coin: Coin, lam, z):
+    """A(z) = (d lam - Delta z) z / c."""
+    return (coin.d * lam - coin.det * z) * z / coin.c
+
+
+def site_factor(coin: Coin, lam):
+    """t = d lam / a; site n carries t^n in Bq, Br and t^(n-1) in PsiL, PsiR."""
+    return lam * (coin.d / coin.a)
+
+
+def bounded_denominator(coin: Coin, boundary_coin: Coin, lam, z):
+    """h(z) = 1 - c~ A(z)."""
+    return 1.0 - boundary_coin.c * _absorbing(coin, lam, z)
+
+
+def bounded_numerators(coin: Coin, boundary_coin: Coin, lam, z):
+    """(h PsiL(0->1), h PsiR(0->1)); site n >= 1 multiplies both by t^(n-1)."""
+    ct = boundary_coin.c
+    return (lam - coin.a * z) * (ct * coin.d / (coin.a * coin.c)), z * ct
+
+
+def _site0(coin: Coin, z, psi_L1, psi_R1):
+    """PsiL(0->0) = 1 + z (a PsiL(0->1) + b PsiR(0->1)); PsiR(0->0) = 0."""
+    return 1.0 + z * (coin.a * psi_L1 + coin.b * psi_R1)
+
+
+# -- generating functions ----------------------------------------------
 
 
 def absorbing_gf(coin: Coin, z: complex) -> complex:
     """Return amplitude generating function with an absorbing boundary."""
     _check_entries(coin, "cd")
-    lam = lambda_plus_eval(coin, z)
-    return (coin.d * lam - coin.det * z) * z / coin.c
+    return _absorbing(coin, lambda_plus_eval(coin, z), z)
 
 
-def absorbing_gf_series(coin: Coin, order: int = DEFAULT_ORDER) -> Series:
+def absorbing_gf_series(coin: Coin, order: int) -> Series:
     _check_entries(coin, "cd")
-    lam = lambda_plus_series(coin, order)
-    zs = Series.monomial(1, order)
-    return (coin.d * lam - coin.det * zs) * zs / coin.c
+    return _absorbing(coin, lambda_plus_series(coin, order), Series.monomial(1, order))
 
 
 def b_gf_closed(coin: Coin, n: int, z: complex) -> tuple[complex, complex]:
     """Closed forms of the up-move and return-move coefficient functions.
 
-    Bq(0->n) = (d lam/a)^n / d and Br(0->n) = (d lam/a)^n (lam - a z)/(a c z).
-    The n = 0 instance of Bq is the formal seed 1/d of the site recursion
-    rather than a path sum.
+    Bq(0->n) = t^n / d and Br(0->n) = t^n (lam - a z)/(a c z).  The n = 0
+    instance of Bq is the formal seed 1/d of the site recursion rather than
+    a path sum.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     _check_entries(coin, "acd")
     lam = lambda_plus_eval(coin, z)
-    t = coin.d * lam / coin.a
-    bq = t**n / coin.d
-    br = t**n * (lam - coin.a * z) / (coin.a * coin.c * z)
-    return complex(bq), complex(br)
+    tn = site_factor(coin, lam) ** n
+    return complex(tn / coin.d), complex(tn * (lam - coin.a * z) / (coin.a * coin.c * z))
 
 
-def b_gf_closed_series(coin: Coin, n: int, order: int = DEFAULT_ORDER) -> tuple[Series, Series]:
+def b_gf_closed_series(coin: Coin, n: int, order: int) -> tuple[Series, Series]:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     _check_entries(coin, "acd")
     # one extra order so the division by z loses no stored coefficient
     lam = lambda_plus_series(coin, order + 1)
     zs = Series.monomial(1, order + 1)
-    t = (lam * (coin.d / coin.a)).truncate(order)
-    tn = t**n
-    bq = tn / coin.d
+    tn = site_factor(coin, lam).truncate(order) ** n
     shifted = (lam - coin.a * zs).shift_down(1).truncate(order)
-    br = tn * shifted / (coin.a * coin.c)
-    return bq, br
-
-
-def _bounded_parts_series(
-    coin: Coin, boundary_coin: Coin, order: int
-) -> tuple[Series, Series, Series]:
-    """(d lam/a, L-channel kernel, R-channel kernel), denominator divided out."""
-    lam = lambda_plus_series(coin, order)
-    zs = Series.monomial(1, order)
-    a, c, d = coin.a, coin.c, coin.d
-    ct = boundary_coin.c
-    absorbing = (d * lam - coin.det * zs) * zs / c
-    den = 1.0 - ct * absorbing
-    assert den.coefficient(0) == 1.0 + 0.0j  # absorbing part carries no constant term
-    inv_den = Series.constant(1.0, order) / den
-    t = lam * (d / a)
-    kernel_L = (lam - a * zs) * (ct * d / (a * c)) * inv_den
-    kernel_R = zs * ct * inv_den
-    return t, kernel_L, kernel_R
-
-
-def bounded_gf_series(
-    coin: Coin, boundary_coin: Coin, n: int, order: int = DEFAULT_ORDER
-) -> tuple[Series, Series]:
-    """Series of (PsiL(0->n), PsiR(0->n)) for a site n >= 1.
-
-    Coefficient tau equals the walk amplitude psi_{L,R}(n, tau).
-    """
-    if n < 1:
-        raise ValueError(f"bounded_gf_series needs n >= 1, got {n} (site 0 has its own form)")
-    _check_entries(coin, "acd")
-    t, kernel_L, kernel_R = _bounded_parts_series(coin, boundary_coin, order)
-    pref = t ** (n - 1)
-    return pref * kernel_L, pref * kernel_R
-
-
-def bounded_denominator(coin: Coin, boundary_coin: Coin, lam: complex, z: complex) -> complex:
-    """h(z) = 1 - c~ A(z) at a point, given the branch value lam = lam(z)."""
-    return 1.0 - boundary_coin.c * (coin.d * lam - coin.det * z) * z / coin.c
-
-
-def bounded_numerators(
-    coin: Coin, boundary_coin: Coin, n: int, lam: complex, z: complex
-) -> tuple[complex, complex]:
-    """(h PsiL(0->n; z), h PsiR(0->n; z)) for a site n >= 1, given lam = lam(z)."""
-    a, c, d = coin.a, coin.c, coin.d
-    ct = boundary_coin.c
-    pref = (d * lam / a) ** (n - 1)
-    return pref * (ct * d / (a * c)) * (lam - a * z), pref * ct * z
+    return tn / coin.d, tn * shifted / (coin.a * coin.c)
 
 
 def bounded_gf(
@@ -421,24 +376,18 @@ def bounded_gf(
     den = bounded_denominator(coin, boundary_coin, lam, z)
     if abs(den) < 1e-12:
         raise PoleError(f"generating function has a pole at z = {z}")
-    g_L, g_R = bounded_numerators(coin, boundary_coin, n, lam, z)
-    return complex(g_L / den), complex(g_R / den)
+    g_L, g_R = bounded_numerators(coin, boundary_coin, lam, z)
+    pref = site_factor(coin, lam) ** (n - 1)
+    return complex(pref * g_L / den), complex(pref * g_R / den)
 
 
 def gf_site0(coin: Coin, boundary_coin: Coin, z: complex) -> complex:
-    """PsiL(0->0; z) = 1 + z (a PsiL(0->1) + b PsiR(0->1)); PsiR at 0 vanishes."""
-    psi_L1, psi_R1 = bounded_gf(coin, boundary_coin, 1, z)
-    return 1.0 + z * (coin.a * psi_L1 + coin.b * psi_R1)
-
-
-def gf_site0_series(coin: Coin, boundary_coin: Coin, order: int = DEFAULT_ORDER) -> Series:
-    psi_L1, psi_R1 = bounded_gf_series(coin, boundary_coin, 1, order)
-    zs = Series.monomial(1, order)
-    return 1.0 + zs * (coin.a * psi_L1 + coin.b * psi_R1)
+    """PsiL(0->0; z); PsiR at site 0 vanishes."""
+    return _site0(coin, z, *bounded_gf(coin, boundary_coin, 1, z))
 
 
 def bounded_gf_table(
-    coin: Coin, boundary_coin: Coin, n_max: int, order: int = DEFAULT_ORDER
+    coin: Coin, boundary_coin: Coin, n_max: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tables for sites 0..n_max, shape (n_max+1, order).
 
@@ -456,7 +405,14 @@ def bounded_gf_table(
             f"{MAX_TABLE_STEPS} steps"
         )
     _check_entries(coin, "acd")
-    t, kernel_L, kernel_R = _bounded_parts_series(coin, boundary_coin, order)
+    lam = lambda_plus_series(coin, order)
+    zs = Series.monomial(1, order)
+    den = bounded_denominator(coin, boundary_coin, lam, zs)
+    assert den.coefficient(0) == 1.0 + 0.0j  # A(z) carries no constant term
+    inv_den = Series.constant(1.0, order) / den
+    num_L, num_R = bounded_numerators(coin, boundary_coin, lam, zs)
+    kernel_L, kernel_R = num_L * inv_den, num_R * inv_den
+    t = site_factor(coin, lam)
     rows = max(n_max, 1) + 1
     psi_L = np.zeros((rows, order), dtype=np.complex128)
     psi_R = np.zeros((rows, order), dtype=np.complex128)
@@ -465,7 +421,5 @@ def bounded_gf_table(
         psi_L[n] = (pref * kernel_L).coeffs
         psi_R[n] = (pref * kernel_R).coeffs
         pref = pref * t
-    zs = Series.monomial(1, order)
-    site0 = 1.0 + zs * (coin.a * Series(psi_L[1]) + coin.b * Series(psi_R[1]))
-    psi_L[0] = site0.coeffs
+    psi_L[0] = _site0(coin, zs, Series(psi_L[1]), Series(psi_R[1])).coeffs
     return psi_L[: n_max + 1], psi_R[: n_max + 1]

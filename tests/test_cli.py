@@ -13,7 +13,7 @@ from lzwalk import (
     localization_length,
     observables,
 )
-from lzwalk.cli import RunConfig, emit_config, main, parse_config_text
+from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, emit_config, main, parse_config_text
 from lzwalk.genfun import MAX_TABLE_STEPS
 
 THETA = math.pi / 4
@@ -301,6 +301,26 @@ def test_steps_beyond_cap_exit_1_at_once(capsys, mode, steps):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(steps - 1) in err
+
+
+def test_sweep_points_beyond_cap_exit_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "sweep", "--fmin", "1", "--fmax", "2", "--points", str(MAX_SWEEP_POINTS + 1)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_SWEEP_POINTS) in err
+
+
+def test_edge_at_vanishing_p_and_zero_theta(capsys):
+    # 1 - sqrt(1-p) rounds to 0 here; r = (1 + sqrt(1-p))^2 / p stays finite
+    code, out, err = run_cli(capsys, "edge", "--p", "1e-300", "--theta", "0")
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert float(rows[0][3]) == pytest.approx(4e300, rel=1e-13)
+    assert rows[0][-2:] == ["false", "false"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +42,20 @@ def test_decay_ratio_zero_phase_never_localizes():
         expected = (1.0 + s) / (1.0 - s)  # algebraic simplification at theta = 0
         assert decay_ratio(float(p), 0.0) == pytest.approx(expected, rel=1e-11)
         assert decay_ratio(float(p), 0.0) >= 1.0
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-4, THETA_REF])
+def test_decay_ratio_matches_high_precision(theta):
+    # p log-uniform over [1e-300, 0.5]; 2 - p - 2 cos(theta) sqrt(1-p) cancels
+    # down to about p^2 / 4 at theta = 0, so the reference carries 700 digits
+    rng = np.random.default_rng(5)
+    ps = [1e-300, 0.5, *(10.0 ** rng.uniform(-300.0, math.log10(0.5), 100))]
+    with mpmath.workdps(700):
+        t = mpmath.mpf(theta)
+        for p in map(float, ps):
+            q = mpmath.mpf(p)
+            exact = q / (2 - q - 2 * mpmath.cos(t) * mpmath.sqrt(1 - q))
+            assert decay_ratio(p, theta) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_decay_ratio_tends_to_one_at_threshold():

@@ -14,20 +14,17 @@ from lzwalk import (
     b_gf_closed,
     b_gf_closed_series,
     bounded_gf,
-    bounded_gf_series,
     bounded_gf_table,
-    evolve,
     gf_site0,
-    gf_site0_series,
     initial_state,
     lambda_plus_eval,
     lambda_plus_series,
     make_boundary_coin,
     make_bulk_coin,
     pole,
-    pqrs_coefficient_series,
     step,
 )
+from lzwalk.verify import check_absorbing_gf, check_closed_forms, three_way_residual
 from conftest import P_REF, THETA_REF
 
 
@@ -66,7 +63,6 @@ def test_series_mixed_orders_truncate_to_min():
 def test_series_shifts_and_powers():
     z = Series.monomial(1, 6)
     assert np.allclose((z**3).coeffs, [0, 0, 0, 1, 0, 0], atol=0)
-    assert np.allclose(z.shift_up(2).coeffs, [0, 0, 0, 1, 0, 0], atol=0)
     assert np.allclose((z**3).shift_down(2).coeffs, [0, 1, 0, 0, 0, 0], atol=0)
     with pytest.raises(ValueError):
         Series([1, 0], order=4).shift_down(1)
@@ -163,16 +159,6 @@ def test_lambda_branch_tie_on_unit_circle(ref_coins):
         lambda_plus_eval(u, 1j)
 
 
-def test_lambda_forced_tie_falls_back_to_series(ref_coins):
-    u, _ = ref_coins
-    z = 0.4 + 0.1j
-    assert lambda_plus_eval(u, z, modulus_tie_tol=10.0) == pytest.approx(
-        lambda_plus_eval(u, z), abs=1e-12
-    )
-    with pytest.raises(BranchAmbiguityError):
-        lambda_plus_eval(u, 1.2, modulus_tie_tol=10.0)
-
-
 # -- absorbing boundary -------------------------------------------------
 
 
@@ -189,11 +175,10 @@ def test_absorbing_odd_coefficients_vanish(phased_coins):
     assert np.max(np.abs(series.coeffs[1::2])) == 0.0
 
 
-def test_absorbing_series_matches_path_enumeration(phased_coins):
-    u, _ = phased_coins
-    series = absorbing_gf_series(u, 13)
-    _, a_r = pqrs_coefficient_series(0, 12, u, u, "absorbing")
-    assert np.max(np.abs(series.coeffs[1:] - a_r[1:])) < 1e-10
+def test_absorbing_series_matches_path_enumeration():
+    # the phased_coins bulk coin
+    res = check_absorbing_gf(p=P_REF, theta=THETA_REF + 0.1, beta=0.3, tau_max=12, tol=1e-10)
+    assert res.passed, res.line()
 
 
 def test_absorbing_rejects_ballistic_coin():
@@ -229,14 +214,12 @@ def test_return_form_is_a_regular_series(phased_coins):
     assert abs(br.coefficient(1)) == 0.0
 
 
-def test_closed_forms_match_path_sums(phased_coins):
-    u, _ = phased_coins
-    for n in range(5):
-        bq_s, br_s = b_gf_closed_series(u, n, 13)
-        path_q, path_r = pqrs_coefficient_series(n, 12, u, u)
-        lo = 1 if n == 0 else 0  # n=0 constant term is the formal seed 1/d
-        assert np.max(np.abs(bq_s.coeffs[lo:] - path_q[lo:])) < 1e-10
-        assert np.max(np.abs(br_s.coeffs[lo:] - path_r[lo:])) < 1e-10
+def test_closed_forms_match_path_sums():
+    # the phased_coins bulk coin, sites n <= 4
+    res = check_closed_forms(
+        p=P_REF, theta=THETA_REF + 0.1, beta=0.3, n_max=4, tau_max=12, tol=1e-10
+    )
+    assert res.passed, res.line()
 
 
 def test_closed_forms_pointwise_match_series(ref_coins):
@@ -257,39 +240,11 @@ def test_closed_forms_reject_degenerate_p():
 
 
 def test_bounded_series_equal_walk_amplitudes(ref_coins):
-    u, ub = ref_coins
-    states = [initial_state()]
-    for _ in range(40):
-        states.append(step(states[-1], u, ub))
-    tab_L, tab_R = bounded_gf_table(u, ub, 8, 41)
-    worst = 0.0
-    for tau in range(41):
-        st = states[tau]
-        for n in range(0, min(tau, 8) + 1):
-            worst = max(
-                worst,
-                abs(tab_L[n, tau] - st.psi_L[n]),
-                abs(tab_R[n, tau] - st.psi_R[n]),
-            )
-    assert worst < 1e-10
+    assert three_way_residual(*ref_coins, 0, 40, 8) < 1e-10
 
 
 def test_bounded_series_with_boundary_phase(phased_coins):
-    u, ub = phased_coins
-    states = [initial_state()]
-    for _ in range(30):
-        states.append(step(states[-1], u, ub))
-    tab_L, tab_R = bounded_gf_table(u, ub, 6, 31)
-    worst = 0.0
-    for tau in range(31):
-        st = states[tau]
-        for n in range(0, min(tau, 6) + 1):
-            worst = max(
-                worst,
-                abs(tab_L[n, tau] - st.psi_L[n]),
-                abs(tab_R[n, tau] - st.psi_R[n]),
-            )
-    assert worst < 1e-10
+    assert three_way_residual(*phased_coins, 0, 30, 6) < 1e-10
 
 
 def test_bounded_series_random_phase_combinations():
@@ -302,38 +257,30 @@ def test_bounded_series_random_phase_combinations():
             float(rng.uniform(-math.pi, math.pi)),
         )
         ub = make_boundary_coin(float(rng.uniform(-math.pi, math.pi)))
-        states = [initial_state()]
-        for _ in range(25):
-            states.append(step(states[-1], u, ub))
-        tab_L, tab_R = bounded_gf_table(u, ub, 5, 26)
-        for tau in range(26):
-            st = states[tau]
-            for n in range(0, min(tau, 5) + 1):
-                assert abs(tab_L[n, tau] - st.psi_L[n]) < 1e-10
-                assert abs(tab_R[n, tau] - st.psi_R[n]) < 1e-10
+        assert three_way_residual(u, ub, 0, 25, 5) < 1e-10
 
 
 def test_first_step_coefficient_is_boundary_row(phased_coins):
     u, ub = phased_coins
-    _, psi_R = bounded_gf_series(u, ub, 1, 6)
-    assert psi_R.coefficient(1) == pytest.approx(ub.c, abs=1e-14)
+    _, tab_R = bounded_gf_table(u, ub, 1, 6)
+    assert tab_R[1, 1] == pytest.approx(ub.c, abs=1e-14)
 
 
 def test_light_cone_zeros(phased_coins):
     u, ub = phased_coins
+    tab_L, tab_R = bounded_gf_table(u, ub, 5, 12)
     for n in (2, 5):
-        psi_L, psi_R = bounded_gf_series(u, ub, n, 12)
-        assert np.max(np.abs(psi_L.coeffs[:n])) < 1e-14
-        assert np.max(np.abs(psi_R.coeffs[:n])) < 1e-14
+        assert np.max(np.abs(tab_L[n, :n])) < 1e-14
+        assert np.max(np.abs(tab_R[n, :n])) < 1e-14
 
 
 def test_bounded_pointwise_matches_series(ref_coins):
     u, ub = ref_coins
-    psi_L_s, psi_R_s = bounded_gf_series(u, ub, 3, 400)
+    tab_L, tab_R = bounded_gf_table(u, ub, 3, 400)
     z = 0.3 + 0.2j
     psi_L, psi_R = bounded_gf(u, ub, 3, z)
-    assert psi_L == pytest.approx(psi_L_s(z), abs=1e-12)
-    assert psi_R == pytest.approx(psi_R_s(z), abs=1e-12)
+    assert psi_L == pytest.approx(Series(tab_L[3])(z), abs=1e-12)
+    assert psi_R == pytest.approx(Series(tab_R[3])(z), abs=1e-12)
 
 
 def test_bounded_pointwise_pole(ref_coins):
@@ -346,27 +293,26 @@ def test_bounded_pointwise_pole(ref_coins):
 def test_bounded_rejects_site_zero(ref_coins):
     u, ub = ref_coins
     with pytest.raises(ValueError):
-        bounded_gf_series(u, ub, 0, 8)
-    with pytest.raises(ValueError):
         bounded_gf(u, ub, 0, 0.5)
 
 
 def test_site0_series(phased_coins):
     u, ub = phased_coins
-    g0 = gf_site0_series(u, ub, 41)
-    assert g0.coefficient(0) == 1.0
-    assert g0.coefficient(2) == pytest.approx(u.b * ub.c, abs=1e-14)
+    tab_L, tab_R = bounded_gf_table(u, ub, 0, 41)
+    assert tab_L[0, 0] == 1.0
+    assert tab_L[0, 2] == pytest.approx(u.b * ub.c, abs=1e-14)
+    assert np.all(tab_R[0] == 0.0)
     s = initial_state()
     for tau in range(1, 41):
         s = step(s, u, ub)
-        assert g0.coefficient(tau) == pytest.approx(s.psi_L[0], abs=1e-10)
+        assert tab_L[0, tau] == pytest.approx(s.psi_L[0], abs=1e-10)
 
 
 def test_site0_pointwise(ref_coins):
     u, ub = ref_coins
-    g0 = gf_site0_series(u, ub, 400)
+    tab_L, _ = bounded_gf_table(u, ub, 0, 400)
     z = 0.25 - 0.3j
-    assert gf_site0(u, ub, z) == pytest.approx(g0(z), abs=1e-12)
+    assert gf_site0(u, ub, z) == pytest.approx(Series(tab_L[0])(z), abs=1e-12)
 
 
 def test_denominator_constant_term_is_exactly_one(phased_coins):

@@ -2,8 +2,9 @@
 
 Each point is (p, beta, gamma, gamma_tilde).  Besides p spread over the
 allowed range, the draws pack p next to the transition p_c = sin^2(theta),
-theta = gamma - gamma_tilde, and next to the ballistic limit p -> 1.  The
-hypothesis profile in conftest.py fixes the examples.
+theta = gamma - gamma_tilde, and next to the ballistic limit p -> 1.  Points
+z of the unit disk are packed next to its rim.  The hypothesis profile in
+conftest.py fixes the examples.
 """
 
 import cmath
@@ -16,6 +17,7 @@ from hypothesis import given, strategies as st
 from lzwalk import (
     ModelParams,
     edge_report,
+    lambda_plus_eval,
     make_boundary_coin,
     make_bulk_coin,
     norm,
@@ -25,6 +27,8 @@ from lzwalk import (
 from lzwalk.verify import three_way_residual
 
 PHASES = st.floats(-math.pi, math.pi)
+# |z| <= 1 - 1e-6
+RADII = st.floats(1e-6, 1.0 - 1e-6) | st.floats(1e-6, 1e-3).map(lambda gap: 1.0 - gap)
 
 
 @st.composite
@@ -79,3 +83,18 @@ def test_edge_quantities_are_even_in_theta(point):
         obs_plus, obs_minus = observables(p, plus.theta), observables(p, minus.theta)
         assert obs_minus.J_direct == pytest.approx(obs_plus.J_direct, rel=1e-13)
         assert obs_minus.E_direct == pytest.approx(obs_plus.E_direct, rel=1e-13)
+
+
+# lambda_plus_eval treats a relative gap of 1e-9 between the root moduli as a
+# branch cut.  Inside the unit disk |lam(z)| <= |z| (Schwarz lemma) and the
+# moduli multiply to 1, so the gap 1 - |lam|^2 is at least 1 - |z|^2 and a
+# tie needs |z| >= 1 - 5e-10.  The roots here come from numpy, not genfun.
+@given(points(min_gap=1e-12), RADII, PHASES)
+def test_branch_root_stays_inside_the_disk(point, radius, phase):
+    p, beta, gamma, _ = point
+    u = make_bulk_coin(p, beta, gamma)
+    z = cmath.rect(radius, phase)
+    assert abs(lambda_plus_eval(u, z)) <= abs(z) * (1.0 + 1e-12)
+    quadratic = [u.d * u.d * z, -u.d * (u.det * z * z + 1.0), u.det * abs(u.a) ** 2 * z]
+    small, large = sorted(abs(np.roots(quadratic)))
+    assert (large - small) / large >= (1.0 - abs(z) ** 2) * (1.0 - 1e-9)
