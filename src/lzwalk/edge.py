@@ -82,11 +82,17 @@ def is_localized(p: float, theta: float) -> bool:
 
 
 def pole(p: float, theta: float) -> complex:
-    """Location z^2 of the shared simple pole; unit modulus by construction."""
+    """Location z^2 of the shared simple pole; unit modulus by construction.
+
+    The numerator 1 - e^{-i theta} s has real part 1 - s cos(theta) =
+    p/(1+s) + 2 s sin^2(theta/2), written so that it does not cancel at
+    small p and small theta.
+    """
     theta = _check_p_theta(p, theta)
     s = math.sqrt(1.0 - p)
-    num = 1.0 - cmath.exp(-1j * theta) * s
-    # num vanishes only at theta = 0 once s rounds to 1; z_pole^2 = 1 at theta = 0
+    half = math.sin(0.5 * theta)
+    num = complex(p / (1.0 + s) + 2.0 * s * half * half, s * math.sin(theta))
+    # num vanishes only at theta = 0 once p/(1+s) underflows; z_pole^2 = 1 there
     return num / num.conjugate() if num else 1.0 + 0.0j
 
 

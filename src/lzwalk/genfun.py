@@ -28,6 +28,10 @@ two complex numbers or two ``Series`` of one order: A(z), the site factor
 site-1 numerators h PsiL, h PsiR in ``bounded_numerators`` and the site-0
 form.  Both flavors call them, and so do the residues in
 ``edge.floquet_mode`` and the pole check in ``verify``.
+
+lam, t and both site-1 kernels (numerator / h) are odd series, so
+``bounded_gf_table`` works on their odd-coefficient sublattice and fills
+only the columns tau >= n with tau = n (mod 2) of row n.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ __all__ = [
 ]
 
 # largest n_max and order - 1 of bounded_gf_table; at the cap it holds two
-# 2001 x 2001 complex tables (122 MiB) and takes 13 s on a 2-core VM
+# 2001 x 2001 complex tables (122 MiB), and `series --steps 2000` takes
+# 1.5 s (p = 0.8) to 2.4 s (p = 0.2) on a 2-core VM
 MAX_TABLE_STEPS = 2000
 
 _DEGENERATE_TOL = 1e-15
@@ -413,13 +418,17 @@ def bounded_gf_table(
     num_L, num_R = bounded_numerators(coin, boundary_coin, lam, zs)
     kernel_L, kernel_R = num_L * inv_den, num_R * inv_den
     t = site_factor(coin, lam)
+    # t and both kernels are odd: keep their z^(2j+1) coefficients.  pref
+    # holds t^(n-1) at z^(n-1+2j), so row n fills columns n, n+2, ... only
+    k_L, k_R, t_odd = kernel_L.coeffs[1::2], kernel_R.coeffs[1::2], t.coeffs[1::2]
     rows = max(n_max, 1) + 1
     psi_L = np.zeros((rows, order), dtype=np.complex128)
     psi_R = np.zeros((rows, order), dtype=np.complex128)
-    pref = Series.constant(1.0, order)
-    for n in range(1, rows):
-        psi_L[n] = (pref * kernel_L).coeffs
-        psi_R[n] = (pref * kernel_R).coeffs
-        pref = pref * t
+    pref = np.ones(1, dtype=np.complex128)
+    for n in range(1, min(rows, order)):
+        w = (order - 1 - n) // 2 + 1
+        psi_L[n, n::2] = np.convolve(pref, k_L[:w])[:w]
+        psi_R[n, n::2] = np.convolve(pref, k_R[:w])[:w]
+        pref = np.convolve(pref, t_odd[:w])[:w]
     psi_L[0] = _site0(coin, zs, Series(psi_L[1]), Series(psi_R[1])).coeffs
     return psi_L[: n_max + 1], psi_R[: n_max + 1]

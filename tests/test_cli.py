@@ -92,8 +92,8 @@ def test_evolve_snapshots_sum_to_one(capsys):
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_series_mode_agrees_with_evolve(capsys):
-    args = ("--p", "0.2", "--theta", str(THETA), "--steps", "24")
+def assert_series_matches_evolve(capsys, p, steps):
+    args = ("--p", p, "--theta", str(THETA), "--steps", steps)
     code_e, out_e, _ = run_cli(capsys, "evolve", *args)
     code_s, out_s, _ = run_cli(capsys, "series", *args)
     assert code_e == 0 and code_s == 0
@@ -104,6 +104,16 @@ def test_series_mode_agrees_with_evolve(capsys):
         assert re_[:2] == rs_[:2]
         assert float(rs_[2]) == pytest.approx(float(re_[2]), abs=1e-10)
         assert float(rs_[3]) == pytest.approx(float(re_[3]), abs=1e-10)
+
+
+def test_series_mode_agrees_with_evolve(capsys):
+    assert_series_matches_evolve(capsys, "0.2", "24")
+
+
+@pytest.mark.parametrize("p", ["0.2", "0.49", "0.8"])
+def test_series_mode_agrees_with_evolve_long_horizon(capsys, p):
+    # long rows exercise the per-row truncation of the series table
+    assert_series_matches_evolve(capsys, p, "800")
 
 
 def test_series_zero_steps(capsys):

@@ -108,6 +108,25 @@ def test_pole_trivial_at_zero_phase():
     assert pole(0.3, 0.0) == pytest.approx(1.0, abs=0)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-4, THETA_REF])
+def test_pole_matches_high_precision(theta):
+    # p log-uniform over [1e-300, 0.5]; the numerator's real part
+    # 1 - cos(theta) sqrt(1-p) cancels at small p and theta, so the reference
+    # writes 1 - e^{-i theta} sqrt(1-p) as -expm1(-i theta + log1p(-p)/2).
+    # Re z_pole^2 crosses zero at p = sin^2(theta): only Im is compared
+    # componentwise
+    rng = np.random.default_rng(6)
+    ps = [1e-300, 0.5, *(10.0 ** rng.uniform(-300.0, math.log10(0.5), 100))]
+    with mpmath.workdps(60):
+        t = mpmath.mpf(theta)
+        for p in map(float, ps):
+            num = -mpmath.expm1(-1j * t + mpmath.log1p(-mpmath.mpf(p)) / 2)
+            exact = complex(num / mpmath.conj(num))
+            z2 = pole(p, theta)
+            assert z2 == pytest.approx(exact, rel=1e-13, abs=0)
+            assert z2.imag == pytest.approx(exact.imag, rel=1e-13, abs=0)
+
+
 def test_pole_argument_is_odd_in_theta():
     for theta in (0.4, 1.0, 2.2):
         left = cmath.phase(pole(0.3, -theta))

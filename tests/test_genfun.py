@@ -24,6 +24,7 @@ from lzwalk import (
     pole,
     step,
 )
+from lzwalk.genfun import bounded_denominator, bounded_numerators, site_factor
 from lzwalk.verify import check_absorbing_gf, check_closed_forms, three_way_residual
 from conftest import P_REF, THETA_REF
 
@@ -267,11 +268,36 @@ def test_first_step_coefficient_is_boundary_row(phased_coins):
 
 
 def test_light_cone_zeros(phased_coins):
+    # psi(n, tau) vanishes exactly outside the light cone and off its parity
     u, ub = phased_coins
     tab_L, tab_R = bounded_gf_table(u, ub, 5, 12)
-    for n in (2, 5):
-        assert np.max(np.abs(tab_L[n, :n])) < 1e-14
-        assert np.max(np.abs(tab_R[n, :n])) < 1e-14
+    n, tau = np.indices(tab_L.shape)
+    outside = (n > tau) | ((n + tau) % 2 == 1)
+    assert np.all(tab_L[outside] == 0)
+    assert np.all(tab_R[outside] == 0)
+
+
+@pytest.mark.parametrize(
+    "n_max, order",
+    [(0, 2), (1, 2), (0, 9), (1, 10), (6, 13), (7, 14), (12, 13), (13, 14), (20, 9), (9, 9)],
+)
+@pytest.mark.parametrize("coins", ["ref_coins", "phased_coins"])
+def test_table_matches_direct_series(request, coins, n_max, order):
+    # row n >= 1 is t^(n-1) times the kernel (site-1 numerator) / h, written out
+    u, ub = request.getfixturevalue(coins)
+    lam = lambda_plus_series(u, order)
+    zs = Series.monomial(1, order)
+    den = bounded_denominator(u, ub, lam, zs)
+    num_L, num_R = bounded_numerators(u, ub, lam, zs)
+    t = site_factor(u, lam)
+    tab_L, tab_R = bounded_gf_table(u, ub, n_max, order)
+    assert tab_L.shape == tab_R.shape == (n_max + 1, order)
+    kernel_L, kernel_R = num_L / den, num_R / den
+    ref = {n: (t ** (n - 1) * kernel_L, t ** (n - 1) * kernel_R) for n in range(1, n_max + 2)}
+    ref[0] = (1.0 + zs * (u.a * ref[1][0] + u.b * ref[1][1]), Series.constant(0.0, order))
+    for n in range(n_max + 1):
+        np.testing.assert_allclose(tab_L[n], ref[n][0].coeffs, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tab_R[n], ref[n][1].coeffs, rtol=0, atol=1e-14)
 
 
 def test_bounded_pointwise_matches_series(ref_coins):
