@@ -29,19 +29,14 @@ from .edge import (
 from .errors import (
     BranchAmbiguityError,
     DelocalizedError,
-    PoleError,
     ResourceLimitError,
     SingularityError,
 )
 from .genfun import (
     Series,
-    absorbing_gf,
     absorbing_gf_series,
-    b_gf_closed,
     b_gf_closed_series,
-    bounded_gf,
     bounded_gf_table,
-    gf_site0,
     lambda_plus_eval,
     lambda_plus_series,
 )

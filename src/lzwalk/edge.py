@@ -30,7 +30,9 @@ import numpy as np
 
 from .coin import Coin, ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
 from .errors import DelocalizedError
-from .genfun import bounded_denominator, bounded_numerators, lambda_plus_eval, site_factor
+from .genfun import bounded_denominator, bounded_numerators, eta_eval, site_factor
+# not called here; benches/spans.py wraps it by name on this module
+from .genfun import lambda_plus_eval  # noqa: F401
 
 __all__ = [
     "CRITICAL_BAND",
@@ -164,7 +166,8 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     the gauge beta = 0, gamma = theta, gamma_tilde = 0; squared magnitudes
     are gauge independent and satisfy the geometric law exactly:
     |phi_L(n)|^2 = r^n (1-r)^2 and |phi_R(n)|^2 = r^{n-1} (1-r)^2 with
-    phi_R(0) = 0.
+    phi_R(0) = 0.  Raises ArithmeticError when the denominator h at z_pole
+    is not zero to within 1e-12 |h'|, i.e. the pole is displaced.
     """
     theta = _check_p_theta(p, theta)
     if n_max < 0:
@@ -172,24 +175,27 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     _require_localized(p, theta)
     coin = make_bulk_coin(p, 0.0, theta)
     boundary = make_boundary_coin(0.0)
-    a, c, d = coin.a, coin.c, coin.d
-    det = coin.det
+    a, b = coin.a, coin.b
+    ad, bc = a * coin.d, b * coin.c
 
     z2 = pole(p, theta)
     zp = cmath.sqrt(z2)
-    lam = lambda_plus_eval(coin, zp)
-    # implicit derivative of the cleared quadratic F(lam, z) = 0
-    dF_dlam = 2.0 * d * d * zp * lam - d * (det * zp * zp + 1.0)
-    dF_dz = d * d * lam * lam - 2.0 * d * det * zp * lam + det * abs(a) ** 2
-    lam_prime = -dF_dz / dF_dlam
-    # the denominator h = 1 - c~ A(z) vanishes at the pole by construction
-    h = bounded_denominator(coin, boundary, lam, zp)
-    assert abs(h) < 1e-8, f"pole location inconsistent: |h| = {abs(h):.3e}"
-    a_prime = (d * (lam_prime * zp + lam) - 2.0 * det * zp) / c
-    h_prime = -boundary.c * a_prime
+    eta = eta_eval(coin, zp)
+    # implicit derivative of F(eta, z) = z^3 + ((ad + bc) z^2 - 1) eta + ad bc z eta^2
+    dF_deta = (ad + bc) * zp * zp - 1.0 + 2.0 * ad * bc * zp * eta
+    dF_dz = 3.0 * zp * zp + 2.0 * (ad + bc) * zp * eta + ad * bc * eta * eta
+    eta_prime = -dF_dz / dF_deta
+    # h = 1 - c~ A(z), A = b (z + ad eta) z, vanishes at the pole by
+    # construction; h/h' is how far the computed pole sits from its zero
+    h = bounded_denominator(coin, boundary, eta, zp)
+    h_prime = -boundary.c * b * (2.0 * zp + ad * (eta_prime * zp + eta))
+    if not abs(h) <= 1e-12 * abs(h_prime):
+        raise ArithmeticError(
+            f"pole location inconsistent: |h| = {abs(h):.3e}, |h'| = {abs(h_prime):.3e}"
+        )
     rho = -2.0 / (zp * h_prime)
-    g_L, g_R = bounded_numerators(coin, boundary, lam, zp)
-    t = site_factor(coin, lam)
+    g_L, g_R = bounded_numerators(coin, boundary, eta, zp)
+    t = site_factor(coin, eta, zp)
 
     def residues(n: int) -> tuple[complex, complex]:
         pref = t ** (n - 1)
@@ -201,7 +207,7 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     l1, r1 = residues(1)
     for i, n in enumerate(sites):
         if n == 0:
-            phi_L[i] = zp * (a * l1 + coin.b * r1)
+            phi_L[i] = zp * (a * l1 + b * r1)
             phi_R[i] = 0.0
         else:
             phi_L[i], phi_R[i] = residues(int(n))

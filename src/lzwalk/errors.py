@@ -2,15 +2,11 @@
 
 
 class SingularityError(ValueError):
-    """A closed form was requested at a parameter point where it degenerates."""
+    """A series division met a (numerically) vanishing constant term."""
 
 
 class BranchAmbiguityError(ValueError):
     """Root selection cannot decide which branch continues the z=0 germ."""
-
-
-class PoleError(ArithmeticError):
-    """Pointwise evaluation hit a pole of a generating function."""
 
 
 class DelocalizedError(ValueError):

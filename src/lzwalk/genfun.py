@@ -1,35 +1,48 @@
 """Truncated power series engine and closed-form generating functions.
 
 The generating function of a site is ``Psi(0->n; z) = sum_tau psi(n,tau) z^tau``.
-For a coin with entries a, b, c, d and det Delta the building block is the
-branch lam(z) of
+For a coin with entries a, b, c, d and det Delta = ad - bc, every closed form
+is written in one branch variable
 
-    d^2 z lam^2 - d (Delta z^2 + 1) lam + Delta |a|^2 z = 0
+    eta(z) = (lam(z) - a z) / (a b c),   so   lam = a z + a (bc) eta,
 
-that vanishes at z = 0.  Clearing the radical this way gives an exact
-coefficient recurrence (lam_1 = Delta |a|^2 / d, then
-lam_k = d [lam^2]_{k-1} - Delta lam_{k-2}), so no series square root is ever
-needed; only odd-order coefficients are nonzero.
+where lam is the root of d^2 z lam^2 - d (Delta z^2 + 1) lam + Delta |a|^2 z = 0
+that vanishes at z = 0.  Unitarity gives d = Delta conj(a), hence
+Delta |a|^2 = a d, and eta is the root that vanishes at z = 0 of
 
-From lam and the site factor t = d lam / a follow the closed forms
+    z^3 + ((2ad - Delta) z^2 - 1) eta + a d (bc) z eta^2 = 0.
 
-    A(z)        = (d lam - Delta z) z / c          (absorbing return)
+Its coefficients follow from an exact recurrence, eta_3 = 1 and
+eta_k = (2ad - Delta) eta_{k-2} + a d (bc) [eta^2]_{k-1}; only odd orders
+are nonzero, and no step divides or takes a square root.  The closed forms
+follow without a division either, with h = 1 - c~ A:
+
+    t           = d (z + bc eta)                   (site factor, d lam / a)
+    A(z)        = b (z + a d eta) z                (absorbing return)
     Bq(0->n; z) = t^n / d
-    Br(0->n; z) = t^n (lam - a z)/(a c z)
-    PsiL(0->n)  = t^{n-1} (c~ d/(a c)) (lam - a z) / (1 - c~ A)
-    PsiR(0->n)  = t^{n-1} c~ z / (1 - c~ A)        for n >= 1,
+    Br(0->n; z) = t^n b eta / z
+    PsiL(0->n)  = t^{n-1} c~ d b eta / h
+    PsiR(0->n)  = t^{n-1} c~ z / h                 for n >= 1,
     PsiL(0->0)  = 1 + z (a PsiL(0->1) + b PsiR(0->1)),  PsiR(0->0) = 0.
 
-Every function comes in a pointwise flavor (complex argument) and a series
-flavor (``*_series`` or ``bounded_gf_table``, truncated to a fixed order).
-Each closed form is coded once, as a function of lam and z that are either
-two complex numbers or two ``Series`` of one order: A(z), the site factor
-``site_factor``, the denominator h = 1 - c~ A in ``bounded_denominator``, the
+The one division left is the formal seed 1/d of Bq.  So the forms stay
+exact where a coin entry vanishes: b and c as p -> 1, a and d as p -> 0.
+bc is always formed as the product b * c; ad - Delta would cancel to
+round-off as p -> 1.  In the gauge beta = 0, which every ``--theta`` run
+uses, a, d, Delta and bc are exactly real, so eta and t carry no imaginary
+round-off; a variable that absorbed the phase of b or c would leave it to
+cancel in t.
+
+eta comes in a pointwise flavor (``eta_eval``, which solves the quadratic
+with the stable root formula) and a series flavor (``eta_series``, truncated
+to a fixed order).  Each closed form is coded once, as a function of eta and z that are either
+two complex numbers or two ``Series`` of one order: lam, A(z), the site
+factor ``site_factor``, the denominator h in ``bounded_denominator``, the
 site-1 numerators h PsiL, h PsiR in ``bounded_numerators`` and the site-0
 form.  Both flavors call them, and so do the residues in
 ``edge.floquet_mode`` and the pole check in ``verify``.
 
-lam, t and both site-1 kernels (numerator / h) are odd series, so
+eta, t and both site-1 kernels (numerator / h) are odd series, so
 ``bounded_gf_table`` works on their odd-coefficient sublattice and fills
 only the columns tau >= n with tau = n (mod 2) of row n.
 """
@@ -41,22 +54,20 @@ import cmath
 import numpy as np
 
 from .coin import Coin
-from .errors import BranchAmbiguityError, PoleError, ResourceLimitError, SingularityError
+from .errors import BranchAmbiguityError, ResourceLimitError, SingularityError
 
 __all__ = [
     "MAX_TABLE_STEPS",
     "Series",
+    "eta_series",
+    "eta_eval",
     "lambda_plus_series",
     "lambda_plus_eval",
     "site_factor",
     "bounded_denominator",
     "bounded_numerators",
-    "absorbing_gf",
     "absorbing_gf_series",
-    "b_gf_closed",
     "b_gf_closed_series",
-    "bounded_gf",
-    "gf_site0",
     "bounded_gf_table",
 ]
 
@@ -64,8 +75,6 @@ __all__ = [
 # 2001 x 2001 complex tables (122 MiB), and `series --steps 2000` takes
 # 1.5 s (p = 0.8) to 2.4 s (p = 0.2) on a 2-core VM
 MAX_TABLE_STEPS = 2000
-
-_DEGENERATE_TOL = 1e-15
 
 # relative gap below which the two root moduli of the quadratic count as tied
 _MODULUS_TIE_TOL = 1e-9
@@ -219,105 +228,101 @@ class Series:
 # -- branch series ----------------------------------------------------
 
 
-def _check_entries(coin: Coin, need: str) -> None:
-    names = {"a": coin.a, "c": coin.c, "d": coin.d}
-    for key in need:
-        if abs(names[key]) < _DEGENERATE_TOL:
-            cause = "p = 0" if key in "ad" else "p = 1"
-            raise SingularityError(
-                f"coin entry {key} vanishes ({cause}); the closed form degenerates"
-            )
+def _eta_coefficients(coin: Coin) -> tuple[complex, complex]:
+    """(2ad - Delta, a d bc) of the eta equation, with bc formed as b * c."""
+    ad, bc = coin.a * coin.d, coin.b * coin.c
+    return ad + bc, ad * bc
 
 
-def lambda_plus_series(coin: Coin, order: int) -> Series:
-    """Coefficients of the vanishing-at-zero root of the cleared quadratic.
+def _lam(coin: Coin, eta, z):
+    """lam = a z + a (bc) eta."""
+    return coin.a * (z + (coin.b * coin.c) * eta)
 
-    lam_k depends only on lam_j with j <= k-2, so the recurrence is exact;
-    even-order coefficients come out identically zero.
+
+def eta_series(coin: Coin, order: int) -> Series:
+    """Coefficients of the branch variable eta.
+
+    eta_k depends only on eta_j with j <= k-2, so the recurrence is exact;
+    it fills the odd orders only, and the even ones stay exactly zero.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    _check_entries(coin, "d")
-    d = coin.d
-    det = coin.det
-    aa = abs(coin.a) ** 2
-    lam = np.zeros(order, dtype=np.complex128)
-    lam[1] = det * aa / d
-    for k in range(2, order):
-        sq_km1 = np.dot(lam[1 : k - 1], lam[k - 2 : 0 : -1]) if k >= 3 else 0.0
-        lam[k] = d * sq_km1 - det * lam[k - 2]
-    return Series(lam)
+    s, q = _eta_coefficients(coin)
+    eta = np.zeros(max(order, 4), dtype=np.complex128)
+    eta[3] = 1.0
+    for k in range(5, order, 2):
+        eta[k] = s * eta[k - 2] + q * np.dot(eta[3 : k - 3 : 2], eta[k - 4 : 2 : -2])
+    return Series(eta, order)
 
 
-def _quadratic_roots(coin: Coin, z: complex) -> tuple[complex, complex]:
-    d = coin.d
-    det = coin.det
-    A = d * d * z
-    B = -d * (det * z * z + 1.0)
-    C = det * (abs(coin.a) ** 2) * z
-    disc = B * B - 4.0 * A * C
-    sq = cmath.sqrt(disc)
-    # pick the larger |B -/+ sq| to avoid cancellation
-    if abs(B + sq) >= abs(B - sq):
-        q = -0.5 * (B + sq)
-    else:
-        q = -0.5 * (B - sq)
-    if q == 0:
-        # B and disc both zero: double root at the origin
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    return q / A, C / q
+def eta_eval(coin: Coin, z: complex) -> complex:
+    """Value of eta on the physical branch at a point.
 
-
-def lambda_plus_eval(coin: Coin, z: complex) -> complex:
-    """Value of the physical branch at a point.
-
-    Of the two quadratic roots, the branch connected to the z = 0 germ is
-    the smaller-modulus one.  For a unitary coin the root moduli multiply to
-    |Delta| |a|^2 / |d|^2 = 1, and inside the unit disk the branch maps the
-    disk into itself with lam(0) = 0, so |lam(z)| <= |z| (Schwarz lemma) and
-    the relative gap between the moduli, 1 - |lam|^2, is at least 1 - |z|^2.
-    A tie within 1e-9 therefore needs |z| >= 1 - 5e-10, next to or on the
-    unit circle, where no pointwise branch choice exists: it raises
-    BranchAmbiguityError.
+    Of the two roots of the quadratic, the branch connected to the z = 0
+    germ is the one with the smaller |lam|.  For a unitary coin the two lam
+    moduli multiply to |a/d| = 1, and inside the unit disk the branch maps
+    the disk into itself with lam(0) = 0, so |lam(z)| <= |z| (Schwarz lemma)
+    and the relative gap between the moduli, 1 - |lam|^2, is at least
+    1 - |z|^2.  A tie within 1e-9 therefore needs |z| >= 1 - 5e-10, next to
+    or on the unit circle, where no pointwise branch choice exists: it
+    raises BranchAmbiguityError.  Where the leading coefficient a d bc z
+    vanishes (p = 1) the equation is linear and its one root is taken.
     """
     z = complex(z)
     if z == 0:
         raise ValueError("z = 0 is excluded (the quadratic degenerates); the limit is 0")
-    _check_entries(coin, "d")
-    r1, r2 = _quadratic_roots(coin, z)
-    m1, m2 = abs(r1), abs(r2)
+    s, q = _eta_coefficients(coin)
+    lead, mid, const = q * z, s * z * z - 1.0, z * z * z
+    if lead == 0:
+        return -const / mid
+    sq = cmath.sqrt(mid * mid - 4.0 * lead * const)
+    # the larger of |mid -/+ sq| avoids cancellation; it never vanishes here
+    w = -0.5 * (mid + sq if abs(mid + sq) >= abs(mid - sq) else mid - sq)
+    roots = (w / lead, const / w)
+    m1, m2 = (abs(_lam(coin, root, z)) for root in roots)
     if abs(m1 - m2) <= _MODULUS_TIE_TOL * max(m1, m2, 1e-300):
         raise BranchAmbiguityError(
             f"root moduli coincide at z = {z}; no pointwise branch choice exists there"
         )
-    return r1 if m1 < m2 else r2
+    return roots[0] if m1 < m2 else roots[1]
+
+
+def lambda_plus_series(coin: Coin, order: int) -> Series:
+    """Coefficients of lam = a z + a (bc) eta."""
+    return _lam(coin, eta_series(coin, order), Series.monomial(1, order))
+
+
+def lambda_plus_eval(coin: Coin, z: complex) -> complex:
+    """Value of lam on the physical branch (see ``eta_eval``)."""
+    return _lam(coin, eta_eval(coin, z), complex(z))
 
 
 # -- closed forms, shared by both flavors ------------------------------
 #
-# lam and z are two complex numbers (lam = lam(z) at a point) or two Series
+# eta and z are two complex numbers (eta = eta(z) at a point) or two Series
 # of one order (the branch series and the monomial z).
 
 
-def _absorbing(coin: Coin, lam, z):
-    """A(z) = (d lam - Delta z) z / c."""
-    return (coin.d * lam - coin.det * z) * z / coin.c
+def _absorbing(coin: Coin, eta, z):
+    """A(z) = b (z + a d eta) z."""
+    return coin.b * (z + (coin.a * coin.d) * eta) * z
 
 
-def site_factor(coin: Coin, lam):
-    """t = d lam / a; site n carries t^n in Bq, Br and t^(n-1) in PsiL, PsiR."""
-    return lam * (coin.d / coin.a)
+def site_factor(coin: Coin, eta, z):
+    """t = d (z + bc eta); site n carries t^n in Bq, Br and t^(n-1) in PsiL, PsiR."""
+    return coin.d * (z + (coin.b * coin.c) * eta)
 
 
-def bounded_denominator(coin: Coin, boundary_coin: Coin, lam, z):
+def bounded_denominator(coin: Coin, boundary_coin: Coin, eta, z):
     """h(z) = 1 - c~ A(z)."""
-    return 1.0 - boundary_coin.c * _absorbing(coin, lam, z)
+    return 1.0 - boundary_coin.c * _absorbing(coin, eta, z)
 
 
-def bounded_numerators(coin: Coin, boundary_coin: Coin, lam, z):
-    """(h PsiL(0->1), h PsiR(0->1)); site n >= 1 multiplies both by t^(n-1)."""
+def bounded_numerators(coin: Coin, boundary_coin: Coin, eta, z):
+    """(h PsiL(0->1), h PsiR(0->1)) = (c~ d b eta, c~ z); site n >= 1
+    multiplies both by t^(n-1)."""
     ct = boundary_coin.c
-    return (lam - coin.a * z) * (ct * coin.d / (coin.a * coin.c)), z * ct
+    return eta * (ct * coin.d * coin.b), z * ct
 
 
 def _site0(coin: Coin, z, psi_L1, psi_R1):
@@ -328,67 +333,24 @@ def _site0(coin: Coin, z, psi_L1, psi_R1):
 # -- generating functions ----------------------------------------------
 
 
-def absorbing_gf(coin: Coin, z: complex) -> complex:
-    """Return amplitude generating function with an absorbing boundary."""
-    _check_entries(coin, "cd")
-    return _absorbing(coin, lambda_plus_eval(coin, z), z)
-
-
 def absorbing_gf_series(coin: Coin, order: int) -> Series:
-    _check_entries(coin, "cd")
-    return _absorbing(coin, lambda_plus_series(coin, order), Series.monomial(1, order))
-
-
-def b_gf_closed(coin: Coin, n: int, z: complex) -> tuple[complex, complex]:
-    """Closed forms of the up-move and return-move coefficient functions.
-
-    Bq(0->n) = t^n / d and Br(0->n) = t^n (lam - a z)/(a c z).  The n = 0
-    instance of Bq is the formal seed 1/d of the site recursion rather than
-    a path sum.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _check_entries(coin, "acd")
-    lam = lambda_plus_eval(coin, z)
-    tn = site_factor(coin, lam) ** n
-    return complex(tn / coin.d), complex(tn * (lam - coin.a * z) / (coin.a * coin.c * z))
+    """Return amplitude generating function A(z) with an absorbing boundary."""
+    return _absorbing(coin, eta_series(coin, order), Series.monomial(1, order))
 
 
 def b_gf_closed_series(coin: Coin, n: int, order: int) -> tuple[Series, Series]:
+    """Series of the up-move and return-move coefficient functions.
+
+    Bq(0->n) = t^n / d and Br(0->n) = t^n b eta / z.  The n = 0 instance
+    of Bq is the formal seed 1/d of the site recursion rather than a path
+    sum.
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _check_entries(coin, "acd")
     # one extra order so the division by z loses no stored coefficient
-    lam = lambda_plus_series(coin, order + 1)
-    zs = Series.monomial(1, order + 1)
-    tn = site_factor(coin, lam).truncate(order) ** n
-    shifted = (lam - coin.a * zs).shift_down(1).truncate(order)
-    return tn / coin.d, tn * shifted / (coin.a * coin.c)
-
-
-def bounded_gf(
-    coin: Coin, boundary_coin: Coin, n: int, z: complex
-) -> tuple[complex, complex]:
-    """Pointwise (PsiL(0->n; z), PsiR(0->n; z)) for a site n >= 1.
-
-    Raises PoleError when z sits on a zero of the denominator 1 - c~ A(z)
-    (this happens on the unit circle at the edge-state pole).
-    """
-    if n < 1:
-        raise ValueError(f"bounded_gf needs n >= 1, got {n} (site 0 has its own form)")
-    _check_entries(coin, "acd")
-    lam = lambda_plus_eval(coin, z)
-    den = bounded_denominator(coin, boundary_coin, lam, z)
-    if abs(den) < 1e-12:
-        raise PoleError(f"generating function has a pole at z = {z}")
-    g_L, g_R = bounded_numerators(coin, boundary_coin, lam, z)
-    pref = site_factor(coin, lam) ** (n - 1)
-    return complex(pref * g_L / den), complex(pref * g_R / den)
-
-
-def gf_site0(coin: Coin, boundary_coin: Coin, z: complex) -> complex:
-    """PsiL(0->0; z); PsiR at site 0 vanishes."""
-    return _site0(coin, z, *bounded_gf(coin, boundary_coin, 1, z))
+    eta = eta_series(coin, order + 1)
+    tn = site_factor(coin, eta, Series.monomial(1, order + 1)).truncate(order) ** n
+    return tn / coin.d, tn * (coin.b * eta.shift_down(1).truncate(order))
 
 
 def bounded_gf_table(
@@ -409,15 +371,14 @@ def bounded_gf_table(
             f"a series table to n = {n_max}, order {order} exceeds the cap of "
             f"{MAX_TABLE_STEPS} steps"
         )
-    _check_entries(coin, "acd")
-    lam = lambda_plus_series(coin, order)
+    eta = eta_series(coin, order)
     zs = Series.monomial(1, order)
-    den = bounded_denominator(coin, boundary_coin, lam, zs)
+    den = bounded_denominator(coin, boundary_coin, eta, zs)
     assert den.coefficient(0) == 1.0 + 0.0j  # A(z) carries no constant term
     inv_den = Series.constant(1.0, order) / den
-    num_L, num_R = bounded_numerators(coin, boundary_coin, lam, zs)
+    num_L, num_R = bounded_numerators(coin, boundary_coin, eta, zs)
     kernel_L, kernel_R = num_L * inv_den, num_R * inv_den
-    t = site_factor(coin, lam)
+    t = site_factor(coin, eta, zs)
     # t and both kernels are odd: keep their z^(2j+1) coefficients.  pref
     # holds t^(n-1) at z^(n-1+2j), so row n fills columns n, n+2, ... only
     k_L, k_R, t_odd = kernel_L.coeffs[1::2], kernel_R.coeffs[1::2], t.coeffs[1::2]

@@ -238,7 +238,7 @@ def check_pole_zero(
     """The reported pole is a zero of the denominator on the physical branch."""
     u, ub = _coin_pair(p, theta)
     zp = cmath.sqrt(edge.pole(p, theta))
-    h = genfun.bounded_denominator(u, ub, genfun.lambda_plus_eval(u, zp), zp)
+    h = genfun.bounded_denominator(u, ub, genfun.eta_eval(u, zp), zp)
     return _result("pole_denominator_zero", abs(h), tol)
 
 

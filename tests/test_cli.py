@@ -110,7 +110,7 @@ def test_series_mode_agrees_with_evolve(capsys):
     assert_series_matches_evolve(capsys, "0.2", "24")
 
 
-@pytest.mark.parametrize("p", ["0.2", "0.49", "0.8"])
+@pytest.mark.parametrize("p", ["0.2", "0.49", "0.8", "1", "1e-300"])
 def test_series_mode_agrees_with_evolve_long_horizon(capsys, p):
     # long rows exercise the per-row truncation of the series table
     assert_series_matches_evolve(capsys, p, "800")

@@ -18,6 +18,7 @@ from lzwalk import (
     quasi_energy,
     thresholds,
 )
+from lzwalk.verify import check_edge_mode
 from conftest import P_REF, THETA_REF
 
 # frozen reference values at p = 0.2, theta = pi/4 (cross-checked below
@@ -184,6 +185,15 @@ def test_floquet_mode_geometric_law(ref_coins):
             assert abs(mode.phi_R[i]) ** 2 == pytest.approx(
                 w * r ** int(n - 1), abs=1e-10
             )
+    # the strong-field side: for obtuse theta r -> 1 as p -> 1, and the
+    # weight (1 - r)^2 of site 0 falls to 1e-15, so it is gated relatively too
+    for p in (1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15):
+        for theta in (2.0, 2.8):
+            res = check_edge_mode(p, theta, 20, 1e-10)
+            assert res.passed, res.line()
+            r = decay_ratio(p, theta)
+            site0 = floquet_mode(p, theta, 0).phi_L[0]
+            assert abs(site0) ** 2 == pytest.approx((1.0 - r) ** 2, rel=1e-6)
 
 
 def test_floquet_mode_ratios():

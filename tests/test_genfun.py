@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,26 +5,33 @@ import pytest
 
 from lzwalk import (
     BranchAmbiguityError,
-    PoleError,
     Series,
     SingularityError,
-    absorbing_gf,
     absorbing_gf_series,
-    b_gf_closed,
     b_gf_closed_series,
-    bounded_gf,
     bounded_gf_table,
-    gf_site0,
     initial_state,
     lambda_plus_eval,
     lambda_plus_series,
     make_boundary_coin,
     make_bulk_coin,
-    pole,
     step,
 )
-from lzwalk.genfun import bounded_denominator, bounded_numerators, site_factor
-from lzwalk.verify import check_absorbing_gf, check_closed_forms, three_way_residual
+from lzwalk.genfun import (
+    _absorbing,
+    _site0,
+    bounded_denominator,
+    bounded_numerators,
+    eta_eval,
+    eta_series,
+    site_factor,
+)
+from lzwalk.verify import (
+    check_absorbing_gf,
+    check_closed_forms,
+    check_pole_zero,
+    three_way_residual,
+)
 from conftest import P_REF, THETA_REF
 
 
@@ -140,18 +146,6 @@ def test_lambda_eval_rejects_origin(ref_coins):
         lambda_plus_eval(u, 0.0)
 
 
-def test_lambda_rejects_p_zero_limit():
-    # d = 0 makes the recurrence singular; the coin constructor already
-    # rejects p = 0, so drive the guard through a handmade degenerate coin
-    from lzwalk import Coin
-
-    u = Coin(0.0, 1.0, -1.0, 0.0)
-    with pytest.raises(SingularityError):
-        lambda_plus_series(u, 8)
-    with pytest.raises(SingularityError):
-        lambda_plus_eval(u, 0.5)
-
-
 def test_lambda_branch_tie_on_unit_circle(ref_coins):
     # on the arc where the radicand is negative both roots have unit
     # modulus: no pointwise branch choice exists there
@@ -182,19 +176,11 @@ def test_absorbing_series_matches_path_enumeration():
     assert res.passed, res.line()
 
 
-def test_absorbing_rejects_ballistic_coin():
-    u = make_bulk_coin(1.0, 0.0, 0.0)
-    with pytest.raises(SingularityError):
-        absorbing_gf_series(u, 8)
-    with pytest.raises(SingularityError):
-        absorbing_gf(u, 0.5)
-
-
 def test_absorbing_pointwise_matches_series(ref_coins):
     u, _ = ref_coins
     series = absorbing_gf_series(u, 300)
     z = 0.35 - 0.2j
-    assert absorbing_gf(u, z) == pytest.approx(series(z), abs=1e-12)
+    assert _absorbing(u, eta_eval(u, z), z) == pytest.approx(series(z), abs=1e-12)
 
 
 # -- closed coefficient forms -------------------------------------------
@@ -207,12 +193,11 @@ def test_bq_seed_constant_term(phased_coins):
 
 
 def test_return_form_is_a_regular_series(phased_coins):
-    # (lam - a z)/(a c z) must start at z^2: its would-be constant term
-    # lam_1 - a vanishes for unitary coins
+    # b eta / z starts at z^2, because eta starts at z^3
     u, _ = phased_coins
     _, br = b_gf_closed_series(u, 0, 8)
-    assert abs(br.coefficient(0)) < 1e-14
-    assert abs(br.coefficient(1)) == 0.0
+    assert br.coefficient(0) == 0.0
+    assert br.coefficient(1) == 0.0
 
 
 def test_closed_forms_match_path_sums():
@@ -227,14 +212,10 @@ def test_closed_forms_pointwise_match_series(ref_coins):
     u, _ = ref_coins
     bq_s, br_s = b_gf_closed_series(u, 2, 300)
     z = 0.3 + 0.2j
-    bq, br = b_gf_closed(u, 2, z)
-    assert bq == pytest.approx(bq_s(z), abs=1e-12)
-    assert br == pytest.approx(br_s(z), abs=1e-12)
-
-
-def test_closed_forms_reject_degenerate_p():
-    with pytest.raises(SingularityError):
-        b_gf_closed_series(make_bulk_coin(1.0, 0.0, 0.0), 1, 8)
+    eta = eta_eval(u, z)
+    t2 = site_factor(u, eta, z) ** 2
+    assert t2 / u.d == pytest.approx(bq_s(z), abs=1e-12)
+    assert t2 * u.b * eta / z == pytest.approx(br_s(z), abs=1e-12)
 
 
 # -- bounded-walk generating functions ----------------------------------
@@ -249,15 +230,13 @@ def test_bounded_series_with_boundary_phase(phased_coins):
 
 
 def test_bounded_series_random_phase_combinations():
-    # seeded sweep over all four parameters, including boundary phases
+    # seeded sweep over all four parameters, including boundary phases; the
+    # last three p are the ends of the range, where coin entries vanish
     rng = np.random.default_rng(29)
-    for _ in range(4):
-        u = make_bulk_coin(
-            float(rng.uniform(0.05, 0.95)),
-            float(rng.uniform(-math.pi, math.pi)),
-            float(rng.uniform(-math.pi, math.pi)),
-        )
-        ub = make_boundary_coin(float(rng.uniform(-math.pi, math.pi)))
+    for p in (*rng.uniform(0.05, 0.95, size=4), 1.0, 1.0 - 1e-15, 1e-300):
+        beta, gamma, gamma_tilde = rng.uniform(-math.pi, math.pi, size=3)
+        u = make_bulk_coin(float(p), float(beta), float(gamma))
+        ub = make_boundary_coin(float(gamma_tilde))
         assert three_way_residual(u, ub, 0, 25, 5) < 1e-10
 
 
@@ -268,13 +247,16 @@ def test_first_step_coefficient_is_boundary_row(phased_coins):
 
 
 def test_light_cone_zeros(phased_coins):
-    # psi(n, tau) vanishes exactly outside the light cone and off its parity
+    # psi(n, tau) vanishes exactly outside the light cone and off its parity,
+    # and so does psi_L(n, n) for n >= 1: only the R component reaches the
+    # front of the cone, as in the walk
     u, ub = phased_coins
     tab_L, tab_R = bounded_gf_table(u, ub, 5, 12)
     n, tau = np.indices(tab_L.shape)
     outside = (n > tau) | ((n + tau) % 2 == 1)
     assert np.all(tab_L[outside] == 0)
     assert np.all(tab_R[outside] == 0)
+    assert np.all(np.diagonal(tab_L)[1:] == 0)
 
 
 @pytest.mark.parametrize(
@@ -285,11 +267,11 @@ def test_light_cone_zeros(phased_coins):
 def test_table_matches_direct_series(request, coins, n_max, order):
     # row n >= 1 is t^(n-1) times the kernel (site-1 numerator) / h, written out
     u, ub = request.getfixturevalue(coins)
-    lam = lambda_plus_series(u, order)
+    eta = eta_series(u, order)
     zs = Series.monomial(1, order)
-    den = bounded_denominator(u, ub, lam, zs)
-    num_L, num_R = bounded_numerators(u, ub, lam, zs)
-    t = site_factor(u, lam)
+    den = bounded_denominator(u, ub, eta, zs)
+    num_L, num_R = bounded_numerators(u, ub, eta, zs)
+    t = site_factor(u, eta, zs)
     tab_L, tab_R = bounded_gf_table(u, ub, n_max, order)
     assert tab_L.shape == tab_R.shape == (n_max + 1, order)
     kernel_L, kernel_R = num_L / den, num_R / den
@@ -300,26 +282,28 @@ def test_table_matches_direct_series(request, coins, n_max, order):
         np.testing.assert_allclose(tab_R[n], ref[n][1].coeffs, rtol=0, atol=1e-14)
 
 
+def _site1_pointwise(u, ub, z):
+    """(PsiL(0->1; z), PsiR(0->1; z)) from the shared closed forms at a point."""
+    eta = eta_eval(u, z)
+    den = bounded_denominator(u, ub, eta, z)
+    num_L, num_R = bounded_numerators(u, ub, eta, z)
+    return num_L / den, num_R / den
+
+
 def test_bounded_pointwise_matches_series(ref_coins):
     u, ub = ref_coins
     tab_L, tab_R = bounded_gf_table(u, ub, 3, 400)
     z = 0.3 + 0.2j
-    psi_L, psi_R = bounded_gf(u, ub, 3, z)
+    t2 = site_factor(u, eta_eval(u, z), z) ** 2
+    psi_L, psi_R = (t2 * psi for psi in _site1_pointwise(u, ub, z))
     assert psi_L == pytest.approx(Series(tab_L[3])(z), abs=1e-12)
     assert psi_R == pytest.approx(Series(tab_R[3])(z), abs=1e-12)
 
 
-def test_bounded_pointwise_pole(ref_coins):
-    u, ub = ref_coins
-    z_pole = cmath.sqrt(pole(P_REF, THETA_REF))
-    with pytest.raises(PoleError):
-        bounded_gf(u, ub, 2, z_pole)
-
-
-def test_bounded_rejects_site_zero(ref_coins):
-    u, ub = ref_coins
-    with pytest.raises(ValueError):
-        bounded_gf(u, ub, 0, 0.5)
+def test_bounded_pointwise_pole():
+    # the denominator h of every site vanishes at the edge-state pole
+    res = check_pole_zero(P_REF, THETA_REF, 1e-12)
+    assert res.passed, res.line()
 
 
 def test_site0_series(phased_coins):
@@ -338,7 +322,8 @@ def test_site0_pointwise(ref_coins):
     u, ub = ref_coins
     tab_L, _ = bounded_gf_table(u, ub, 0, 400)
     z = 0.25 - 0.3j
-    assert gf_site0(u, ub, z) == pytest.approx(Series(tab_L[0])(z), abs=1e-12)
+    psi_L0 = _site0(u, z, *_site1_pointwise(u, ub, z))
+    assert psi_L0 == pytest.approx(Series(tab_L[0])(z), abs=1e-12)
 
 
 def test_denominator_constant_term_is_exactly_one(phased_coins):

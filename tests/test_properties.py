@@ -54,10 +54,7 @@ def test_walk_keeps_norm_and_parity_zeros(point):
         assert np.all(s.psi_L[off] == 0.0) and np.all(s.psi_R[off] == 0.0)
 
 
-# The series closed forms divide by the coin entry c = -sqrt(1-p) e^{-i gamma},
-# so their round-off grows like 1/sqrt(1-p): the residual reaches the 1e-10
-# gate near 1 - p = 1e-11.  The draws stop at 1 - p = 1e-9.
-@given(points(min_gap=1e-9))
+@given(points(min_gap=0.0))
 def test_walk_paths_and_series_agree(point):
     p, beta, gamma, gamma_tilde = point
     u, ub = make_bulk_coin(p, beta, gamma), make_boundary_coin(gamma_tilde)
