@@ -47,7 +47,9 @@ from .pathsum import (
     pqrs_coefficient_series,
     pqrs_coefficients,
     pqrs_residual,
+    pqrs_row,
     transition_amplitude,
+    transition_table,
     word,
 )
 from .walk import (

@@ -41,6 +41,7 @@ from .edge import (
 )
 from .errors import ResourceLimitError
 from .genfun import bounded_gf_table
+from .pathsum import TAU_CAP
 # initial_state and step are not called here; they stay importable from
 # this module because benches/spans.py wraps them by name on it.
 from .walk import MAX_EVOLVE_STEPS, initial_state, step  # noqa: F401
@@ -173,7 +174,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log", action="store_true", default=None, help="logarithmic sweep grid")
     parser.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    parser.add_argument("--tau-max", type=int, dest="tau_max", help="verify: path enumeration bound (default 10)")
+    parser.add_argument(
+        "--tau-max",
+        type=int,
+        dest="tau_max",
+        help=f"verify: path enumeration bound, {verify.TAU_MIN} to {TAU_CAP} (default 10)",
+    )
     parser.add_argument(
         "--unitarity-tol",
         type=float,
@@ -239,6 +245,10 @@ def _validate_config(cfg: RunConfig) -> None:
             )
         if not 0.0 < cfg.fmin <= cfg.fmax:
             raise UsageError(f"need 0 < fmin <= fmax, got {cfg.fmin}, {cfg.fmax}")
+    if cfg.mode == "verify" and not verify.TAU_MIN <= cfg.tau_max <= TAU_CAP:
+        raise UsageError(
+            f"--tau-max must lie in [{verify.TAU_MIN}, {TAU_CAP}], got {cfg.tau_max}"
+        )
     if cfg.fbar <= 0.0:
         raise UsageError(f"--fbar must be positive, got {cfg.fbar}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,18 +52,22 @@ def reduce_angle(x: float) -> float:
 class Coin:
     """2x2 unitary transfer matrix ``[[a, b], [c, d]]``.
 
-    Construction validates unitarity and |det| = 1 to ``UNITARITY_TOL``.
-    Instances are immutable and safe to share between threads.
+    Construction validates unitarity and |det| = 1 to ``UNITARITY_TOL``
+    and keeps the measured unitarity defect.  Instances are immutable and
+    safe to share between threads.
     """
 
     a: complex
     b: complex
     c: complex
     d: complex
+    _defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_finite("coin entry", self.a, self.b, self.c, self.d)
-        defect = self.unitarity_defect()
+        u = self.matrix
+        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+        object.__setattr__(self, "_defect", defect)
         if defect > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         if abs(abs(self.det) - 1.0) > UNITARITY_TOL:
@@ -79,8 +83,7 @@ class Coin:
 
     def unitarity_defect(self) -> float:
         """Max entrywise deviation of U^dag U from the identity."""
-        u = np.array([[self.a, self.b], [self.c, self.d]], dtype=np.complex128)
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+        return self._defect
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Coin":

@@ -1,9 +1,10 @@
 """Brute-force lattice-path oracle for the bounded walk.
 
-Transition amplitudes are built by enumerating every path from site 0 and
-multiplying transfer-matrix pieces in path order.  Cost is exponential in
-the step count, so a hard cap applies; within the cap the result is exact
-and serves as the reference the fast engines are checked against.
+Transition amplitudes are sums over every path from site 0 of the
+transfer-matrix pieces multiplied in path order.  One depth-first walk of
+the path tree yields them for all endpoints at once.  Cost is exponential
+in the step count, so a hard cap applies; within the cap the result is
+exact and serves as the reference the fast engines are checked against.
 
 Move labels: "P" steps down, "Q" steps up in the bulk, "Q~" steps up off the
 boundary site.  A word is stored in time order (first move first); its
@@ -28,8 +29,10 @@ __all__ = [
     "TransitionAmplitude",
     "enumerate_paths",
     "word",
+    "transition_table",
     "transition_amplitude",
     "pqrs_coefficients",
+    "pqrs_row",
     "pqrs_coefficient_series",
     "pqrs_residual",
 ]
@@ -121,16 +124,58 @@ class TransitionAmplitude:
         return (m[0, 0] * v0 + m[0, 1] * v1, m[1, 0] * v0 + m[1, 1] * v1)
 
 
-def _mul2(m2, m1):
-    # rows (a, b, c, d); m2 @ m1
-    a2, b2, c2, d2 = m2
-    a1, b1, c1, d1 = m1
-    return (
-        a2 * a1 + b2 * c1,
-        a2 * b1 + b2 * d1,
-        c2 * a1 + d2 * c1,
-        c2 * b1 + d2 * d1,
-    )
+def transition_table(
+    tau_max: int,
+    coin: Coin,
+    boundary_coin: Coin,
+    boundary: str = "reflecting",
+) -> list[list[TransitionAmplitude]]:
+    """Xi(0 -> n; tau) for every 0 <= n <= tau <= tau_max, as ``table[tau][n]``.
+
+    One depth-first walk of the path tree to depth tau_max carries the
+    running product of each path prefix (later moves on the left) and adds
+    it into the slot of the node it reaches.  With a reflecting wall every
+    prefix of a path is itself a path; with an absorbing wall a branch ends
+    on its return to site 0.  Preorder meets the paths to each endpoint in
+    the lexicographic order of ``enumerate_paths`` and multiplies in time
+    order, so each entry is that sum over single paths, bit for bit.
+    Entries of the wrong parity are zero.
+    """
+    _validate(0, tau_max, boundary)
+    zero = 0.0 + 0.0j
+    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    ct, dt = boundary_coin.c, boundary_coin.d
+    absorbing = boundary == "absorbing"
+    sums = [[(zero,) * 4] * (tau + 1) for tau in range(tau_max + 1)]
+
+    def visit(pos: int, tau: int, p0: complex, p1: complex, p2: complex, p3: complex) -> None:
+        # (p0, p1, p2, p3) is the prefix product [[p0, p1], [p2, p3]]
+        row = sums[tau]
+        s0, s1, s2, s3 = row[pos]
+        row[pos] = (s0 + p0, s1 + p1, s2 + p2, s3 + p3)
+        if tau == tau_max or (absorbing and pos == 0 and tau > 0):
+            return
+        # move @ prefix for the single-row moves P = [[a, b], [0, 0]],
+        # Q = [[0, 0], [c, d]] and Q~; the zero row is multiplied out, not
+        # assumed, so signed zeros match a plain 2x2 product
+        z0 = zero * p0 + zero * p2
+        z1 = zero * p1 + zero * p3
+        if pos == 0:
+            visit(1, tau + 1, z0, z1, ct * p0 + dt * p2, ct * p1 + dt * p3)
+        else:
+            visit(pos - 1, tau + 1, a * p0 + b * p2, a * p1 + b * p3, z0, z1)
+            visit(pos + 1, tau + 1, z0, z1, c * p0 + d * p2, c * p1 + d * p3)
+
+    visit(0, 0, 1.0 + 0.0j, zero, zero, 1.0 + 0.0j)
+    return [
+        [
+            TransitionAmplitude(
+                np.array([[s[0], s[1]], [s[2], s[3]]], dtype=np.complex128), n, tau, boundary
+            )
+            for n, s in enumerate(row)
+        ]
+        for tau, row in enumerate(sums)
+    ]
 
 
 def transition_amplitude(
@@ -140,26 +185,14 @@ def transition_amplitude(
     boundary_coin: Coin,
     boundary: str = "reflecting",
 ) -> TransitionAmplitude:
-    """Sum of time-ordered matrix products over all enumerated paths.
+    """Sum of time-ordered matrix products over all paths 0 -> n in tau steps.
 
     Later moves multiply on the left; applied to t(1, 0) the reflecting
-    result reproduces the walk amplitudes at (n, tau).  Paths are summed in
-    enumeration (lexicographic) order.
+    result reproduces the walk amplitudes at (n, tau).  This is the (tau, n)
+    entry of ``transition_table``.
     """
-    paths = enumerate_paths(n, tau, boundary)
-    mats = {
-        DOWN: (coin.a, coin.b, 0.0 + 0.0j, 0.0 + 0.0j),
-        UP: (0.0 + 0.0j, 0.0 + 0.0j, coin.c, coin.d),
-        UP_BOUNDARY: (0.0 + 0.0j, 0.0 + 0.0j, boundary_coin.c, boundary_coin.d),
-    }
-    total = (0.0 + 0.0j,) * 4
-    for path in paths:
-        prod = (1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
-        for label in path:
-            prod = _mul2(mats[label], prod)
-        total = tuple(t + p for t, p in zip(total, prod))
-    xi = np.array([[total[0], total[1]], [total[2], total[3]]], dtype=np.complex128)
-    return TransitionAmplitude(xi, n, tau, boundary)
+    _validate(n, tau, boundary)
+    return transition_table(tau, coin, boundary_coin, boundary)[tau][n]
 
 
 def pqrs_coefficients(
@@ -179,6 +212,29 @@ def pqrs_coefficients(
     return complex(b_q), complex(b_r)
 
 
+def pqrs_row(
+    table: list[list[TransitionAmplitude]], n: int, boundary_coin: Coin
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of b_q and b_r coefficients at site n for tau = 0 .. tau_max,
+    read off a ``transition_table``.
+
+    At n = 0 the tau = 0 entry is set to zero: the identity amplitude lies
+    outside the Q~/R~ span, and the coefficient recursion between sites
+    holds with this convention (the up-move channel is instead seeded by the
+    formal constant 1/d, see genfun.b_gf_closed_series).
+    """
+    tau_max = len(table) - 1
+    if not 0 <= n <= tau_max:
+        raise ValueError(f"need 0 <= n <= tau_max, got n={n}, tau_max={tau_max}")
+    b_q = np.zeros(tau_max + 1, dtype=np.complex128)
+    b_r = np.zeros(tau_max + 1, dtype=np.complex128)
+    for tau in range(n % 2, tau_max + 1, 2):
+        if n > tau or (n == 0 and tau == 0):
+            continue
+        b_q[tau], b_r[tau] = pqrs_coefficients(table[tau][n], boundary_coin)
+    return b_q, b_r
+
+
 def pqrs_coefficient_series(
     n: int,
     tau_max: int,
@@ -186,22 +242,9 @@ def pqrs_coefficient_series(
     boundary_coin: Coin,
     boundary: str = "reflecting",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of b_q and b_r coefficients for tau = 0 .. tau_max.
-
-    At n = 0 the tau = 0 entry is set to zero: the identity amplitude lies
-    outside the Q~/R~ span, and the coefficient recursion between sites
-    holds with this convention (the up-move channel is instead seeded by the
-    formal constant 1/d, see b_gf_closed).
-    """
+    """``pqrs_row`` of site n in the transition table of one coin pair."""
     _validate(n, tau_max, boundary)
-    b_q = np.zeros(tau_max + 1, dtype=np.complex128)
-    b_r = np.zeros(tau_max + 1, dtype=np.complex128)
-    for tau in range(n % 2, tau_max + 1, 2):
-        if n > tau or (n == 0 and tau == 0):
-            continue
-        t = transition_amplitude(n, tau, coin, boundary_coin, boundary)
-        b_q[tau], b_r[tau] = pqrs_coefficients(t, boundary_coin)
-    return b_q, b_r
+    return pqrs_row(transition_table(tau_max, coin, boundary_coin, boundary), n, boundary_coin)
 
 
 def pqrs_residual(t: TransitionAmplitude, boundary_coin: Coin) -> float:

@@ -18,7 +18,10 @@ import numpy as np
 from . import edge, genfun, pathsum, walk
 from .coin import Coin, make_boundary_coin, make_bulk_coin
 
-__all__ = ["CheckResult", "run_all"]
+__all__ = ["TAU_MIN", "CheckResult", "run_all"]
+
+# smallest tau_max run_all accepts: check_recursion_relation's n_max
+TAU_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,11 @@ def three_way_residual(
     worst = 0.0
     horizon = max(tau_pathsum, tau_series)
     states = walk.trajectory(u, ub, horizon, range(horizon + 1))
+    table = pathsum.transition_table(tau_pathsum, u, ub)
     for tau in range(tau_pathsum + 1):
         st = states[tau]
         for n in range(tau % 2, tau + 1, 2):
-            amp = pathsum.transition_amplitude(n, tau, u, ub).apply()
+            amp = table[tau][n].apply()
             worst = max(
                 worst,
                 abs(amp[0] - st.psi_L[n]),
@@ -137,11 +141,11 @@ def check_pqrs_structure(
 ) -> CheckResult:
     """Path sums stay inside the Q~/R~ span for every site and step count."""
     u, ub = _coin_pair(p, theta, beta)
+    table = pathsum.transition_table(tau_max, u, ub)
     worst = 0.0
     for tau in range(1, tau_max + 1):
         for n in range(tau % 2, tau + 1, 2):
-            t = pathsum.transition_amplitude(n, tau, u, ub)
-            worst = max(worst, pathsum.pqrs_residual(t, ub))
+            worst = max(worst, pathsum.pqrs_residual(table[tau][n], ub))
     return _result("pqrs_span", worst, tol, f"all n, 1 <= tau <= {tau_max}")
 
 
@@ -161,18 +165,20 @@ def check_recursion_relation(
     u, ub = _coin_pair(p, theta, beta)
     d, ct = u.d, ub.c
     m = order + 1
-    _, btr0 = pathsum.pqrs_coefficient_series(0, order, u, ub)
+    table_ub = pathsum.transition_table(order, u, ub)
+    table_u = pathsum.transition_table(order, u, u)
+    _, btr0 = pathsum.pqrs_row(table_ub, 0, ub)
     factor = ct * btr0
     factor[0] += 1.0
     worst = 0.0
     for n in range(1, n_max + 1):
-        t_q, t_r = pathsum.pqrs_coefficient_series(n, order, u, ub)
+        t_q, t_r = pathsum.pqrs_row(table_ub, n, ub)
         if n == 1:
             u_q = np.zeros(m, dtype=np.complex128)
             u_q[0] = 1.0 / d
-            _, u_r = pathsum.pqrs_coefficient_series(0, order, u, u)
+            _, u_r = pathsum.pqrs_row(table_u, 0, u)
         else:
-            u_q, u_r = pathsum.pqrs_coefficient_series(n - 1, order, u, u)
+            u_q, u_r = pathsum.pqrs_row(table_u, n - 1, u)
         for tilded, untilded in ((t_q, u_q), (t_r, u_r)):
             rhs = np.convolve(factor, untilded)[:m]
             rhs = d * np.concatenate([[0.0], rhs[:-1]])
@@ -205,10 +211,11 @@ def check_closed_forms(
 ) -> CheckResult:
     """Closed-form coefficient functions against untilded path sums."""
     u, _ = _coin_pair(p, theta, beta)
+    table = pathsum.transition_table(tau_max, u, u)
     worst = 0.0
     for n in range(n_max + 1):
         bq_s, br_s = genfun.b_gf_closed_series(u, n, tau_max + 1)
-        u_q, u_r = pathsum.pqrs_coefficient_series(n, tau_max, u, u)
+        u_q, u_r = pathsum.pqrs_row(table, n, u)
         lo = 1 if n == 0 else 0  # the n = 0 constant term is the formal seed
         worst = max(
             worst,
@@ -338,8 +345,12 @@ def check_quasi_energy_slope(
 
 
 def run_all(tau_max: int = 10, unitarity_tol: float = 1e-11) -> list[CheckResult]:
-    """Run the full suite; path enumeration is bounded by tau_max."""
-    tau_max = min(tau_max, pathsum.TAU_CAP)
+    """Run the full suite; path enumeration is bounded by tau_max.
+
+    tau_max must lie in [TAU_MIN, pathsum.TAU_CAP]: below TAU_MIN the
+    recursion check has fewer orders than sites, above the cap the path
+    enumeration refuses.
+    """
     return [
         check_coin_unitarity(),
         check_norm_drift(tol=unitarity_tol),

@@ -20,7 +20,7 @@ from lzwalk import (
     pqrs_residual,
     thresholds,
     trajectory,
-    transition_amplitude,
+    transition_table,
 )
 from lzwalk.cli import main
 from lzwalk.verify import (
@@ -75,10 +75,10 @@ def test_criterion_3_expansion_structure_and_recursion():
     for beta, gamma, gt in [(0.0, THETA, 0.0), (0.3, 1.1, 0.4)]:
         u = make_bulk_coin(0.2, beta, gamma)
         ub = make_boundary_coin(gt)
+        table = transition_table(12, u, ub)
         for tau in range(1, 13):
             for n in range(tau % 2, tau + 1, 2):
-                t = transition_amplitude(n, tau, u, ub)
-                worst_span = max(worst_span, pqrs_residual(t, ub))
+                worst_span = max(worst_span, pqrs_residual(table[tau][n], ub))
     rec = check_recursion_relation(p=0.2, theta=THETA, beta=0.3, order=12, n_max=4)
     ok = worst_span < 1e-12 and rec.residual < 1e-10
     report(

@@ -281,6 +281,21 @@ def test_verify_json(capsys):
     assert all(chk["residual"] < chk["tol"] for chk in payload["checks"])
 
 
+@pytest.mark.parametrize("tau_max", [3, 17])
+def test_verify_tau_max_outside_range_exit_1(capsys, tau_max):
+    code, out, err = run_cli(capsys, "verify", "--tau-max", str(tau_max))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[4, 16]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau_max", [4, 16])
+def test_verify_tau_max_range_ends_pass(capsys, tau_max):
+    code, out, err = run_cli(capsys, "verify", "--tau-max", str(tau_max))
+    assert code == 0 and err == ""
+    assert out.endswith("ALL CHECKS PASS\n")
+
+
 def test_bad_mode_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1

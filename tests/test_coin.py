@@ -74,6 +74,14 @@ def test_random_coins_unitary_with_unit_determinant():
         assert abs(u.det - 1.0) < 1e-12  # det is exactly 1, not just |det|
 
 
+def test_stored_defect_is_the_matrix_defect_and_not_compared():
+    u = make_bulk_coin(0.3, 0.2, 1.0)
+    m = u.matrix
+    assert u.unitarity_defect() == float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+    assert u == Coin(u.a, u.b, u.c, u.d) and hash(u) == hash(Coin(u.a, u.b, u.c, u.d))
+    assert repr(u) == f"Coin(a={u.a!r}, b={u.b!r}, c={u.c!r}, d={u.d!r})"
+
+
 def test_pqrs_identity_coin():
     P, Q, R, S = pqrs_decompose(make_bulk_coin(1.0, 0.0, 0.0))
     assert np.allclose(P, [[1, 0], [0, 0]], atol=0)

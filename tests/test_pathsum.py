@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lzwalk import (
+    TAU_CAP,
     ResourceLimitError,
     enumerate_paths,
     make_boundary_coin,
@@ -12,6 +14,7 @@ from lzwalk import (
     pqrs_coefficients,
     pqrs_residual,
     transition_amplitude,
+    transition_table,
     word,
 )
 from lzwalk.verify import check_recursion_relation
@@ -151,3 +154,69 @@ def test_site_recursion_identity():
     res = check_recursion_relation(p=0.2, theta=math.pi / 4, beta=0.3, order=12, n_max=4)
     assert res.passed, res.line()
     assert res.residual < 1e-10
+
+
+def reference_sum(n, tau, u, ub, boundary):
+    """Xi(0 -> n; tau) word by word: each listed path's product rebuilt from
+    the identity in time order (later moves on the left), summed in list order."""
+    zero = 0.0 + 0.0j
+    mats = {
+        "P": (u.a, u.b, zero, zero),
+        "Q": (zero, zero, u.c, u.d),
+        "Q~": (zero, zero, ub.c, ub.d),
+    }
+    total = (zero,) * 4
+    for path in enumerate_paths(n, tau, boundary):
+        prod = (1.0 + 0.0j, zero, zero, 1.0 + 0.0j)
+        for label in path:
+            a2, b2, c2, d2 = mats[label]
+            a1, b1, c1, d1 = prod
+            prod = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1, c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
+        total = tuple(t + p for t, p in zip(total, prod))
+    return np.array([[total[0], total[1]], [total[2], total[3]]])
+
+
+def assert_table_matches_reference(tau_max, u, ub, boundary):
+    table = transition_table(tau_max, u, ub, boundary)
+    assert [len(row) for row in table] == list(range(1, tau_max + 2))
+    for tau in range(tau_max + 1):
+        for n in range(tau + 1):
+            entry = table[tau][n]
+            assert (entry.n, entry.tau, entry.boundary) == (n, tau, boundary)
+            assert np.array_equal(entry.xi, reference_sum(n, tau, u, ub, boundary)), (n, tau)
+
+
+@pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
+@pytest.mark.parametrize("pair", ["bulk_boundary", "bulk_bulk"])
+def test_table_equals_word_by_word_sums(phased_coins, boundary, pair):
+    u, ub = phased_coins
+    assert_table_matches_reference(12, u, ub if pair == "bulk_boundary" else u, boundary)
+
+
+@given(
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from(["reflecting", "absorbing"]),
+)
+def test_table_equals_word_by_word_sums_random_coins(p, beta, gamma, gamma_tilde, boundary):
+    u, ub = make_bulk_coin(p, beta, gamma), make_boundary_coin(gamma_tilde)
+    assert_table_matches_reference(8, u, ub, boundary)
+
+
+def test_transition_amplitude_is_the_table_entry(phased_coins):
+    u, ub = phased_coins
+    table = transition_table(9, u, ub)
+    for n in range(10):
+        assert np.array_equal(transition_amplitude(n, 9, u, ub).xi, table[9][n].xi)
+
+
+def test_table_limits(phased_coins):
+    u, ub = phased_coins
+    with pytest.raises(ResourceLimitError):
+        transition_table(TAU_CAP + 1, u, ub)
+    with pytest.raises(ValueError):
+        transition_table(4, u, ub, "open")
+    with pytest.raises(ValueError):
+        transition_table(-1, u, ub)
