@@ -216,6 +216,9 @@ def _resolve_config(argv: list[str]) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    for name, value in vars(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if cfg.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg.format!r}")
     needs_point = cfg.mode in ("evolve", "series", "edge")
@@ -249,8 +252,9 @@ def _validate_config(cfg: RunConfig) -> None:
         raise UsageError(
             f"--tau-max must lie in [{verify.TAU_MIN}, {TAU_CAP}], got {cfg.tau_max}"
         )
-    if cfg.fbar <= 0.0:
-        raise UsageError(f"--fbar must be positive, got {cfg.fbar}")
+    for flag, value in (("fbar", cfg.fbar), ("L", cfg.L), ("unitarity-tol", cfg.unitarity_tol)):
+        if value <= 0.0:
+            raise UsageError(f"--{flag} must be positive, got {value}")
 
 
 def _resolve_p(cfg: RunConfig) -> float:
@@ -305,10 +309,11 @@ def run_series(cfg: RunConfig) -> tuple[list[str], list[list]]:
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
-    tab_L, tab_R = bounded_gf_table(u, ub, cfg.steps, max(cfg.steps + 1, 2))
+    times = _snapshot_times(cfg.steps)
+    tab_L, tab_R = bounded_gf_table(u, ub, cfg.steps, max(cfg.steps + 1, 2), columns=times)
     snapshots = {
-        tau: (np.abs(tab_L[: tau + 1, tau]) ** 2, np.abs(tab_R[: tau + 1, tau]) ** 2)
-        for tau in _snapshot_times(cfg.steps)
+        tau: (np.abs(tab_L[: tau + 1, i]) ** 2, np.abs(tab_R[: tau + 1, i]) ** 2)
+        for i, tau in enumerate(times)
     }
     return ["tau", "n", "prob_L", "prob_R"], _probability_rows(snapshots)
 
@@ -391,19 +396,40 @@ def _json_value(value):
     return value
 
 
+def _json_cell(value) -> str:
+    """``json.dumps(_json_value(value))``; ints and finite floats skip the encoder."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(_json_value(value))
+
+
 def _render_json(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
+    """The bytes of ``json.dumps({"config": ..., "rows": [...]}, indent=2)``.
+
+    The small config object goes through the encoder; the rows are written
+    out as small pieces, "key": cell, joined once at the end.
+    """
     config_echo = {
         f.name: _json_value(getattr(cfg, f.name))
         for f in fields(RunConfig)
         if getattr(cfg, f.name) is not None
     }
-    payload = {
-        "config": config_echo,
-        "rows": [
-            {key: _json_value(value) for key, value in zip(header, row)} for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    config = json.dumps(config_echo, indent=2).replace("\n", "\n  ")
+    # a row is an object at indent 4 with one "key": cell entry per line
+    entries = ["\n      " + json.dumps(key) + ": " for key in header]
+    prefixes = ["{" + entries[0]] + ["," + entry for entry in entries[1:]]
+    parts = ['{\n  "config": ', config, ',\n  "rows": [']
+    sep = "\n    "
+    for row in rows:
+        parts.append(sep)
+        sep = ",\n    "
+        for prefix, value in zip(prefixes, row):
+            parts += (prefix, _json_cell(value))
+        parts.append("\n    }")
+    parts.append("\n  ]\n}\n" if rows else "]\n}\n")
+    return "".join(parts)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:

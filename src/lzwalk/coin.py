@@ -31,6 +31,8 @@ __all__ = [
 
 UNITARITY_TOL = 1e-12
 
+_EYE2 = np.eye(2)
+
 
 def _require_finite(name: str, *values: complex) -> None:
     for v in values:
@@ -66,7 +68,7 @@ class Coin:
     def __post_init__(self) -> None:
         _require_finite("coin entry", self.a, self.b, self.c, self.d)
         u = self.matrix
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+        defect = float(np.abs(u.conj().T @ u - _EYE2).max())
         object.__setattr__(self, "_defect", defect)
         if defect > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")

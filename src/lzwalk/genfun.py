@@ -44,12 +44,15 @@ form.  Both flavors call them, and so do the residues in
 
 eta, t and both site-1 kernels (numerator / h) are odd series, so
 ``bounded_gf_table`` works on their odd-coefficient sublattice and fills
-only the columns tau >= n with tau = n (mod 2) of row n.
+only the columns tau >= n with tau = n (mod 2) of row n.  Asked for a few
+columns, it keeps the running power t^(n-1) and takes each kept entry as one
+dot product, so its memory is linear in the order.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 
 import numpy as np
 
@@ -71,9 +74,11 @@ __all__ = [
     "bounded_gf_table",
 ]
 
-# largest n_max and order - 1 of bounded_gf_table; at the cap it holds two
-# 2001 x 2001 complex tables (122 MiB), and `series --steps 2000` takes
-# 1.5 s (p = 0.8) to 2.4 s (p = 0.2) on a 2-core VM
+# largest n_max and order - 1 of bounded_gf_table; the work is O(cap^3).  At
+# the cap `series --steps 2000`, which keeps only its snapshot columns (O(cap)
+# memory, 0.9 MiB traced peak), takes 0.3 s (p = 0.8) to 0.5 s (p = 0.2) on a
+# 2-core VM; a full table, as verify asks for, is two 2001 x 2001 complex
+# arrays (122 MiB) and takes 1.1-2.0 s there
 MAX_TABLE_STEPS = 2000
 
 # relative gap below which the two root moduli of the quadratic count as tied
@@ -353,16 +358,44 @@ def b_gf_closed_series(coin: Coin, n: int, order: int) -> tuple[Series, Series]:
     return tn / coin.d, tn * (coin.b * eta.shift_down(1).truncate(order))
 
 
+def _row_powers(t_odd: np.ndarray, rows: int, order: int):
+    """Yield (n, w, pref) for the sites n = 1 .. min(rows, order) - 1.
+
+    pref holds the odd coefficients of t^(n-1), its z^(n-1+2j) terms, to
+    the width w of row n's columns n, n+2, ..., order - 1.
+    """
+    pref = np.ones(1, dtype=np.complex128)
+    for n in range(1, min(rows, order)):
+        w = (order - 1 - n) // 2 + 1
+        yield n, w, pref
+        pref = np.convolve(pref, t_odd[:w])[:w]
+
+
+def _checked_columns(columns, order: int) -> list[int]:
+    cols = [operator.index(tau) for tau in columns]
+    if any(b <= a for a, b in zip(cols, cols[1:])) or (
+        cols and not (0 <= cols[0] and cols[-1] < order)
+    ):
+        raise ValueError(
+            f"columns must be sorted, distinct and in [0, {order}), got {list(columns)}"
+        )
+    return cols
+
+
 def bounded_gf_table(
-    coin: Coin, boundary_coin: Coin, n_max: int, order: int
+    coin: Coin, boundary_coin: Coin, n_max: int, order: int, columns=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tables for sites 0..n_max, shape (n_max+1, order).
 
     Row n, column tau holds psi_L(n, tau) resp. psi_R(n, tau).  Shares the
     branch series and the denominator inversion across sites, so it is the
     cheap way to tabulate many sites at once.  Site 0 follows from row 1.
-    Raises ResourceLimitError, before allocating, when n_max or order - 1
-    exceeds MAX_TABLE_STEPS.
+
+    ``columns``, a sorted list of distinct tau in [0, order), keeps only
+    those columns: the tables have shape (n_max+1, len(columns)) and the
+    memory is O(order + n_max).  Each kept entry is bit-identical to the
+    full table's.  Raises ResourceLimitError, before allocating, when n_max
+    or order - 1 exceeds MAX_TABLE_STEPS.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -371,6 +404,8 @@ def bounded_gf_table(
             f"a series table to n = {n_max}, order {order} exceeds the cap of "
             f"{MAX_TABLE_STEPS} steps"
         )
+    if columns is not None:
+        columns = _checked_columns(columns, order)
     eta = eta_series(coin, order)
     zs = Series.monomial(1, order)
     den = bounded_denominator(coin, boundary_coin, eta, zs)
@@ -383,13 +418,35 @@ def bounded_gf_table(
     # holds t^(n-1) at z^(n-1+2j), so row n fills columns n, n+2, ... only
     k_L, k_R, t_odd = kernel_L.coeffs[1::2], kernel_R.coeffs[1::2], t.coeffs[1::2]
     rows = max(n_max, 1) + 1
-    psi_L = np.zeros((rows, order), dtype=np.complex128)
-    psi_R = np.zeros((rows, order), dtype=np.complex128)
-    pref = np.ones(1, dtype=np.complex128)
-    for n in range(1, min(rows, order)):
-        w = (order - 1 - n) // 2 + 1
-        psi_L[n, n::2] = np.convolve(pref, k_L[:w])[:w]
-        psi_R[n, n::2] = np.convolve(pref, k_R[:w])[:w]
-        pref = np.convolve(pref, t_odd[:w])[:w]
-    psi_L[0] = _site0(coin, zs, Series(psi_L[1]), Series(psi_R[1])).coeffs
+    if columns is None:
+        psi_L = np.zeros((rows, order), dtype=np.complex128)
+        psi_R = np.zeros((rows, order), dtype=np.complex128)
+        for n, w, pref in _row_powers(t_odd, rows, order):
+            psi_L[n, n::2] = np.convolve(pref, k_L[:w])[:w]
+            psi_R[n, n::2] = np.convolve(pref, k_R[:w])[:w]
+        psi_L[0] = _site0(coin, zs, Series(psi_L[1]), Series(psi_R[1])).coeffs
+        return psi_L[: n_max + 1], psi_R[: n_max + 1]
+
+    # row 1 in full, since site 0 needs it; for n >= 2 each kept entry is
+    # the convolution's own dot, pref[0] k[c] + ... + pref[c] k[0] in its
+    # order of terms, added to +0 as the convolution adds it (so an exact
+    # zero keeps its sign).
+    psi_L = np.zeros((rows, len(columns)), dtype=np.complex128)
+    psi_R = np.zeros((rows, len(columns)), dtype=np.complex128)
+    row1_L = np.zeros(order, dtype=np.complex128)
+    row1_R = np.zeros(order, dtype=np.complex128)
+    rev_L, rev_R = k_L[::-1].copy(), k_R[::-1].copy()
+    last = len(k_L) - 1  # k[c::-1] is rev[last - c:]
+    for n, w, pref in _row_powers(t_odd, rows, order):
+        if n == 1:
+            row1_L[1::2] = np.convolve(pref, k_L[:w])[:w]
+            row1_R[1::2] = np.convolve(pref, k_R[:w])[:w]
+            continue
+        for i, tau in enumerate(columns):
+            c, odd = divmod(tau - n, 2)
+            if c >= 0 and not odd:
+                psi_L[n, i] += np.dot(pref[: c + 1], rev_L[last - c :])
+                psi_R[n, i] += np.dot(pref[: c + 1], rev_R[last - c :])
+    psi_L[1], psi_R[1] = row1_L[columns], row1_R[columns]
+    psi_L[0] = _site0(coin, zs, Series(row1_L), Series(row1_R)).coeffs[columns]
     return psi_L[: n_max + 1], psi_R[: n_max + 1]

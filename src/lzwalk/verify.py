@@ -50,12 +50,15 @@ def _coin_pair(p: float, theta: float, beta: float = 0.0) -> tuple[Coin, Coin]:
 def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = 1e-12) -> CheckResult:
     """Unitarity defect and |det|-1 over random bulk and boundary coins."""
     rng = np.random.default_rng(seed)
+    # one draw of the same doubles, in the same order, as a (p, beta, gamma,
+    # gamma~) draw per sample
+    draws = rng.uniform(
+        [1e-6, -math.pi, -math.pi, -math.pi], [1.0, math.pi, math.pi, math.pi], size=(samples, 4)
+    )
     worst = 0.0
-    for _ in range(samples):
-        p = float(rng.uniform(1e-6, 1.0))
-        beta, gamma, gt = rng.uniform(-math.pi, math.pi, size=3)
-        u = make_bulk_coin(p, float(beta), float(gamma))
-        ub = make_boundary_coin(float(gt))
+    for p, beta, gamma, gt in draws.tolist():
+        u = make_bulk_coin(p, beta, gamma)
+        ub = make_boundary_coin(gt)
         worst = max(
             worst,
             u.unitarity_defect(),

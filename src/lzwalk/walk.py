@@ -89,7 +89,7 @@ class WalkState:
                 raise ValueError(
                     f"{name} must have length tau+1 = {self.tau + 1}, got shape {arr.shape}"
                 )
-            if not np.all(np.isfinite(arr.view(np.float64))):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite amplitudes")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -227,9 +227,7 @@ def trajectory(
 
 def norm(state: WalkState) -> float:
     """Total probability carried by the state."""
-    return float(
-        np.sum(np.abs(state.psi_L) ** 2) + np.sum(np.abs(state.psi_R) ** 2)
-    )
+    return float((np.abs(state.psi_L) ** 2).sum() + (np.abs(state.psi_R) ** 2).sum())
 
 
 def evolve(coin: Coin, boundary_coin: Coin, steps: int) -> WalkState:

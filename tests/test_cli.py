@@ -1,6 +1,8 @@
 import json
 import math
 import time
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lzwalk import (
     localization_length,
     observables,
 )
+from lzwalk import cli
 from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, emit_config, main, parse_config_text
 from lzwalk.genfun import MAX_TABLE_STEPS
 
@@ -252,6 +255,78 @@ def test_json_delocalized_uses_null(capsys):
     assert payload["rows"][0]["weight"] == 0.0
 
 
+def _reference_json(cfg, header, rows):
+    """The JSON document as the json encoder writes it."""
+    config_echo = {
+        f.name: cli._json_value(getattr(cfg, f.name))
+        for f in fields(RunConfig)
+        if getattr(cfg, f.name) is not None
+    }
+    rows = [{key: cli._json_value(value) for key, value in zip(header, row)} for row in rows]
+    return json.dumps({"config": config_echo, "rows": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("evolve", "--p", "0.49", "--theta", str(THETA), "--steps", "40"),
+        ("series", "--p", "0.2", "--theta", str(THETA), "--steps", "30"),
+        ("edge", "--p", "0.8", "--theta", "0.5"),  # delocalized: null cells
+        # E0 = 1e308 overflows the energy columns to inf
+        ("sweep", "--theta", str(THETA), "--fmin", "0.5", "--fmax", "6", "--points", "5",
+         "--E0", "1e308"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_json_rows_match_the_encoder(args):
+    cfg = cli._resolve_config(list(args) + ["--format", "json"])
+    header, rows = getattr(cli, f"run_{cfg.mode}")(cfg)
+    cells = [value for row in rows for value in row]
+    if cfg.mode == "edge":
+        assert None in cells
+    if cfg.mode == "sweep":
+        assert any(isinstance(v, float) and not math.isfinite(v) for v in cells)
+    assert cli._render_json(cfg, header, rows) == _reference_json(cfg, header, rows)
+    assert cli._render_json(cfg, header, []) == _reference_json(cfg, header, [])
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("sweep", "--fmin", "1", "--fmax", "inf", "--points", "3"), "--fmax"),
+        (("sweep", "--fmin", "1", "--fmax", "2", "--points", "3", "--j0", "nan"), "--j0"),
+        (("sweep", "--fmin", "1", "--fmax", "2", "--points", "3", "--E0", "inf"), "--E0"),
+        (("evolve", "--p", "0.2", "--steps", "4", "--L", "-1"), "--L"),
+        (("verify", "--unitarity-tol", "nan"), "--unitarity-tol"),
+        (("verify", "--unitarity-tol", "0"), "--unitarity-tol"),
+        (("verify", "--unitarity-tol=-1e-11"), "--unitarity-tol"),
+    ],
+    ids=["fmax-inf", "j0-nan", "E0-inf", "L-negative", "tol-nan", "tol-zero", "tol-negative"],
+)
+def test_bad_float_flags_exit_1_up_front(monkeypatch, capsys, args, flag):
+    # rejected before any work: a warning would be an error here, and the
+    # verify suite must not run
+    monkeypatch.setattr(cli.verify, "run_all", None)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err and "Traceback" not in err
+
+
+def test_series_memory_is_linear_in_steps(capsys):
+    # only the five snapshot columns are kept: two full 1001 x 1001 complex
+    # tables would take 31 MiB
+    tracemalloc.start()
+    try:
+        code = main(["series", "--p", "0.2", "--theta", str(THETA), "--steps", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
 def test_unwritable_output_path(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run_cli(
@@ -268,7 +343,7 @@ def test_verify_passes(capsys):
 
 
 def test_verify_fault_injection(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--tau-max", "6", "--unitarity-tol", "0")
+    code, out, _ = run_cli(capsys, "verify", "--tau-max", "6", "--unitarity-tol", "1e-300")
     assert code == 2
     assert "FAIL norm_drift" in out
 

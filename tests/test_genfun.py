@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lzwalk import (
     BranchAmbiguityError,
@@ -281,6 +282,56 @@ def test_table_matches_direct_series(request, coins, n_max, order):
         np.testing.assert_allclose(tab_L[n], ref[n][0].coeffs, rtol=0, atol=1e-14)
         np.testing.assert_allclose(tab_R[n], ref[n][1].coeffs, rtol=0, atol=1e-14)
 
+
+
+def _assert_columns_exact(u, ub, n_max, order, cols):
+    tab_L, tab_R = bounded_gf_table(u, ub, n_max, order)
+    col_L, col_R = bounded_gf_table(u, ub, n_max, order, columns=cols)
+    assert col_L.shape == col_R.shape == (n_max + 1, len(cols))
+    assert col_L.tobytes() == tab_L[:, cols].tobytes()
+    assert col_R.tobytes() == tab_R[:, cols].tobytes()
+
+
+@pytest.mark.parametrize("p", [P_REF, 1.0, 1.0 - 1e-15, 1e-300])
+@pytest.mark.parametrize(
+    "n_max, order, cols",
+    [
+        (0, 2, [0, 1]),
+        (0, 3, [2]),
+        (1, 2, [1]),
+        (1, 3, [0, 2]),
+        (2, 3, [0, 1, 2]),
+        (2, 2, []),
+        (12, 13, [0, 6, 12]),  # even T, the series snapshot times
+        (13, 14, [0, 6, 7, 10, 13]),  # odd T
+        (20, 9, [1, 8]),
+        (5, 40, [0, 3, 4, 39]),
+    ],
+)
+def test_table_columns_are_bit_identical(p, n_max, order, cols):
+    u = make_bulk_coin(p, 0.3, THETA_REF + 0.1)
+    _assert_columns_exact(u, make_boundary_coin(0.1), n_max, order, cols)
+
+
+@given(
+    st.floats(1e-6, 1.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.integers(2, 60),
+    st.data(),
+)
+def test_table_columns_are_bit_identical_random_phases(p, beta, gamma, gamma_tilde, order, data):
+    n_max = data.draw(st.integers(0, order))
+    cols = sorted(data.draw(st.sets(st.integers(0, order - 1), max_size=6)))
+    u = make_bulk_coin(p, beta, gamma)
+    _assert_columns_exact(u, make_boundary_coin(gamma_tilde), n_max, order, cols)
+
+
+@pytest.mark.parametrize("cols", [[2, 1], [1, 1], [-1, 2], [0, 9]])
+def test_table_rejects_bad_columns(ref_coins, cols):
+    with pytest.raises(ValueError, match="columns"):
+        bounded_gf_table(*ref_coins, 4, 9, columns=cols)
 
 def _site1_pointwise(u, ub, z):
     """(PsiL(0->1; z), PsiR(0->1; z)) from the shared closed forms at a point."""
