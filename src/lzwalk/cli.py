@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -150,6 +151,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = Parser(
         prog="lzwalk",
         description="Bounded quantum walk model of field-driven level dynamics.",
+    )
+    # a negative float literal after a flag is that flag's value; argparse's
+    # own pattern misses the exponent form and inf/nan, so it would read
+    # "--beta -1e-3" as a flag with no value
+    parser._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
     )
     parser.add_argument("mode", choices=MODES, help="what to run")
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")

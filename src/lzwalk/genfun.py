@@ -44,9 +44,9 @@ form.  Both flavors call them, and so do the residues in
 
 eta, t and both site-1 kernels (numerator / h) are odd series, so
 ``bounded_gf_table`` works on their odd-coefficient sublattice and fills
-only the columns tau >= n with tau = n (mod 2) of row n.  Asked for a few
-columns, it keeps the running power t^(n-1) and takes each kept entry as one
-dot product, so its memory is linear in the order.
+only the columns tau >= n with tau = n (mod 2) of row n.  It keeps the
+running power t^(n-1) and takes each entry it is asked for as one dot
+product, so with a few columns its memory is linear in the order.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ __all__ = [
 
 # largest n_max and order - 1 of bounded_gf_table; the work is O(cap^3).  At
 # the cap `series --steps 2000`, which keeps only its snapshot columns (O(cap)
-# memory, 0.9 MiB traced peak), takes 0.3 s (p = 0.8) to 0.5 s (p = 0.2) on a
-# 2-core VM; a full table, as verify asks for, is two 2001 x 2001 complex
-# arrays (122 MiB) and takes 1.1-2.0 s there
+# memory, 0.9 MiB traced peak), takes 0.4 s (p = 0.8) to 0.6 s (p = 0.2) on a
+# 2-core VM; a full table, which no CLI mode asks for, is two 2001 x 2001
+# complex arrays (122 MiB) and takes about 6 s there, one dot per entry
 MAX_TABLE_STEPS = 2000
 
 # relative gap below which the two root moduli of the quadratic count as tied
@@ -145,9 +145,6 @@ class Series:
             raise IndexError(f"coefficient {k} outside truncation order {self.order}")
         return complex(self._c[k])
 
-    def truncate(self, order: int) -> "Series":
-        return Series(self._c, order)
-
     def __repr__(self) -> str:
         head = ", ".join(f"{v:.6g}" for v in self._c[:4])
         tail = ", ..." if self.order > 4 else ""
@@ -210,18 +207,6 @@ class Series:
             base = base * base
             e >>= 1
         return result
-
-    def shift_down(self, k: int = 1, tol: float = 1e-9) -> "Series":
-        """Divide by z^k; the k lowest coefficients must vanish within tol."""
-        if k < 0:
-            raise ValueError("shift_down takes k >= 0")
-        if k and np.max(np.abs(self._c[:k]), initial=0.0) > tol:
-            raise ValueError(
-                f"cannot divide by z^{k}: low-order coefficients are not zero"
-            )
-        c = np.zeros(self.order, dtype=np.complex128)
-        c[: self.order - k] = self._c[k:]
-        return Series(c)
 
     def __call__(self, z: complex) -> complex:
         acc = 0.0 + 0.0j
@@ -352,23 +337,12 @@ def b_gf_closed_series(coin: Coin, n: int, order: int) -> tuple[Series, Series]:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    # one extra order so the division by z loses no stored coefficient
+    # one extra order so the division by z loses no stored coefficient;
+    # eta_0 = 0, so eta / z is eta with its first coefficient dropped
     eta = eta_series(coin, order + 1)
-    tn = site_factor(coin, eta, Series.monomial(1, order + 1)).truncate(order) ** n
-    return tn / coin.d, tn * (coin.b * eta.shift_down(1).truncate(order))
-
-
-def _row_powers(t_odd: np.ndarray, rows: int, order: int):
-    """Yield (n, w, pref) for the sites n = 1 .. min(rows, order) - 1.
-
-    pref holds the odd coefficients of t^(n-1), its z^(n-1+2j) terms, to
-    the width w of row n's columns n, n+2, ..., order - 1.
-    """
-    pref = np.ones(1, dtype=np.complex128)
-    for n in range(1, min(rows, order)):
-        w = (order - 1 - n) // 2 + 1
-        yield n, w, pref
-        pref = np.convolve(pref, t_odd[:w])[:w]
+    t = site_factor(coin, eta, Series.monomial(1, order + 1))
+    tn = Series(t.coeffs[:order]) ** n
+    return tn / coin.d, tn * (coin.b * Series(eta.coeffs[1:]))
 
 
 def _checked_columns(columns, order: int) -> list[int]:
@@ -385,17 +359,16 @@ def _checked_columns(columns, order: int) -> list[int]:
 def bounded_gf_table(
     coin: Coin, boundary_coin: Coin, n_max: int, order: int, columns=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient tables for sites 0..n_max, shape (n_max+1, order).
+    """Coefficient tables for sites 0..n_max, shape (n_max+1, len(columns)).
 
-    Row n, column tau holds psi_L(n, tau) resp. psi_R(n, tau).  Shares the
-    branch series and the denominator inversion across sites, so it is the
-    cheap way to tabulate many sites at once.  Site 0 follows from row 1.
-
-    ``columns``, a sorted list of distinct tau in [0, order), keeps only
-    those columns: the tables have shape (n_max+1, len(columns)) and the
-    memory is O(order + n_max).  Each kept entry is bit-identical to the
-    full table's.  Raises ResourceLimitError, before allocating, when n_max
-    or order - 1 exceeds MAX_TABLE_STEPS.
+    Row n, column i holds psi_L(n, tau) resp. psi_R(n, tau) at tau =
+    columns[i]; ``columns``, a sorted list of distinct tau in [0, order),
+    defaults to all of range(order).  Shares the branch series and the
+    denominator inversion across sites, so it is the cheap way to tabulate
+    many sites at once.  Site 0 follows from row 1.  Memory is
+    O(order + n_max * len(columns)), and an entry does not depend on which
+    other columns are asked for.  Raises ResourceLimitError, before
+    allocating, when n_max or order - 1 exceeds MAX_TABLE_STEPS.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -404,8 +377,7 @@ def bounded_gf_table(
             f"a series table to n = {n_max}, order {order} exceeds the cap of "
             f"{MAX_TABLE_STEPS} steps"
         )
-    if columns is not None:
-        columns = _checked_columns(columns, order)
+    columns = _checked_columns(range(order) if columns is None else columns, order)
     eta = eta_series(coin, order)
     zs = Series.monomial(1, order)
     den = bounded_denominator(coin, boundary_coin, eta, zs)
@@ -418,35 +390,28 @@ def bounded_gf_table(
     # holds t^(n-1) at z^(n-1+2j), so row n fills columns n, n+2, ... only
     k_L, k_R, t_odd = kernel_L.coeffs[1::2], kernel_R.coeffs[1::2], t.coeffs[1::2]
     rows = max(n_max, 1) + 1
-    if columns is None:
-        psi_L = np.zeros((rows, order), dtype=np.complex128)
-        psi_R = np.zeros((rows, order), dtype=np.complex128)
-        for n, w, pref in _row_powers(t_odd, rows, order):
-            psi_L[n, n::2] = np.convolve(pref, k_L[:w])[:w]
-            psi_R[n, n::2] = np.convolve(pref, k_R[:w])[:w]
-        psi_L[0] = _site0(coin, zs, Series(psi_L[1]), Series(psi_R[1])).coeffs
-        return psi_L[: n_max + 1], psi_R[: n_max + 1]
-
-    # row 1 in full, since site 0 needs it; for n >= 2 each kept entry is
-    # the convolution's own dot, pref[0] k[c] + ... + pref[c] k[0] in its
-    # order of terms, added to +0 as the convolution adds it (so an exact
-    # zero keeps its sign).
     psi_L = np.zeros((rows, len(columns)), dtype=np.complex128)
     psi_R = np.zeros((rows, len(columns)), dtype=np.complex128)
+    # row 1 in full, since site 0 needs it; for n >= 2 each kept entry is
+    # one dot, pref[0] k[c] + ... + pref[c] k[0], added to +0 so that an
+    # exact zero is stored as +0
     row1_L = np.zeros(order, dtype=np.complex128)
     row1_R = np.zeros(order, dtype=np.complex128)
     rev_L, rev_R = k_L[::-1].copy(), k_R[::-1].copy()
     last = len(k_L) - 1  # k[c::-1] is rev[last - c:]
-    for n, w, pref in _row_powers(t_odd, rows, order):
+    pref = np.ones(1, dtype=np.complex128)
+    for n in range(1, min(rows, order)):
+        w = (order - 1 - n) // 2 + 1  # row n's columns n, n+2, ..., order - 1
         if n == 1:
             row1_L[1::2] = np.convolve(pref, k_L[:w])[:w]
             row1_R[1::2] = np.convolve(pref, k_R[:w])[:w]
-            continue
-        for i, tau in enumerate(columns):
-            c, odd = divmod(tau - n, 2)
-            if c >= 0 and not odd:
-                psi_L[n, i] += np.dot(pref[: c + 1], rev_L[last - c :])
-                psi_R[n, i] += np.dot(pref[: c + 1], rev_R[last - c :])
+        else:
+            for i, tau in enumerate(columns):
+                c, odd = divmod(tau - n, 2)
+                if c >= 0 and not odd:
+                    psi_L[n, i] += np.dot(pref[: c + 1], rev_L[last - c :])
+                    psi_R[n, i] += np.dot(pref[: c + 1], rev_R[last - c :])
+        pref = np.convolve(pref, t_odd[:w])[:w]
     psi_L[1], psi_R[1] = row1_L[columns], row1_R[columns]
     psi_L[0] = _site0(coin, zs, Series(row1_L), Series(row1_R)).coeffs[columns]
     return psi_L[: n_max + 1], psi_R[: n_max + 1]

@@ -237,8 +237,8 @@ def check_parseval(
 ) -> CheckResult:
     """Series coefficients at fixed tau carry unit total probability."""
     u, ub = _coin_pair(p, theta, beta)
-    tab_L, tab_R = genfun.bounded_gf_table(u, ub, tau, tau + 1)
-    total = float(np.sum(np.abs(tab_L[:, tau]) ** 2) + np.sum(np.abs(tab_R[:, tau]) ** 2))
+    col_L, col_R = genfun.bounded_gf_table(u, ub, tau, tau + 1, columns=[tau])
+    total = float(np.sum(np.abs(col_L) ** 2) + np.sum(np.abs(col_R) ** 2))
     return _result("series_parseval", abs(total - 1.0), tol, f"tau = {tau}")
 
 

@@ -313,6 +313,32 @@ def test_bad_float_flags_exit_1_up_front(monkeypatch, capsys, args, flag):
     assert flag in err and "Traceback" not in err
 
 
+def test_negative_exponent_value_is_a_value(capsys):
+    # "-1e-3" after a flag is its value, not a flag of its own
+    spaced = run_cli(capsys, "evolve", "--p", "0.2", "--beta", "-1e-3", "--steps", "2")
+    joined = run_cli(capsys, "evolve", "--p", "0.2", "--beta=-1e-3", "--steps", "2")
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sweep", "--fmin", "-1e-3", "--fmax", "2", "--points", "3"), "need 0 < fmin <= fmax"),
+        (("verify", "--unitarity-tol", "-1e-11"), "--unitarity-tol must be positive"),
+        (("sweep", "--fmin", "-inf", "--fmax", "2", "--points", "3"), "--fmin must be finite"),
+        (("evolve", "--p", "0.2", "--gamma", "-2E+5", "--L", "-1E-3"), "--L must be positive"),
+    ],
+    ids=["fmin", "tol", "fmin-inf", "L"],
+)
+def test_negative_exponent_values_reach_range_checks(monkeypatch, capsys, args, message):
+    monkeypatch.setattr(cli.verify, "run_all", None)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_series_memory_is_linear_in_steps(capsys):
     # only the five snapshot columns are kept: two full 1001 x 1001 complex
     # tables would take 31 MiB

@@ -71,9 +71,6 @@ def test_series_mixed_orders_truncate_to_min():
 def test_series_shifts_and_powers():
     z = Series.monomial(1, 6)
     assert np.allclose((z**3).coeffs, [0, 0, 0, 1, 0, 0], atol=0)
-    assert np.allclose((z**3).shift_down(2).coeffs, [0, 1, 0, 0, 0, 0], atol=0)
-    with pytest.raises(ValueError):
-        Series([1, 0], order=4).shift_down(1)
 
 
 def test_series_point_evaluation():
@@ -191,6 +188,14 @@ def test_bq_seed_constant_term(phased_coins):
     u, _ = phased_coins
     bq, _ = b_gf_closed_series(u, 0, 6)
     assert bq.coefficient(0) == pytest.approx(1.0 / u.d, abs=1e-14)
+    # the lowest orders are the leading coefficients of a longer series
+    for n in range(4):
+        long_q, long_r = b_gf_closed_series(u, n, 13)
+        for order in (1, 2):
+            bq, br = b_gf_closed_series(u, n, order)
+            assert bq.order == br.order == order
+            np.testing.assert_allclose(bq.coeffs, long_q.coeffs[:order], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(br.coeffs, long_r.coeffs[:order], rtol=0, atol=1e-15)
 
 
 def test_return_form_is_a_regular_series(phased_coins):
@@ -285,6 +290,8 @@ def test_table_matches_direct_series(request, coins, n_max, order):
 
 
 def _assert_columns_exact(u, ub, n_max, order, cols):
+    # asking for a few columns changes no entry, in rows 0 and 1 (taken from
+    # the full row 1) or in the rows that dot only the kept columns
     tab_L, tab_R = bounded_gf_table(u, ub, n_max, order)
     col_L, col_R = bounded_gf_table(u, ub, n_max, order, columns=cols)
     assert col_L.shape == col_R.shape == (n_max + 1, len(cols))
