@@ -292,7 +292,7 @@ def _probability_rows(snapshots: dict[int, tuple[np.ndarray, np.ndarray]]) -> li
     for tau in sorted(snapshots):
         prob_L, prob_R = snapshots[tau]
         total = float(np.sum(prob_L) + np.sum(prob_R))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # fails on NaN too
             raise ArithmeticError(f"snapshot at tau={tau} sums to {total!r}, not 1")
         for n in range(tau % 2, tau + 1, 2):
             rows.append([tau, n, float(prob_L[n]), float(prob_R[n])])

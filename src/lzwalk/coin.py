@@ -31,8 +31,6 @@ __all__ = [
 
 UNITARITY_TOL = 1e-12
 
-_EYE2 = np.eye(2)
-
 
 def _require_finite(name: str, *values: complex) -> None:
     for v in values:
@@ -55,8 +53,11 @@ class Coin:
     """2x2 unitary transfer matrix ``[[a, b], [c, d]]``.
 
     Construction validates unitarity and |det| = 1 to ``UNITARITY_TOL``
-    and keeps the measured unitarity defect.  Instances are immutable and
-    safe to share between threads.
+    and keeps the measured unitarity defect.  The defect, the largest
+    modulus among the four entries of U^dag U - I, is computed in scalar
+    complex arithmetic, without building a matrix; a NaN defect or
+    determinant fails validation.  Instances are immutable and safe to
+    share between threads.
     """
 
     a: complex
@@ -67,13 +68,27 @@ class Coin:
 
     def __post_init__(self) -> None:
         _require_finite("coin entry", self.a, self.b, self.c, self.d)
-        u = self.matrix
-        defect = float(np.abs(u.conj().T @ u - _EYE2).max())
+        # Python complex, not numpy scalars: overflow gives inf or NaN, no warning
+        a, b, c, d = complex(self.a), complex(self.b), complex(self.c), complex(self.d)
+        ca, cb, cc, cd = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        try:
+            moduli = (
+                abs(ca * a + cc * c - 1.0),
+                abs(ca * b + cc * d),
+                abs(cb * a + cd * c),
+                abs(cb * b + cd * d - 1.0),
+            )
+        except OverflowError:  # a finite entry whose modulus exceeds the float range
+            moduli = (math.inf,)
+        # the moduli are nonnegative, so their sum is NaN only when one of
+        # them is; max() alone would skip a NaN that follows a number
+        defect = math.nan if math.isnan(sum(moduli)) else max(moduli)
         object.__setattr__(self, "_defect", defect)
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-        if abs(abs(self.det) - 1.0) > UNITARITY_TOL:
-            raise ValueError(f"|det| differs from 1 by {abs(self.det) - 1.0:.3e}")
+        det = self.det
+        if not abs(abs(det) - 1.0) <= UNITARITY_TOL:
+            raise ValueError(f"|det| differs from 1 by {abs(det) - 1.0:.3e}")
 
     @property
     def det(self) -> complex:

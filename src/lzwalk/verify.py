@@ -42,6 +42,19 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
     return CheckResult(name, bool(residual < tol), float(residual), tol, detail)
 
 
+def _worst(*residuals: float) -> float:
+    """The largest of the residuals, or NaN if any of them is NaN.
+
+    Every check keeps its running worst through this: Python's max() keeps
+    its running value when a comparison with NaN is False, so a NaN that
+    follows a number would pass for a small residual.
+    """
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+    return max(residuals)
+
+
 def _coin_pair(p: float, theta: float, beta: float = 0.0) -> tuple[Coin, Coin]:
     # gauge: all of theta in the bulk phase, boundary phase zero
     return make_bulk_coin(p, beta, theta), make_boundary_coin(0.0)
@@ -59,7 +72,7 @@ def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = 1e-12)
     for p, beta, gamma, gt in draws.tolist():
         u = make_bulk_coin(p, beta, gamma)
         ub = make_boundary_coin(gt)
-        worst = max(
+        worst = _worst(
             worst,
             u.unitarity_defect(),
             ub.unitarity_defect(),
@@ -81,7 +94,7 @@ def check_norm_drift(
         u = make_bulk_coin(p, beta, gamma)
         ub = make_boundary_coin(gt)
         for total in walk.trajectory(u, ub, steps, range(1, steps + 1), walk.norm):
-            worst = max(worst, abs(total - 1.0))
+            worst = _worst(worst, abs(total - 1.0))
     return _result("norm_drift", worst, tol, f"{sets} parameter sets x {steps} steps")
 
 
@@ -98,7 +111,7 @@ def three_way_residual(
         st = states[tau]
         for n in range(tau % 2, tau + 1, 2):
             amp = table[tau][n].apply()
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(amp[0] - st.psi_L[n]),
                 abs(amp[1] - st.psi_R[n]),
@@ -107,7 +120,7 @@ def three_way_residual(
     for tau in range(tau_series + 1):
         st = states[tau]
         for n in range(0, min(tau, n_series) + 1):
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(tab_L[n, tau] - st.psi_L[n]),
                 abs(tab_R[n, tau] - st.psi_R[n]),
@@ -125,11 +138,13 @@ def check_three_way(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Walk amplitudes against path enumeration and series coefficients."""
-    worst = max(
-        three_way_residual(*_coin_pair(p, theta, beta), tau_pathsum, tau_series, n_series)
-        for p in p_values
-        for theta in theta_values
-        for beta in beta_values
+    worst = _worst(
+        *(
+            three_way_residual(*_coin_pair(p, theta, beta), tau_pathsum, tau_series, n_series)
+            for p in p_values
+            for theta in theta_values
+            for beta in beta_values
+        )
     )
     grids = f"{len(p_values)}x{len(theta_values)}x{len(beta_values)} parameter sets"
     return _result("three_way_equivalence", worst, tol, grids)
@@ -148,7 +163,7 @@ def check_pqrs_structure(
     worst = 0.0
     for tau in range(1, tau_max + 1):
         for n in range(tau % 2, tau + 1, 2):
-            worst = max(worst, pathsum.pqrs_residual(table[tau][n], ub))
+            worst = _worst(worst, pathsum.pqrs_residual(table[tau][n], ub))
     return _result("pqrs_span", worst, tol, f"all n, 1 <= tau <= {tau_max}")
 
 
@@ -185,7 +200,7 @@ def check_recursion_relation(
         for tilded, untilded in ((t_q, u_q), (t_r, u_r)):
             rhs = np.convolve(factor, untilded)[:m]
             rhs = d * np.concatenate([[0.0], rhs[:-1]])
-            worst = max(worst, float(np.max(np.abs(tilded - rhs))))
+            worst = _worst(worst, float(np.max(np.abs(tilded - rhs))))
     return _result("coefficient_recursion", worst, tol, f"n <= {n_max}, order {order}")
 
 
@@ -220,7 +235,7 @@ def check_closed_forms(
         bq_s, br_s = genfun.b_gf_closed_series(u, n, tau_max + 1)
         u_q, u_r = pathsum.pqrs_row(table, n, u)
         lo = 1 if n == 0 else 0  # the n = 0 constant term is the formal seed
-        worst = max(
+        worst = _worst(
             worst,
             float(np.max(np.abs(bq_s.coeffs[lo:] - u_q[lo:]))),
             float(np.max(np.abs(br_s.coeffs[lo:] - u_r[lo:]))),
@@ -263,7 +278,7 @@ def check_edge_mode(
     for i, n in enumerate(mode.sites):
         expect_L = w * r ** int(n)
         expect_R = 0.0 if n == 0 else w * r ** int(n - 1)
-        worst = max(
+        worst = _worst(
             worst,
             abs(abs(mode.phi_L[i]) ** 2 - expect_L),
             abs(abs(mode.phi_R[i]) ** 2 - expect_R),
@@ -291,7 +306,7 @@ def check_observable_ratio(
     worst = 0.0
     for p in p_values:
         obs = edge.observables(p, theta)
-        worst = max(worst, abs(obs.J_paper_form / obs.J_direct - 1.0 / math.sqrt(1.0 - p)))
+        worst = _worst(worst, abs(obs.J_paper_form / obs.J_direct - 1.0 / math.sqrt(1.0 - p)))
     return _result(
         "momentum_form_ratio", worst, tol, "J_paper_form/J_direct vs 1/sqrt(1-p)"
     )
@@ -316,7 +331,7 @@ def check_edge_vs_simulation(
     mode = edge.floquet_mode(p, theta, n_max)
     worst = 0.0
     for n, expected in zip(mode.sites, mode.probabilities()):
-        worst = max(worst, abs(averaged[n] - float(expected)) / float(expected))
+        worst = _worst(worst, abs(averaged[n] - float(expected)) / float(expected))
     return _result(
         "edge_vs_simulation",
         worst,

@@ -119,6 +119,21 @@ def test_series_mode_agrees_with_evolve_long_horizon(capsys, p):
     assert_series_matches_evolve(capsys, p, "800")
 
 
+def test_series_with_a_nan_probability_exits_2(monkeypatch, capsys):
+    table = cli.bounded_gf_table
+
+    def planted(*args, **kwargs):
+        tab_L, tab_R = table(*args, **kwargs)
+        tab_L = tab_L.copy()
+        tab_L[3, -1] = complex(math.nan, 0.0)
+        return tab_L, tab_R
+
+    monkeypatch.setattr(cli, "bounded_gf_table", planted)
+    code, out, err = run_cli(capsys, "series", "--p", "0.2", "--steps", "8")
+    assert code == 2 and out == ""
+    assert err == "error: numerical self-check failed: snapshot at tau=8 sums to nan, not 1\n"
+
+
 def test_series_zero_steps(capsys):
     code, out, _ = run_cli(capsys, "series", "--p", "0.2", "--steps", "0")
     assert code == 0

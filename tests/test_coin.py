@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,12 +76,70 @@ def test_random_coins_unitary_with_unit_determinant():
         assert abs(u.det - 1.0) < 1e-12  # det is exactly 1, not just |det|
 
 
+def _exact_defect(coin):
+    """max |(U^dag U - I)_ij| of the coin's double entries, in 200-bit arithmetic."""
+    with mpmath.workprec(200):
+        a, b, c, d = (mpmath.mpc(z.real, z.imag) for z in (coin.a, coin.b, coin.c, coin.d))
+        ca, cb, cc, cd = (mpmath.conj(z) for z in (a, b, c, d))
+        entries = (ca * a + cc * c - 1, ca * b + cc * d, cb * a + cd * c, cb * b + cd * d - 1)
+        return float(max(abs(z) for z in entries))
+
+
+# Each real or imaginary part of an entry of U^dag U is a sum of four rounded
+# products of numbers of modulus at most 1, summed in double precision.  The
+# dot-product bound gives an absolute error of at most gamma_4 = 4u / (1 - 4u)
+# with u = 2^-53 (the final "- 1" is exact, by Sterbenz), so a modulus is
+# off by at most sqrt(2) gamma_4 = 6.3e-16, and so is the max of four.  The
+# bound is 3 ulps of 1.0, 6.7e-16.
+DEFECT_BOUND = 3 * 2.0**-52
+
+
 def test_stored_defect_is_the_matrix_defect_and_not_compared():
-    u = make_bulk_coin(0.3, 0.2, 1.0)
-    m = u.matrix
-    assert u.unitarity_defect() == float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+    coins = [
+        make_bulk_coin(0.3, 0.2, 1.0),
+        make_bulk_coin(1e-6, -2.9, 0.4),
+        make_boundary_coin(2.2),
+        # a genuine defect of about 3e-13, far above the round-off
+        Coin(*(z * (1.0 + 1.5e-13) for z in (SQ2, SQ2 * 1j, SQ2 * 1j, SQ2))),
+    ]
+    for u in coins:
+        assert abs(u.unitarity_defect() - _exact_defect(u)) <= DEFECT_BOUND, u
+    u = coins[0]
     assert u == Coin(u.a, u.b, u.c, u.d) and hash(u) == hash(Coin(u.a, u.b, u.c, u.d))
     assert repr(u) == f"Coin(a={u.a!r}, b={u.b!r}, c={u.c!r}, d={u.d!r})"
+
+
+_REF = make_bulk_coin(0.3, 0.2, 1.0)
+_LAYOUTS = {"all": (0, 1, 2, 3), "row0": (0, 1), "row1": (2, 3), "col0": (0, 2), "col1": (1, 3)}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_huge_entries_raise_without_warning(scale, layout):
+    entries = [_REF.a, _REF.b, _REF.c, _REF.d]
+    for i in _LAYOUTS[layout]:
+        entries[i] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not unitary") as info:
+            Coin(*entries)
+    if layout == "all":
+        # both off-diagonal entries of U^dag U are inf - inf = NaN, after an
+        # inf diagonal entry: the NaN must reach the reported defect
+        with np.errstate(all="ignore"):
+            m = np.array(entries).reshape(2, 2)
+            gram = m.conj().T @ m
+        assert np.isnan(gram[0, 1]) and np.isnan(gram[1, 0])
+        assert "defect nan" in str(info.value)
+
+
+def test_entry_with_overflowing_modulus_raises_value_error():
+    # (U^dag U)_01 = 1.56e308 (1 + i) is finite, its modulus is not
+    b = 1.2e154 * (1 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="defect inf"):
+            Coin(1.3e154, b, 0.0, 0.0)
 
 
 def test_pqrs_identity_coin():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import lzwalk.walk
 from lzwalk import (
     MAX_EVOLVE_STEPS,
     ResourceLimitError,
@@ -269,3 +270,66 @@ def test_trajectory_odd_parity_sites_exactly_zero(phased_coins):
     for s in trajectory(u, ub, 301, range(302)):
         off = np.arange(s.tau + 1) % 2 != s.tau % 2
         assert np.all(s.psi_L[off] == 0.0) and np.all(s.psi_R[off] == 0.0)
+
+
+@pytest.mark.parametrize("component", ["psi_L", "psi_R"])
+@pytest.mark.parametrize(
+    "bad", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)]
+)
+def test_walk_state_rejects_non_finite_amplitudes(component, bad):
+    amps = {"psi_L": np.full(5, 0.1 + 0.2j), "psi_R": np.full(5, 0.3 - 0.1j)}
+    amps[component][3] = bad
+    with pytest.raises(ValueError, match=f"{component} contains non-finite"):
+        WalkState(4, amps["psi_L"], amps["psi_R"])
+
+
+@pytest.mark.parametrize(
+    "psi_L, psi_R",
+    [
+        (np.zeros(4), np.zeros(5)),
+        (np.zeros(5), np.zeros(6)),
+        (np.zeros((1, 5)), np.zeros(5)),
+        (np.zeros(5), np.zeros((5, 1))),
+        (np.complex128(0.0), np.zeros(5)),
+    ],
+    ids=["L-short", "R-long", "L-2d", "R-2d", "L-scalar"],
+)
+def test_walk_state_rejects_wrong_length(psi_L, psi_R):
+    with pytest.raises(ValueError, match="must have length tau\\+1 = 5"):
+        WalkState(4, psi_L, psi_R)
+
+
+def test_walk_state_rejects_negative_tau():
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        WalkState(-1, np.zeros(0), np.zeros(0))
+
+
+def test_walk_state_arrays_are_read_only(phased_coins):
+    u, ub = phased_coins
+    built = WalkState(2, [1.0, 0.0, 0.0], np.zeros(3, dtype=np.complex128))
+    stepped = step(built, u, ub)
+    (snap,) = trajectory(u, ub, 7, [7])
+    for s in (built, stepped, snap, initial_state()):
+        for arr in (s.psi_L, s.psi_R):
+            assert arr.dtype == np.complex128 and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 129, 301, 4001])
+def test_norm_is_bitwise_the_sum_of_squared_moduli(length):
+    # lengths on both sides of the 8-wide unrolled and 128-long pairwise
+    # blocks of numpy's summation
+    rng = np.random.default_rng(length)
+    scale = 10.0 ** rng.uniform(-160, 0, size=(2, length))
+    psi = scale * (rng.standard_normal((2, length)) + 1j * rng.standard_normal((2, length)))
+    state = WalkState(length - 1, psi[0], psi[1])
+    expected = float((abs(psi[0]) ** 2).sum() + (abs(psi[1]) ** 2).sum())
+    assert norm(state).hex() == expected.hex()
+
+
+def test_evolve_rejects_a_nan_norm(monkeypatch, ref_coins):
+    u, ub = ref_coins
+    monkeypatch.setattr(lzwalk.walk, "norm", lambda state: math.nan)
+    with pytest.raises(ArithmeticError, match="norm drifted by nan"):
+        evolve(u, ub, 10)
