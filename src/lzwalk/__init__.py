@@ -59,6 +59,7 @@ from .walk import (
     evolve,
     initial_state,
     norm,
+    norms,
     step,
     trajectory,
 )

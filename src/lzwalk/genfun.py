@@ -51,6 +51,7 @@ product, so with a few columns its memory is linear in the order.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import operator
 
@@ -406,9 +407,11 @@ def bounded_gf_table(
             row1_L[1::2] = np.convolve(pref, k_L[:w])[:w]
             row1_R[1::2] = np.convolve(pref, k_R[:w])[:w]
         else:
-            for i, tau in enumerate(columns):
+            # columns before the row's light cone tau >= n hold zeros
+            start = bisect.bisect_left(columns, n)
+            for i, tau in enumerate(columns[start:], start):
                 c, odd = divmod(tau - n, 2)
-                if c >= 0 and not odd:
+                if not odd:
                     psi_L[n, i] += np.dot(pref[: c + 1], rev_L[last - c :])
                     psi_R[n, i] += np.dot(pref[: c + 1], rev_R[last - c :])
         pref = np.convolve(pref, t_odd[:w])[:w]

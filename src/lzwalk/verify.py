@@ -93,7 +93,7 @@ def check_norm_drift(
         beta, gamma, gt = (float(x) for x in rng.uniform(-math.pi, math.pi, size=3))
         u = make_bulk_coin(p, beta, gamma)
         ub = make_boundary_coin(gt)
-        for total in walk.trajectory(u, ub, steps, range(1, steps + 1), walk.norm):
+        for total in walk.norms(u, ub, steps):
             worst = _worst(worst, abs(total - 1.0))
     return _result("norm_drift", worst, tol, f"{sets} parameter sets x {steps} steps")
 

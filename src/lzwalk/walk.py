@@ -13,9 +13,12 @@ components densely over [0, tau]; the bound is exact, so there is no
 truncation error by construction.
 
 The rule is coded once, in ``_advance``.  ``step`` applies it to a dense
-state; ``trajectory`` (and ``evolve`` on top of it) runs a whole walk from
-the initial state and returns ``WalkState`` snapshots only at the requested
-times.  Its working layout differs from the dense one in three ways:
+state.  A whole walk from the initial state runs in one stepping loop, the
+generator ``_walk``, which yields the live compact entries at each time.
+Two consumers read it: ``trajectory`` (and ``evolve`` on top of it) builds
+``WalkState`` snapshots only at the requested times, and ``norms`` sums the
+compact entries of every step without building a state.  The loop's working
+layout differs from the dense one in three ways:
 
 * Compact parity sublattice.  Sites of the wrong parity are exactly zero, so
   only n = tau (mod 2) is stored, at compact index k = (n - tau mod 2) / 2.
@@ -33,6 +36,13 @@ times.  Its working layout differs from the dense one in three ways:
   in the last bit, so this order is part of the result: both layouts give
   bit-identical amplitudes.
 
+``norm`` and ``norms`` share one sum: abs, square, then ``np.add.reduce``
+per component, in numpy alone.  A BLAS ``np.dot`` is faster, but the BLAS
+build and the CPU pick its summation order, so the printed norm residuals
+would no longer be fixed by this code.  The compact sum still groups its
+terms differently from the dense one, which also holds the parity zeros, so
+the two can differ in the last bits.
+
 Two constants bound the work.  ``MAX_EVOLVE_STEPS`` caps every walk; larger
 requests raise ResourceLimitError before anything is allocated.  The kernel
 does about steps^2 / 4 site updates: on a 2-core VM, 100 000 steps at
@@ -44,7 +54,7 @@ before it raises ArithmeticError.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +71,7 @@ __all__ = [
     "trajectory",
     "evolve",
     "norm",
+    "norms",
     "distribution",
 ]
 
@@ -73,7 +84,9 @@ class WalkState:
     """Wavefunction snapshot at integer time tau.
 
     psi_L[n] and psi_R[n] hold the two amplitude components for sites
-    n = 0 .. tau.  Arrays are marked read-only: states are immutable values.
+    n = 0 .. tau.  The state holds read-only copies of the arrays it is
+    given: states are immutable values, and the caller's arrays stay its
+    own.
     """
 
     tau: int
@@ -85,7 +98,7 @@ class WalkState:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
         shape = (self.tau + 1,)
         for name, value in (("psi_L", self.psi_L), ("psi_R", self.psi_R)):
-            arr = np.asarray(value, dtype=np.complex128)
+            arr = np.array(value, dtype=np.complex128)
             if arr.shape != shape:
                 raise ValueError(
                     f"{name} must have length tau+1 = {self.tau + 1}, got shape {arr.shape}"
@@ -151,14 +164,66 @@ def step(state: WalkState, coin: Coin, boundary_coin: Coin) -> WalkState:
     return WalkState(tau + 1, new_L, new_R)
 
 
-def _snapshot(tau: int, comp_L: np.ndarray, comp_R: np.ndarray, hi: int) -> WalkState:
-    """Dense state at time tau from the live compact entries [0, hi)."""
+def _snapshot(tau: int, live_L: np.ndarray, live_R: np.ndarray) -> WalkState:
+    """Dense state at time tau from its live compact entries."""
     psi_L = np.zeros(tau + 1, dtype=np.complex128)
     psi_R = np.zeros(tau + 1, dtype=np.complex128)
-    live = slice(tau % 2, tau % 2 + 2 * hi, 2)
-    psi_L[live] = comp_L[:hi]
-    psi_R[live] = comp_R[:hi]
+    live = slice(tau % 2, tau % 2 + 2 * len(live_L), 2)
+    psi_L[live] = live_L
+    psi_R[live] = live_R
     return WalkState(tau, psi_L, psi_R)
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if steps > MAX_EVOLVE_STEPS:
+        raise ResourceLimitError(
+            f"steps = {steps} exceeds the cap of {MAX_EVOLVE_STEPS}"
+        )
+
+
+def _walk(
+    coin: Coin, boundary_coin: Coin, steps: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The stepping loop: (tau, live_L, live_R) for tau = 0 .. steps.
+
+    live_L and live_R view the live compact entries [0, hi) of the state at
+    time tau.  The next step overwrites them, so a consumer must use them
+    before it resumes the generator and must not keep them.
+    """
+    size = steps // 2 + 1
+    cur_L = np.zeros(size, dtype=np.complex128)
+    cur_R = np.zeros(size, dtype=np.complex128)
+    nxt_L = np.zeros(size, dtype=np.complex128)
+    nxt_R = np.zeros(size, dtype=np.complex128)
+    tmp = np.empty(size, dtype=np.complex128)
+    cur_L[0] = 1.0
+    hi = 1
+    for tau in range(steps + 1):
+        live_L, live_R = cur_L[:hi], cur_R[:hi]
+        yield tau, live_L, live_R
+        if tau == steps:
+            return
+        if tau % 2 == 0:
+            # even sites n = 2k feed odd sites 2k -/+ 1 at compact k - 1 / k;
+            # site 0 reflects into site 1 (compact 0)
+            _advance(
+                coin, boundary_coin, live_L, live_R, nxt_L[: hi - 1], nxt_R[:hi], tmp, True
+            )
+            nxt_L[hi - 1] = 0.0
+        else:
+            # odd sites n = 2k + 1 feed even sites 2k / 2k + 2 at compact k / k + 1
+            _advance(
+                coin, boundary_coin, live_L, live_R, nxt_L[:hi], nxt_R[1 : hi + 1], tmp, False
+            )
+            nxt_L[hi] = 0.0
+            nxt_R[0] = 0.0
+            hi += 1
+        cur_L, nxt_L = nxt_L, cur_L
+        cur_R, nxt_R = nxt_R, cur_R
+        while hi > 1 and cur_L[hi - 1] == 0.0 and cur_R[hi - 1] == 0.0:
+            hi -= 1
 
 
 def trajectory(
@@ -173,72 +238,57 @@ def trajectory(
     ``times`` may hold any integers in [0, steps]; the states come back in
     increasing time order, one per distinct time.  Only these snapshots are
     built; the walk itself runs in the compact in-place layout described in
-    the module docstring.  With ``observe``, each snapshot is handed to it as
-    soon as it is built and the list holds the results instead, so a caller
-    that needs only a norm or a few sites per snapshot keeps no state alive.
-    Raises ResourceLimitError beyond ``MAX_EVOLVE_STEPS``.
+    the module docstring, and stops at the last of ``times``.  With
+    ``observe``, each snapshot is handed to it as soon as it is built and the
+    list holds the results instead, so a caller that needs only a few sites
+    per snapshot keeps no state alive.  Raises ResourceLimitError beyond
+    ``MAX_EVOLVE_STEPS``.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    if steps > MAX_EVOLVE_STEPS:
-        raise ResourceLimitError(
-            f"steps = {steps} exceeds the cap of {MAX_EVOLVE_STEPS}"
-        )
+    _check_steps(steps)
     wanted = sorted({int(t) for t in times})
     if not wanted:
         return []
     if wanted[0] < 0 or wanted[-1] > steps:
         raise ValueError(f"snapshot times must lie in [0, {steps}], got {wanted}")
-    size = steps // 2 + 1
-    cur_L = np.zeros(size, dtype=np.complex128)
-    cur_R = np.zeros(size, dtype=np.complex128)
-    nxt_L = np.zeros(size, dtype=np.complex128)
-    nxt_R = np.zeros(size, dtype=np.complex128)
-    tmp = np.empty(size, dtype=np.complex128)
-    cur_L[0] = 1.0
-    hi = 1
     out = []
     pending = iter(wanted)
-    due = next(pending, None)
-    for tau in range(steps + 1):
+    due = next(pending)
+    for tau, live_L, live_R in _walk(coin, boundary_coin, wanted[-1]):
         if tau == due:
-            state = _snapshot(tau, cur_L, cur_R, hi)
+            state = _snapshot(tau, live_L, live_R)
             out.append(state if observe is None else observe(state))
             due = next(pending, None)
-            if due is None:
-                break
-        if tau % 2 == 0:
-            # even sites n = 2k feed odd sites 2k -/+ 1 at compact k - 1 / k;
-            # site 0 reflects into site 1 (compact 0)
-            _advance(
-                coin, boundary_coin, cur_L[:hi], cur_R[:hi], nxt_L[: hi - 1], nxt_R[:hi], tmp, True
-            )
-            nxt_L[hi - 1] = 0.0
-        else:
-            # odd sites n = 2k + 1 feed even sites 2k / 2k + 2 at compact k / k + 1
-            _advance(
-                coin, boundary_coin, cur_L[:hi], cur_R[:hi], nxt_L[:hi], nxt_R[1 : hi + 1], tmp, False
-            )
-            nxt_L[hi] = 0.0
-            nxt_R[0] = 0.0
-            hi += 1
-        cur_L, nxt_L = nxt_L, cur_L
-        cur_R, nxt_R = nxt_R, cur_R
-        while hi > 1 and cur_L[hi - 1] == 0.0 and cur_R[hi - 1] == 0.0:
-            hi -= 1
     return out
+
+
+def _total_probability(psi_L: np.ndarray, psi_R: np.ndarray) -> float:
+    # |psi|^2 as abs then square, each component summed on its own: the
+    # same roundings as (abs(psi) ** 2).sum(), in one reused buffer
+    sq = np.abs(psi_L)
+    np.square(sq, out=sq)
+    total = np.add.reduce(sq)
+    np.abs(psi_R, out=sq)
+    np.square(sq, out=sq)
+    return float(total + np.add.reduce(sq))
 
 
 def norm(state: WalkState) -> float:
     """Total probability carried by the state."""
-    # |psi|^2 as abs then square, each component summed on its own: the
-    # same roundings as (abs(psi) ** 2).sum(), in one reused buffer
-    sq = np.abs(state.psi_L)
-    np.square(sq, out=sq)
-    total = np.add.reduce(sq)
-    np.abs(state.psi_R, out=sq)
-    np.square(sq, out=sq)
-    return float(total + np.add.reduce(sq))
+    return _total_probability(state.psi_L, state.psi_R)
+
+
+def norms(coin: Coin, boundary_coin: Coin, steps: int) -> list[float]:
+    """Total probability at tau = 1 .. steps of one walk from the initial state.
+
+    Each entry sums the live compact entries of one step, so no state is
+    built.  A dense state's parity zeros change numpy's pairwise grouping,
+    so an entry can differ from ``norm`` of the same snapshot in its last
+    bits.  Raises ResourceLimitError beyond ``MAX_EVOLVE_STEPS``.
+    """
+    _check_steps(steps)
+    states = _walk(coin, boundary_coin, steps)
+    next(states)  # tau = 0, the initial state
+    return [_total_probability(live_L, live_R) for _, live_L, live_R in states]
 
 
 def evolve(coin: Coin, boundary_coin: Coin, steps: int) -> WalkState:

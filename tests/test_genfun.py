@@ -335,6 +335,18 @@ def test_table_columns_are_bit_identical_random_phases(p, beta, gamma, gamma_til
     _assert_columns_exact(u, make_boundary_coin(gamma_tilde), n_max, order, cols)
 
 
+@pytest.mark.parametrize("p", [P_REF, 1.0, 1e-300])
+@pytest.mark.parametrize("n_max, order", [(40, 41), (41, 42), (15, 40), (30, 9)])
+def test_full_table_equals_single_column_tables(p, n_max, order):
+    # a one-column table starts every row at that column or after it
+    u, ub = make_bulk_coin(p, -0.4, THETA_REF + 2.0), make_boundary_coin(-0.3)
+    tab_L, tab_R = bounded_gf_table(u, ub, n_max, order)
+    for tau in range(order):
+        col_L, col_R = bounded_gf_table(u, ub, n_max, order, columns=[tau])
+        assert col_L.tobytes() == tab_L[:, [tau]].tobytes()
+        assert col_R.tobytes() == tab_R[:, [tau]].tobytes()
+
+
 @pytest.mark.parametrize("cols", [[2, 1], [1, 1], [-1, 2], [0, 9]])
 def test_table_rejects_bad_columns(ref_coins, cols):
     with pytest.raises(ValueError, match="columns"):

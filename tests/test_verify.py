@@ -18,14 +18,43 @@ def test_planted_nan_in_series_table_fails_three_way(monkeypatch):
     assert math.isnan(result.residual)
 
 
+def _norm_drift_with_planted_norm(monkeypatch, bad):
+    exact = walk.norms
+
+    def planted(coin, boundary_coin, steps):
+        totals = exact(coin, boundary_coin, steps)
+        totals[149] = bad  # tau = 150, after many finite norms
+        return totals
+
+    monkeypatch.setattr(walk, "norms", planted)
+    return verify.check_norm_drift()
+
+
 def test_planted_nan_norm_fails_norm_drift(monkeypatch):
-    exact = walk.norm
-
-    def planted(state):
-        return math.nan if state.tau == 150 else exact(state)
-
-    monkeypatch.setattr(walk, "norm", planted)
-    result = verify.check_norm_drift()
+    result = _norm_drift_with_planted_norm(monkeypatch, math.nan)
     assert not result.passed
     assert math.isnan(result.residual)
 
+
+def test_planted_inf_norm_fails_norm_drift(monkeypatch):
+    result = _norm_drift_with_planted_norm(monkeypatch, math.inf)
+    assert not result.passed
+    assert result.residual == math.inf
+
+
+def test_norm_drift_builds_no_state(monkeypatch, ref_coins):
+    built = []
+    snapshot = walk._snapshot
+
+    def counted(*args):
+        built.append(args[0])
+        return snapshot(*args)
+
+    monkeypatch.setattr(walk, "_snapshot", counted)
+    u, ub = ref_coins
+    walk.trajectory(u, ub, 3, [3])
+    assert built == [3]  # the counter sees the snapshots trajectory builds
+    built.clear()
+    walk.norms(u, ub, 40)
+    assert verify.check_norm_drift().passed
+    assert built == []

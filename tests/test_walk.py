@@ -15,6 +15,7 @@ from lzwalk import (
     make_boundary_coin,
     make_bulk_coin,
     norm,
+    norms,
     step,
     trajectory,
     transition_amplitude,
@@ -316,6 +317,17 @@ def test_walk_state_arrays_are_read_only(phased_coins):
                 arr[0] = 0.5
 
 
+def test_walk_state_copies_the_callers_arrays():
+    psi_L = np.array([0.6, 0.0, 0.8j])
+    psi_R = np.zeros(3, dtype=np.complex128)
+    state = WalkState(2, psi_L, psi_R)
+    assert psi_L.flags.writeable and psi_R.flags.writeable
+    psi_L[0] = 5.0
+    psi_R[1] = 1.0
+    assert state.psi_L[0] == 0.6 and state.psi_R[1] == 0.0
+    assert not state.psi_L.flags.writeable and not state.psi_R.flags.writeable
+
+
 @pytest.mark.parametrize("length", [1, 7, 8, 9, 129, 301, 4001])
 def test_norm_is_bitwise_the_sum_of_squared_moduli(length):
     # lengths on both sides of the 8-wide unrolled and 128-long pairwise
@@ -333,3 +345,18 @@ def test_evolve_rejects_a_nan_norm(monkeypatch, ref_coins):
     monkeypatch.setattr(lzwalk.walk, "norm", lambda state: math.nan)
     with pytest.raises(ArithmeticError, match="norm drifted by nan"):
         evolve(u, ub, 10)
+
+
+def test_norms_zero_steps(ref_coins):
+    assert norms(*ref_coins, 0) == []
+
+
+def test_norms_reject_bad_steps_before_allocating(monkeypatch, ref_coins):
+    def walk_started(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(lzwalk.walk, "_walk", walk_started)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        norms(*ref_coins, MAX_EVOLVE_STEPS + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        norms(*ref_coins, -1)
