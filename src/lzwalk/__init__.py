@@ -14,9 +14,11 @@ from .coin import (
 )
 from .edge import (
     EdgeObservables,
+    EdgePoint,
     EdgeReport,
     FloquetMode,
     decay_ratio,
+    edge_point,
     edge_report,
     floquet_mode,
     is_localized,

@@ -27,19 +27,18 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import verify, walk
 from .coin import ModelParams, make_boundary_coin, make_bulk_coin
-from .edge import (
-    decay_ratio,
-    edge_report,
-    is_localized,
-    localization_length,
-    observables,
-)
+from .edge import _observables, edge_point, edge_report
+# decay_ratio, is_localized, localization_length and observables are not
+# called here; they stay importable from this module because
+# benches/spans.py wraps them by name on it.
+from .edge import decay_ratio, is_localized, localization_length, observables  # noqa: F401
 from .errors import ResourceLimitError
 from .genfun import bounded_gf_table
 from .pathsum import TAU_CAP
@@ -52,7 +51,8 @@ __all__ = ["RunConfig", "main", "app", "parse_config_text", "emit_config"]
 MODES = ("evolve", "series", "edge", "sweep", "verify")
 
 # largest sweep grid; cost is linear in the points: at the cap a run takes
-# 1.7 s and 110 MB peak RSS for CSV, 3.8 s and 280 MB for JSON (2-core VM)
+# 0.9-1.2 s and 64 MB peak RSS for CSV, 1.2-1.7 s and 99 MB for JSON
+# (2-core shared VM, in process)
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -341,7 +341,7 @@ def run_edge(cfg: RunConfig) -> tuple[list[str], list[list]]:
     )
     report = edge_report(params)
     if report.localized:
-        obs = observables(report.p, report.theta, cfg.j0, cfg.E0)
+        obs = _observables(report.p, report.theta, report.r, cfg.j0, cfg.E0)
         j_direct, j_paper, e_direct = obs.J_direct, obs.J_paper_form, obs.E_direct
     else:
         j_direct = j_paper = e_direct = None
@@ -357,44 +357,47 @@ def run_edge(cfg: RunConfig) -> tuple[list[str], list[list]]:
 _SWEEP_COLUMNS = ["F", "p", "r", "xi", "weight", "J_direct", "J_paper_form", "E_direct", "localized"]
 
 
-def run_sweep(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    theta = cfg.gamma - cfg.gamma_tilde
+def run_sweep(cfg: RunConfig) -> tuple[list[str], Iterator[list]]:
     if cfg.log:
         grid = np.geomspace(cfg.fmin, cfg.fmax, cfg.points)
     else:
         grid = np.linspace(cfg.fmin, cfg.fmax, cfg.points)
-    rows = []
+    return list(_SWEEP_COLUMNS), _sweep_rows(cfg, grid.tolist())
+
+
+def _sweep_rows(cfg: RunConfig, grid: list[float]) -> Iterator[list]:
+    """One row per field, made as the renderer asks for it.
+
+    A bad grid point raises while the rows are rendered, before anything
+    is written.
+    """
+    theta = cfg.gamma - cfg.gamma_tilde
+    scale = -math.pi * cfg.fbar
+    j0, E0 = cfg.j0, cfg.E0
     for field in grid:
-        field = float(field)
-        p = math.exp(-math.pi * cfg.fbar / field)
-        r = decay_ratio(p, theta)
-        if is_localized(p, theta):
-            obs = observables(p, theta, cfg.j0, cfg.E0)
-            row = [
-                field, p, r, localization_length(p, theta), 1.0 - r,
-                obs.J_direct, obs.J_paper_form, obs.E_direct, True,
-            ]
+        p = math.exp(scale / field)
+        r, xi, weight, obs = edge_point(p, theta, j0, E0)
+        if obs is None:
+            yield [field, p, r, xi, weight, None, None, None, False]
         else:
-            row = [field, p, r, None, 0.0, None, None, None, False]
-        rows.append(row)
-    return list(_SWEEP_COLUMNS), rows
+            yield [field, p, r, xi, weight, obs.J_direct, obs.J_paper_form, obs.E_direct, True]
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
     return str(value)
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
+def _render_csv(header: list[str], rows: Iterable[list]) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines += [",".join(map(_cell, row)) for row in rows]
+    lines.append("")  # the final LF
+    return "\n".join(lines)
 
 
 def _json_value(value):
@@ -404,19 +407,26 @@ def _json_value(value):
 
 
 def _json_cell(value) -> str:
-    """``json.dumps(_json_value(value))``; ints and finite floats skip the encoder."""
+    """``json.dumps(_json_value(value))``; finite floats, ints, None and
+    booleans are written without the encoder."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     if type(value) is int:
         return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return json.dumps(_json_value(value))
 
 
-def _render_json(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
+def _render_json(cfg: RunConfig, header: list[str], rows: Iterable[list]) -> str:
     """The bytes of ``json.dumps({"config": ..., "rows": [...]}, indent=2)``.
 
-    The small config object goes through the encoder; the rows are written
-    out as small pieces, "key": cell, joined once at the end.
+    The small config object goes through the encoder; each row fills one
+    %-template, an object at indent 4 with one "key": cell entry per line.
     """
     config_echo = {
         f.name: _json_value(getattr(cfg, f.name))
@@ -424,19 +434,17 @@ def _render_json(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
         if getattr(cfg, f.name) is not None
     }
     config = json.dumps(config_echo, indent=2).replace("\n", "\n  ")
-    # a row is an object at indent 4 with one "key": cell entry per line
-    entries = ["\n      " + json.dumps(key) + ": " for key in header]
-    prefixes = ["{" + entries[0]] + ["," + entry for entry in entries[1:]]
-    parts = ['{\n  "config": ', config, ',\n  "rows": [']
-    sep = "\n    "
-    for row in rows:
-        parts.append(sep)
-        sep = ",\n    "
-        for prefix, value in zip(prefixes, row):
-            parts += (prefix, _json_cell(value))
-        parts.append("\n    }")
-    parts.append("\n  ]\n}\n" if rows else "]\n}\n")
-    return "".join(parts)
+    template = "{\n      " + ",\n      ".join(
+        json.dumps(key).replace("%", "%%") + ": %s" for key in header
+    ) + "\n    }"
+    objects = [template % tuple(map(_json_cell, row)) for row in rows]
+    head = '{\n  "config": ' + config + ',\n  "rows": ['
+    if not objects:
+        return head + "]\n}\n"
+    # the document is one join over the objects, with no copy of the rows
+    objects[0] = head + "\n    " + objects[0]
+    objects[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(objects)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:

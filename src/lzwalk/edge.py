@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .genfun import lambda_plus_eval  # noqa: F401
 __all__ = [
     "CRITICAL_BAND",
     "EdgeObservables",
+    "EdgePoint",
     "EdgeReport",
     "FloquetMode",
     "decay_ratio",
@@ -47,6 +49,7 @@ __all__ = [
     "quasi_energy",
     "observables",
     "edge_report",
+    "edge_point",
     "is_localized",
 ]
 
@@ -72,7 +75,11 @@ def decay_ratio(p: float, theta: float) -> float:
     relative accuracy for every p in (0, 1), with neither cancellation nor
     underflow; it is +inf only where p/(1+s)^2 itself underflows at theta = 0.
     """
-    theta = _check_p_theta(p, theta)
+    return _decay_ratio(p, _check_p_theta(p, theta))
+
+
+def _decay_ratio(p: float, theta: float) -> float:
+    """r at a checked p and reduced theta; see ``decay_ratio``."""
     s = math.sqrt(1.0 - p)
     half = math.sin(0.5 * theta)
     den = p / (1.0 + s) ** 2 + 4.0 * s * half * half / p
@@ -90,7 +97,11 @@ def pole(p: float, theta: float) -> complex:
     p/(1+s) + 2 s sin^2(theta/2), written so that it does not cancel at
     small p and small theta.
     """
-    theta = _check_p_theta(p, theta)
+    return _pole(p, _check_p_theta(p, theta))
+
+
+def _pole(p: float, theta: float) -> complex:
+    """z_pole^2 at a checked p and reduced theta; see ``pole``."""
     s = math.sqrt(1.0 - p)
     half = math.sin(0.5 * theta)
     num = complex(p / (1.0 + s) + 2.0 * s * half * half, s * math.sin(theta))
@@ -122,7 +133,10 @@ def thresholds(theta: float, Fbar: float) -> tuple[float, float]:
 
 def localization_length(p: float, theta: float) -> float:
     """Edge-state size 1/|ln r| on the level axis; infinite at r = 1."""
-    r = decay_ratio(p, theta)
+    return _localization_length(decay_ratio(p, theta))
+
+
+def _localization_length(r: float) -> float:
     log_r = math.log(r)
     if log_r == 0.0:
         return math.inf
@@ -149,7 +163,8 @@ class FloquetMode:
 
 
 def _require_localized(p: float, theta: float) -> float:
-    r = decay_ratio(p, theta)
+    """r at a checked p and reduced theta; DelocalizedError unless r < 1 - CRITICAL_BAND."""
+    r = _decay_ratio(p, theta)
     if r >= 1.0 - CRITICAL_BAND:
         kind = "critical" if abs(r - 1.0) <= CRITICAL_BAND else "delocalized"
         raise DelocalizedError(
@@ -178,7 +193,7 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     a, b = coin.a, coin.b
     ad, bc = a * coin.d, b * coin.c
 
-    z2 = pole(p, theta)
+    z2 = _pole(p, theta)
     zp = cmath.sqrt(z2)
     eta = eta_eval(coin, zp)
     # implicit derivative of F(eta, z) = z^3 + ((ad + bc) z^2 - 1) eta + ad bc z eta^2
@@ -220,8 +235,14 @@ def quasi_energy(params: ModelParams) -> float:
     The per-step phase decrement of the boundary return amplitude equals
     arg(z_pole^2) / 2.  Only defined in the localized regime.
     """
-    _require_localized(params.p, params.theta)
-    return params.L * params.F / (2.0 * math.pi) * cmath.phase(pole(params.p, params.theta))
+    p = params.p
+    theta = _check_p_theta(p, params.theta)
+    _require_localized(p, theta)
+    return _quasi_energy(params, _pole(p, theta))
+
+
+def _quasi_energy(params: ModelParams, z2: complex) -> float:
+    return params.L * params.F / (2.0 * math.pi) * cmath.phase(z2)
 
 
 @dataclass(frozen=True)
@@ -252,7 +273,11 @@ def observables(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edg
     both reported.
     """
     theta = _check_p_theta(p, theta)
-    r = _require_localized(p, theta)
+    return _observables(p, theta, _require_localized(p, theta), j0, E0)
+
+
+def _observables(p: float, theta: float, r: float, j0: float, E0: float) -> EdgeObservables:
+    """The closed forms of ``observables`` at a checked p, reduced theta and r < 1."""
     one_minus_r2 = (1.0 - r) * (1.0 + r)
     j_direct = 2.0 * r / (1.0 + r) ** 2
     e_direct = 4.0 * r * (1.0 + r * r) / one_minus_r2**2
@@ -264,6 +289,32 @@ def observables(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edg
         / (2.0 * sq * (sq * cos_t - 1.0) ** 2)
     )
     return EdgeObservables(j0 * j_direct, j0 * j_paper, E0 * e_direct)
+
+
+class EdgePoint(NamedTuple):
+    """The edge state at one (p, theta): what a field sweep reports per point.
+
+    xi and observables are None and weight is 0 outside the localized
+    regime, as in ``EdgeReport``.
+    """
+
+    r: float
+    xi: float | None
+    weight: float
+    observables: EdgeObservables | None
+
+
+def edge_point(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> EdgePoint:
+    """Decay ratio, localization length, weight and observables at one point.
+
+    Checks (p, theta) once and computes r once; every value equals the one
+    ``decay_ratio``, ``localization_length`` and ``observables`` return.
+    """
+    theta = _check_p_theta(p, theta)
+    r = _decay_ratio(p, theta)
+    if r < 1.0 - CRITICAL_BAND:
+        return EdgePoint(r, _localization_length(r), 1.0 - r, _observables(p, theta, r, j0, E0))
+    return EdgePoint(r, None, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -290,16 +341,16 @@ class EdgeReport:
 def edge_report(params: ModelParams) -> EdgeReport:
     """Assemble the edge-state report for a parameter set."""
     p = params.p
-    theta = params.theta
-    r = decay_ratio(p, theta)
-    z2 = pole(p, theta)
+    theta = _check_p_theta(p, params.theta)
+    r = _decay_ratio(p, theta)
+    z2 = _pole(p, theta)
     p_c, F_c = thresholds(theta, params.Fbar)
     critical = abs(r - 1.0) <= CRITICAL_BAND
     localized = r < 1.0 - CRITICAL_BAND
     if localized:
-        xi: float | None = localization_length(p, theta)
+        xi: float | None = _localization_length(r)
         weight = 1.0 - r
-        eps: float | None = quasi_energy(params)
+        eps: float | None = _quasi_energy(params, z2)
     else:
         xi = None
         weight = 0.0

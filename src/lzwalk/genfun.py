@@ -400,6 +400,10 @@ def bounded_gf_table(
     row1_R = np.zeros(order, dtype=np.complex128)
     rev_L, rev_R = k_L[::-1].copy(), k_R[::-1].copy()
     last = len(k_L) - 1  # k[c::-1] is rev[last - c:]
+    # row n fills only the columns tau = n + 2c of its own parity: split
+    # them once, as (index, tau) pairs and their taus
+    by_parity = [[(i, tau) for i, tau in enumerate(columns) if tau % 2 == q] for q in (0, 1)]
+    taus = [[tau for _, tau in pairs] for pairs in by_parity]
     pref = np.ones(1, dtype=np.complex128)
     for n in range(1, min(rows, order)):
         w = (order - 1 - n) // 2 + 1  # row n's columns n, n+2, ..., order - 1
@@ -408,12 +412,11 @@ def bounded_gf_table(
             row1_R[1::2] = np.convolve(pref, k_R[:w])[:w]
         else:
             # columns before the row's light cone tau >= n hold zeros
-            start = bisect.bisect_left(columns, n)
-            for i, tau in enumerate(columns[start:], start):
-                c, odd = divmod(tau - n, 2)
-                if not odd:
-                    psi_L[n, i] += np.dot(pref[: c + 1], rev_L[last - c :])
-                    psi_R[n, i] += np.dot(pref[: c + 1], rev_R[last - c :])
+            start = bisect.bisect_left(taus[n % 2], n)
+            for i, tau in by_parity[n % 2][start:]:
+                c = (tau - n) // 2
+                psi_L[n, i] += np.dot(pref[: c + 1], rev_L[last - c :])
+                psi_R[n, i] += np.dot(pref[: c + 1], rev_R[last - c :])
         pref = np.convolve(pref, t_odd[:w])[:w]
     psi_L[1], psi_R[1] = row1_L[columns], row1_R[columns]
     psi_L[0] = _site0(coin, zs, Series(row1_L), Series(row1_R)).coeffs[columns]

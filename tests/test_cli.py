@@ -10,13 +10,19 @@ import pytest
 import lzwalk.walk
 from lzwalk import (
     MAX_EVOLVE_STEPS,
+    ModelParams,
     ResourceLimitError,
     decay_ratio,
+    edge_report,
+    is_localized,
     localization_length,
     observables,
+    pole,
+    quasi_energy,
 )
 from lzwalk import cli
 from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, emit_config, main, parse_config_text
+from lzwalk.edge import CRITICAL_BAND
 from lzwalk.genfun import MAX_TABLE_STEPS
 
 THETA = math.pi / 4
@@ -189,6 +195,125 @@ def test_sweep_columns_and_delocalized_rows(capsys):
     assert all(a >= b - 1e-12 for a, b in zip(weights, weights[1:]))
 
 
+# fixed before running: theta unreduced, negative, obtuse, 0 and pi/2, from
+# two phases, a log grid, another Fbar, other units, and a grid of one
+# field at F_c, inside CRITICAL_BAND
+SWEEP_GRIDS = [
+    ("--theta", repr(THETA + 4 * math.pi)),
+    ("--theta", "-0.6"),
+    ("--theta", "2.3"),
+    ("--theta", "0"),
+    ("--theta", repr(math.pi / 2)),
+    ("--gamma", "1.3", "--gamma-tilde", "0.5"),
+    ("--theta", str(THETA), "--log"),
+    ("--theta", "0.9", "--fbar", "2"),
+    ("--theta", str(THETA), "--j0", "3", "--E0", "0.5"),
+    ("--theta", str(THETA), "--fmin", repr(math.pi / math.log(2.0)),
+     "--fmax", repr(math.pi / math.log(2.0)), "--points", "2"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags", SWEEP_GRIDS,
+    ids=["unreduced", "negative", "obtuse", "zero", "right", "phases", "log", "fbar",
+         "units", "critical"],
+)
+def test_sweep_rows_equal_the_per_point_functions(capsys, flags):
+    argv = ["sweep", "--fmin", "0.05", "--fmax", "12", "--points", "31", *flags]
+    cfg = cli._resolve_config(argv)
+    header, rows = cli.run_sweep(cfg)
+    rows = list(rows)
+    theta = cfg.gamma - cfg.gamma_tilde
+    assert len(rows) == cfg.points
+    for row in rows:
+        field, p, r = row[:3]
+        assert p == math.exp(-math.pi * cfg.fbar / field)
+        assert r == decay_ratio(p, theta)
+        assert row[-1] is is_localized(p, theta)
+        if row[-1]:
+            obs = observables(p, theta, cfg.j0, cfg.E0)
+            assert row[3:8] == [
+                localization_length(p, theta), 1.0 - r, obs.J_direct, obs.J_paper_form,
+                obs.E_direct,
+            ]
+        else:
+            assert row[3:8] == [None, 0.0, None, None, None]
+    if "--points" in flags:  # the grid at F_c
+        assert all(abs(row[2] - 1.0) <= CRITICAL_BAND for row in rows)
+    # the printed rows are these rows, each float to the last bit
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    printed_header, printed = parse_csv(out)
+    assert printed_header == header
+    for row, cells in zip(rows, printed, strict=True):
+        for value, cell in zip(row, cells, strict=True):
+            if isinstance(value, float):
+                assert float(cell) == value
+
+
+# a localized, a critical, a delocalized and an obtuse point, then an
+# unreduced negative phase with other units and a point set by its field
+EDGE_POINTS = [
+    ("--p", "0.2", "--theta", str(THETA)),
+    ("--p", "0.5", "--theta", str(THETA)),
+    ("--p", "0.8", "--theta", str(THETA)),
+    ("--p", "0.8", "--theta", "2.3"),
+    ("--p", "0.3", "--theta", "-8.5", "--j0", "3", "--E0", "0.5", "--L", "2"),
+    ("--field", "2", "--fbar", "2", "--gamma", "1.3", "--gamma-tilde", "0.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags", EDGE_POINTS,
+    ids=["localized", "critical", "delocalized", "obtuse", "unreduced", "field"],
+)
+def test_edge_row_equals_the_per_point_functions(flags):
+    cfg = cli._resolve_config(["edge", *flags])
+    header, rows = cli.run_edge(cfg)
+    (row,) = rows
+    rec = dict(zip(header, row))
+    params = ModelParams(
+        F=rec["F"], Fbar=cfg.fbar, beta=cfg.beta, gamma=cfg.gamma,
+        gamma_tilde=cfg.gamma_tilde, L=cfg.L, j0=cfg.j0, E0=cfg.E0,
+    )
+    report = edge_report(params)
+    theta = cfg.gamma - cfg.gamma_tilde
+    p = rec["p"]
+    assert p == params.p
+    assert rec["r"] == report.r == decay_ratio(p, theta)
+    z2 = pole(p, theta)
+    assert (rec["z_pole_sq_re"], rec["z_pole_sq_im"]) == (z2.real, z2.imag)
+    assert (rec["p_c"], rec["F_c"]) == (report.p_c, report.F_c)
+    assert (rec["localized"], rec["critical"]) == (report.localized, report.critical)
+    assert rec["localized"] is is_localized(p, theta)
+    if flags[1] == "0.5":
+        assert rec["critical"]
+    if rec["localized"]:
+        obs = observables(p, theta, cfg.j0, cfg.E0)
+        assert rec["xi"] == report.xi == localization_length(p, theta)
+        assert rec["weight"] == report.weight == 1.0 - report.r
+        assert rec["quasi_energy"] == report.quasi_energy == quasi_energy(params)
+        assert (rec["J_direct"], rec["J_paper_form"], rec["E_direct"]) == (
+            obs.J_direct, obs.J_paper_form, obs.E_direct,
+        )
+    else:
+        assert [rec[k] for k in ("xi", "quasi_energy", "J_direct", "J_paper_form", "E_direct")] == [None] * 5
+        assert rec["weight"] == report.weight == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "grid",
+    [("--fmin", "0.5", "--fmax", "1e308", "--log"), ("--fmin", "1e-300", "--fmax", "2")],
+    ids=["p-reaches-1", "p-underflows"],
+)
+def test_sweep_grid_outside_p_range_exits_1(capsys, grid, fmt):
+    # the bad point is met while the rows are rendered, before any output
+    code, out, err = run_cli(capsys, "sweep", *grid, "--points", "5", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("error: p must lie in (0, 1)") and err.count("\n") == 1
+
+
 def test_sweep_log_grid(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--theta", str(THETA), "--fmin", "0.5", "--fmax", "2",
@@ -281,28 +406,62 @@ def _reference_json(cfg, header, rows):
     return json.dumps({"config": config_echo, "rows": rows}, indent=2) + "\n"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("evolve", "--p", "0.49", "--theta", str(THETA), "--steps", "40"),
-        ("series", "--p", "0.2", "--theta", str(THETA), "--steps", "30"),
-        ("edge", "--p", "0.8", "--theta", "0.5"),  # delocalized: null cells
-        # E0 = 1e308 overflows the energy columns to inf
-        ("sweep", "--theta", str(THETA), "--fmin", "0.5", "--fmax", "6", "--points", "5",
-         "--E0", "1e308"),
-    ],
-    ids=lambda args: args[0],
-)
-def test_json_rows_match_the_encoder(args):
-    cfg = cli._resolve_config(list(args) + ["--format", "json"])
+# a header whose keys need escaping, as JSON and in a %-template, and
+# cells of every kind the renderers take
+SYNTHETIC_HEADER = ["F", "per%cent", 'say "hi"', "%s", '%%"%d']
+SYNTHETIC_ROWS = [
+    [None, True, False, math.inf, -math.inf],
+    [math.nan, -0.0, 10**30, -(10**30), 0],
+    [5e-324, -1.5, 2**63, True, None],
+]
+RENDER_CASES = [
+    ("evolve", "--p", "0.49", "--theta", str(THETA), "--steps", "40"),
+    ("series", "--p", "0.2", "--theta", str(THETA), "--steps", "30"),
+    ("edge", "--p", "0.8", "--theta", "0.5"),  # delocalized: null cells
+    # E0 = 1e308 overflows the energy columns to inf
+    ("sweep", "--theta", str(THETA), "--fmin", "0.5", "--fmax", "6", "--points", "5",
+     "--E0", "1e308"),
+    ("synthetic",),
+]
+
+
+def _render_case(args, fmt):
+    """(cfg, header, rows) of one case; rows are a list, read as often as needed."""
+    if args[0] == "synthetic":
+        cfg = cli._resolve_config(["sweep", "--fmin", "1", "--fmax", "2", "--points", "2",
+                                   "--format", fmt])
+        return cfg, SYNTHETIC_HEADER, SYNTHETIC_ROWS
+    cfg = cli._resolve_config(list(args) + ["--format", fmt])
     header, rows = getattr(cli, f"run_{cfg.mode}")(cfg)
+    return cfg, header, list(rows)
+
+
+@pytest.mark.parametrize("args", RENDER_CASES, ids=lambda args: args[0])
+def test_json_rows_match_the_encoder(args):
+    cfg, header, rows = _render_case(args, "json")
     cells = [value for row in rows for value in row]
-    if cfg.mode == "edge":
+    if args[0] in ("edge", "synthetic"):
         assert None in cells
-    if cfg.mode == "sweep":
+    if args[0] in ("sweep", "synthetic"):
         assert any(isinstance(v, float) and not math.isfinite(v) for v in cells)
-    assert cli._render_json(cfg, header, rows) == _reference_json(cfg, header, rows)
-    assert cli._render_json(cfg, header, []) == _reference_json(cfg, header, [])
+    # the renderer reads its rows once, as they come
+    assert cli._render_json(cfg, header, iter(rows)) == _reference_json(cfg, header, rows)
+    assert cli._render_json(cfg, header, iter([])) == _reference_json(cfg, header, [])
+
+
+@pytest.mark.parametrize("args", RENDER_CASES, ids=lambda args: args[0])
+def test_csv_rows_match_the_cell_reference(args):
+    _, header, rows = _render_case(args, "csv")
+    lines = [",".join(header)] + [",".join(cli._cell(value) for value in row) for row in rows]
+    assert cli._render_csv(header, iter(rows)) == "\n".join(lines) + "\n"
+    assert cli._render_csv(header, iter([])) == ",".join(header) + "\n"
+
+
+def test_csv_cells():
+    cells = [None, True, False, 0, 10**30, -0.0, 0.1, math.inf, math.nan]
+    assert [cli._cell(v) for v in cells] == [
+        "", "true", "false", "0", str(10**30), "-0", "0.10000000000000001", "inf", "nan",
+    ]
 
 
 @pytest.mark.parametrize(

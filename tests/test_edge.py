@@ -8,7 +8,9 @@ import pytest
 from lzwalk import (
     DelocalizedError,
     ModelParams,
+    EdgePoint,
     decay_ratio,
+    edge_point,
     edge_report,
     floquet_mode,
     is_localized,
@@ -337,3 +339,31 @@ def test_is_localized_band():
     assert is_localized(P_REF, THETA_REF)
     assert not is_localized(0.7, THETA_REF)
     assert not is_localized(0.5 - 1e-12, THETA_REF)
+
+
+@pytest.mark.parametrize(
+    "p, theta",
+    [(0.2, THETA_REF), (0.2, THETA_REF + 4 * math.pi), (0.3, -0.6), (0.8, 2.3),
+     (0.5, THETA_REF), (0.8, THETA_REF), (1e-300, 0.0), (0.1, math.pi / 2)],
+    ids=["localized", "unreduced", "negative", "obtuse", "critical", "delocalized",
+         "zero", "right"],
+)
+def test_edge_point_equals_the_per_point_functions(p, theta):
+    point = edge_point(p, theta, 3.0, 0.5)
+    assert point.r == decay_ratio(p, theta)
+    if is_localized(p, theta):
+        assert point == EdgePoint(
+            decay_ratio(p, theta), localization_length(p, theta), 1.0 - point.r,
+            observables(p, theta, 3.0, 0.5),
+        )
+    else:
+        assert point == EdgePoint(decay_ratio(p, theta), None, 0.0, None)
+
+
+@pytest.mark.parametrize("p, theta", [(1.0, 0.5), (0.0, 0.5), (0.2, math.nan), (math.inf, 0.5)])
+def test_edge_point_rejects_what_decay_ratio_rejects(p, theta):
+    with pytest.raises(ValueError) as expected:
+        decay_ratio(p, theta)
+    with pytest.raises(ValueError) as got:
+        edge_point(p, theta)
+    assert str(got.value) == str(expected.value)
