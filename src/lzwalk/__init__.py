@@ -44,7 +44,6 @@ from .genfun import (
 )
 from .pathsum import (
     TAU_CAP,
-    TransitionAmplitude,
     enumerate_paths,
     pqrs_coefficient_series,
     pqrs_coefficients,

@@ -33,8 +33,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import verify, walk
-from .coin import ModelParams, make_boundary_coin, make_bulk_coin
-from .edge import _observables, edge_point, edge_report
+from .coin import ModelParams, landau_zener_field, landau_zener_p, make_boundary_coin, make_bulk_coin
+from .edge import edge_point, edge_report
 # decay_ratio, is_localized, localization_length and observables are not
 # called here; they stay importable from this module because
 # benches/spans.py wraps them by name on it.
@@ -267,7 +267,7 @@ def _validate_config(cfg: RunConfig) -> None:
 def _resolve_p(cfg: RunConfig) -> float:
     if cfg.p is not None:
         return cfg.p
-    return math.exp(-math.pi * cfg.fbar / cfg.field)
+    return landau_zener_p(cfg.field, cfg.fbar)
 
 
 def _resolve_field(cfg: RunConfig, p: float) -> float | None:
@@ -275,7 +275,7 @@ def _resolve_field(cfg: RunConfig, p: float) -> float | None:
         return cfg.field
     if p >= 1.0:
         return None
-    return -math.pi * cfg.fbar / math.log(p)
+    return landau_zener_field(p, cfg.fbar)
 
 
 def _snapshot_times(steps: int) -> list[int]:
@@ -340,11 +340,11 @@ def run_edge(cfg: RunConfig) -> tuple[list[str], list[list]]:
         gamma_tilde=cfg.gamma_tilde, L=cfg.L, j0=cfg.j0, E0=cfg.E0,
     )
     report = edge_report(params)
-    if report.localized:
-        obs = _observables(report.p, report.theta, report.r, cfg.j0, cfg.E0)
-        j_direct, j_paper, e_direct = obs.J_direct, obs.J_paper_form, obs.E_direct
-    else:
+    obs = report.observables
+    if obs is None:
         j_direct = j_paper = e_direct = None
+    else:
+        j_direct, j_paper, e_direct = obs.J_direct, obs.J_paper_form, obs.E_direct
     row = [
         field, report.p, report.theta, report.r, report.xi, report.weight,
         report.z_pole_sq.real, report.z_pole_sq.imag, report.quasi_energy,
@@ -372,10 +372,9 @@ def _sweep_rows(cfg: RunConfig, grid: list[float]) -> Iterator[list]:
     is written.
     """
     theta = cfg.gamma - cfg.gamma_tilde
-    scale = -math.pi * cfg.fbar
-    j0, E0 = cfg.j0, cfg.E0
+    fbar, j0, E0 = cfg.fbar, cfg.j0, cfg.E0
     for field in grid:
-        p = math.exp(scale / field)
+        p = landau_zener_p(field, fbar)
         r, xi, weight, obs = edge_point(p, theta, j0, E0)
         if obs is None:
             yield [field, p, r, xi, weight, None, None, None, False]
@@ -464,7 +463,7 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
                 {
                     "name": res.name,
                     "passed": res.passed,
-                    "residual": res.residual,
+                    "residual": _json_value(res.residual),
                     "tol": res.tol,
                     "detail": res.detail,
                 }

@@ -25,6 +25,8 @@ __all__ = [
     "ModelParams",
     "make_bulk_coin",
     "make_boundary_coin",
+    "landau_zener_p",
+    "landau_zener_field",
     "pqrs_decompose",
     "reduce_angle",
 ]
@@ -139,6 +141,16 @@ def make_boundary_coin(gamma_tilde: float) -> Coin:
     return Coin(0.0, cmath.exp(1j * gamma_tilde), -cmath.exp(-1j * gamma_tilde), 0.0)
 
 
+def landau_zener_p(F: float, Fbar: float) -> float:
+    """Tunneling probability ``p = exp(-pi*Fbar/F)`` at field F."""
+    return math.exp(-math.pi * Fbar / F)
+
+
+def landau_zener_field(p: float, Fbar: float) -> float:
+    """Field ``F = -pi*Fbar/ln(p)`` at which the tunneling probability is p."""
+    return -math.pi * Fbar / math.log(p)
+
+
 def pqrs_decompose(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split a coin into the four single-row matrices P, Q, R, S.
 
@@ -187,7 +199,7 @@ class ModelParams:
             raise ValueError(f"Fbar must be positive, got {self.Fbar}")
         if self.L <= 0.0:
             raise ValueError(f"L must be positive, got {self.L}")
-        p = math.exp(-math.pi * self.Fbar / self.F)
+        p = landau_zener_p(self.F, self.Fbar)
         if not 0.0 < p < 1.0:
             raise ValueError(
                 f"derived p = exp(-pi*Fbar/F) = {p} falls outside (0, 1); "
@@ -196,7 +208,7 @@ class ModelParams:
 
     @property
     def p(self) -> float:
-        return math.exp(-math.pi * self.Fbar / self.F)
+        return landau_zener_p(self.F, self.Fbar)
 
     @property
     def theta(self) -> float:
@@ -208,10 +220,4 @@ class ModelParams:
         _require_finite("p", p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must lie in (0, 1) to define a finite field, got {p}")
-        return cls(F=-math.pi * Fbar / math.log(p), Fbar=Fbar, **kwargs)
-
-    def bulk_coin(self) -> Coin:
-        return make_bulk_coin(self.p, self.beta, self.gamma)
-
-    def boundary_coin(self) -> Coin:
-        return make_boundary_coin(self.gamma_tilde)
+        return cls(F=landau_zener_field(p, Fbar), Fbar=Fbar, **kwargs)

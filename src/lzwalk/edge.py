@@ -270,7 +270,9 @@ def observables(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edg
     J_paper_form evaluates the alternative closed expression
     j0 p (2-p-2 cos(theta) sqrt(1-p)) / [2 sqrt(1-p) (sqrt(1-p) cos(theta) - 1)^2];
     the two momentum forms differ by a constant factor sqrt(1-p) and are
-    both reported.
+    both reported.  Its two gaps are formed as in ``pole`` and
+    ``decay_ratio``, so it keeps full relative accuracy down to the
+    smallest p.
     """
     theta = _check_p_theta(p, theta)
     return _observables(p, theta, _require_localized(p, theta), j0, E0)
@@ -281,13 +283,16 @@ def _observables(p: float, theta: float, r: float, j0: float, E0: float) -> Edge
     one_minus_r2 = (1.0 - r) * (1.0 + r)
     j_direct = 2.0 * r / (1.0 + r) ** 2
     e_direct = 4.0 * r * (1.0 + r * r) / one_minus_r2**2
-    sq = math.sqrt(1.0 - p)
-    cos_t = math.cos(theta)
-    j_paper = (
-        p
-        * (2.0 - p - 2.0 * cos_t * sq)
-        / (2.0 * sq * (sq * cos_t - 1.0) ** 2)
-    )
+    # with s = sqrt(1-p): gap = 1 - s cos(theta) = p/(1+s) + 2 s sin^2(theta/2)
+    # and 2 - p - 2 s cos(theta) = (p/(1+s))^2 + 4 s sin^2(theta/2), free of
+    # cancellation; p/gap <= 1 + s and the second gap over the first lies
+    # between p/(1+s) and 2, so a factor underflows only where the result does
+    s = math.sqrt(1.0 - p)
+    half = math.sin(0.5 * theta)
+    x = p / (1.0 + s)
+    t = 2.0 * s * half * half
+    gap = x + t
+    j_paper = (p / gap) * ((x * x + 2.0 * t) / gap) / (2.0 * s)
     return EdgeObservables(j0 * j_direct, j0 * j_paper, E0 * e_direct)
 
 
@@ -310,7 +315,11 @@ def edge_point(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edge
     Checks (p, theta) once and computes r once; every value equals the one
     ``decay_ratio``, ``localization_length`` and ``observables`` return.
     """
-    theta = _check_p_theta(p, theta)
+    return _edge_point(p, _check_p_theta(p, theta), j0, E0)
+
+
+def _edge_point(p: float, theta: float, j0: float, E0: float) -> EdgePoint:
+    """``edge_point`` at a checked p and reduced theta."""
     r = _decay_ratio(p, theta)
     if r < 1.0 - CRITICAL_BAND:
         return EdgePoint(r, _localization_length(r), 1.0 - r, _observables(p, theta, r, j0, E0))
@@ -321,8 +330,10 @@ def edge_point(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edge
 class EdgeReport:
     """Full analytic characterization of the edge state at one (p, theta).
 
-    xi and quasi_energy are None outside the localized regime; weight is
-    reported as 0 there.  critical flags |r - 1| within the suppression band.
+    xi, quasi_energy and observables are None outside the localized regime;
+    weight is reported as 0 there.  critical flags |r - 1| within the
+    suppression band.  The observables carry the units j0 and E0 of the
+    parameter set.
     """
 
     p: float
@@ -336,25 +347,17 @@ class EdgeReport:
     F_c: float
     localized: bool
     critical: bool
+    observables: EdgeObservables | None
 
 
 def edge_report(params: ModelParams) -> EdgeReport:
     """Assemble the edge-state report for a parameter set."""
     p = params.p
     theta = _check_p_theta(p, params.theta)
-    r = _decay_ratio(p, theta)
+    r, xi, weight, obs = _edge_point(p, theta, params.j0, params.E0)
     z2 = _pole(p, theta)
     p_c, F_c = thresholds(theta, params.Fbar)
-    critical = abs(r - 1.0) <= CRITICAL_BAND
-    localized = r < 1.0 - CRITICAL_BAND
-    if localized:
-        xi: float | None = _localization_length(r)
-        weight = 1.0 - r
-        eps: float | None = _quasi_energy(params, z2)
-    else:
-        xi = None
-        weight = 0.0
-        eps = None
+    localized = obs is not None
     return EdgeReport(
         p=p,
         theta=theta,
@@ -362,9 +365,10 @@ def edge_report(params: ModelParams) -> EdgeReport:
         xi=xi,
         weight=weight,
         z_pole_sq=z2,
-        quasi_energy=eps,
+        quasi_energy=_quasi_energy(params, z2) if localized else None,
         p_c=p_c,
         F_c=F_c,
         localized=localized,
-        critical=critical,
+        critical=abs(r - 1.0) <= CRITICAL_BAND,
+        observables=obs,
     )

@@ -14,8 +14,6 @@ word (Q~, Q, P, Q) prints as QPQQ~.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coin import Coin
@@ -26,7 +24,6 @@ __all__ = [
     "DOWN",
     "UP",
     "UP_BOUNDARY",
-    "TransitionAmplitude",
     "enumerate_paths",
     "word",
     "transition_table",
@@ -101,36 +98,14 @@ def word(path: tuple[str, ...]) -> str:
     return "".join(reversed(path))
 
 
-@dataclass(frozen=True)
-class TransitionAmplitude:
-    """Summed path product Xi(0 -> n; tau) for one boundary kind."""
-
-    xi: np.ndarray
-    n: int
-    tau: int
-    boundary: str
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.xi, dtype=np.complex128)
-        if arr.shape != (2, 2):
-            raise ValueError(f"xi must be 2x2, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "xi", arr)
-
-    def apply(self, vec=(1.0, 0.0)) -> tuple[complex, complex]:
-        """Amplitude vector Xi @ vec; the walk starts from t(1, 0)."""
-        v0, v1 = complex(vec[0]), complex(vec[1])
-        m = self.xi
-        return (m[0, 0] * v0 + m[0, 1] * v1, m[1, 0] * v0 + m[1, 1] * v1)
-
-
 def transition_table(
     tau_max: int,
     coin: Coin,
     boundary_coin: Coin,
     boundary: str = "reflecting",
-) -> list[list[TransitionAmplitude]]:
-    """Xi(0 -> n; tau) for every 0 <= n <= tau <= tau_max, as ``table[tau][n]``.
+) -> np.ndarray:
+    """Xi(0 -> n; tau) for every 0 <= n <= tau <= tau_max, as the 2x2 block
+    ``table[tau, n]`` of a complex array of shape (tau_max+1, tau_max+1, 2, 2).
 
     One depth-first walk of the path tree to depth tau_max carries the
     running product of each path prefix (later moves on the left) and adds
@@ -138,15 +113,15 @@ def transition_table(
     prefix of a path is itself a path; with an absorbing wall a branch ends
     on its return to site 0.  Preorder meets the paths to each endpoint in
     the lexicographic order of ``enumerate_paths`` and multiplies in time
-    order, so each entry is that sum over single paths, bit for bit.
-    Entries of the wrong parity are zero.
+    order, so each block is that sum over single paths, bit for bit.
+    Blocks with n > tau or of the wrong parity are zero.
     """
     _validate(0, tau_max, boundary)
     zero = 0.0 + 0.0j
     a, b, c, d = coin.a, coin.b, coin.c, coin.d
     ct, dt = boundary_coin.c, boundary_coin.d
     absorbing = boundary == "absorbing"
-    sums = [[(zero,) * 4] * (tau + 1) for tau in range(tau_max + 1)]
+    sums = [[(zero,) * 4] * (tau_max + 1) for _ in range(tau_max + 1)]
 
     def visit(pos: int, tau: int, p0: complex, p1: complex, p2: complex, p3: complex) -> None:
         # (p0, p1, p2, p3) is the prefix product [[p0, p1], [p2, p3]]
@@ -167,15 +142,7 @@ def transition_table(
             visit(pos + 1, tau + 1, z0, z1, c * p0 + d * p2, c * p1 + d * p3)
 
     visit(0, 0, 1.0 + 0.0j, zero, zero, 1.0 + 0.0j)
-    return [
-        [
-            TransitionAmplitude(
-                np.array([[s[0], s[1]], [s[2], s[3]]], dtype=np.complex128), n, tau, boundary
-            )
-            for n, s in enumerate(row)
-        ]
-        for tau, row in enumerate(sums)
-    ]
+    return np.array(sums, dtype=np.complex128).reshape(tau_max + 1, tau_max + 1, 2, 2)
 
 
 def transition_amplitude(
@@ -184,21 +151,19 @@ def transition_amplitude(
     coin: Coin,
     boundary_coin: Coin,
     boundary: str = "reflecting",
-) -> TransitionAmplitude:
+) -> np.ndarray:
     """Sum of time-ordered matrix products over all paths 0 -> n in tau steps.
 
     Later moves multiply on the left; applied to t(1, 0) the reflecting
-    result reproduces the walk amplitudes at (n, tau).  This is the (tau, n)
-    entry of ``transition_table``.
+    result reproduces the walk amplitudes at (n, tau).  This is the 2x2
+    block ``[tau, n]`` of ``transition_table``.
     """
     _validate(n, tau, boundary)
-    return transition_table(tau, coin, boundary_coin, boundary)[tau][n]
+    return transition_table(tau, coin, boundary_coin, boundary)[tau, n]
 
 
-def pqrs_coefficients(
-    t: TransitionAmplitude, boundary_coin: Coin
-) -> tuple[complex, complex]:
-    """Components of Xi along Q~ = [[0,0],[c~,d~]] and R~ = [[c~,d~],[0,0]].
+def pqrs_coefficients(xi: np.ndarray, boundary_coin: Coin) -> tuple[complex, complex]:
+    """Components of the 2x2 block Xi along Q~ = [[0,0],[c~,d~]] and R~ = [[c~,d~],[0,0]].
 
     Coefficients are trace inner products b_q = Tr(Q~^dag Xi) and
     b_r = Tr(R~^dag Xi).  For every path product with tau >= 1 these two
@@ -206,15 +171,12 @@ def pqrs_coefficients(
     amplitude outside their span.
     """
     ct, dt = boundary_coin.c, boundary_coin.d
-    m = t.xi
-    b_q = np.conj(ct) * m[1, 0] + np.conj(dt) * m[1, 1]
-    b_r = np.conj(ct) * m[0, 0] + np.conj(dt) * m[0, 1]
+    b_q = np.conj(ct) * xi[1, 0] + np.conj(dt) * xi[1, 1]
+    b_r = np.conj(ct) * xi[0, 0] + np.conj(dt) * xi[0, 1]
     return complex(b_q), complex(b_r)
 
 
-def pqrs_row(
-    table: list[list[TransitionAmplitude]], n: int, boundary_coin: Coin
-) -> tuple[np.ndarray, np.ndarray]:
+def pqrs_row(table: np.ndarray, n: int, boundary_coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of b_q and b_r coefficients at site n for tau = 0 .. tau_max,
     read off a ``transition_table``.
 
@@ -231,7 +193,7 @@ def pqrs_row(
     for tau in range(n % 2, tau_max + 1, 2):
         if n > tau or (n == 0 and tau == 0):
             continue
-        b_q[tau], b_r[tau] = pqrs_coefficients(table[tau][n], boundary_coin)
+        b_q[tau], b_r[tau] = pqrs_coefficients(table[tau, n], boundary_coin)
     return b_q, b_r
 
 
@@ -247,14 +209,14 @@ def pqrs_coefficient_series(
     return pqrs_row(transition_table(tau_max, coin, boundary_coin, boundary), n, boundary_coin)
 
 
-def pqrs_residual(t: TransitionAmplitude, boundary_coin: Coin) -> float:
-    """Max entrywise remainder of Xi after removing its Q~ and R~ parts.
+def pqrs_residual(xi: np.ndarray, boundary_coin: Coin) -> float:
+    """Max entrywise remainder of the 2x2 block Xi after removing its Q~ and R~ parts.
 
     Equals the size of the components along P~ and S~, which vanish for all
     path sums with tau >= 1.
     """
     ct, dt = boundary_coin.c, boundary_coin.d
-    b_q, b_r = pqrs_coefficients(t, boundary_coin)
+    b_q, b_r = pqrs_coefficients(xi, boundary_coin)
     q_mat = np.array([[0.0, 0.0], [ct, dt]], dtype=np.complex128)
     r_mat = np.array([[ct, dt], [0.0, 0.0]], dtype=np.complex128)
-    return float(np.max(np.abs(t.xi - b_q * q_mat - b_r * r_mat)))
+    return float(np.max(np.abs(xi - b_q * q_mat - b_r * r_mat)))

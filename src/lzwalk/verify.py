@@ -110,11 +110,11 @@ def three_way_residual(
     for tau in range(tau_pathsum + 1):
         st = states[tau]
         for n in range(tau % 2, tau + 1, 2):
-            amp = table[tau][n].apply()
+            amp_L, amp_R = table[tau, n, :, 0]  # Xi applied to the start t(1, 0)
             worst = _worst(
                 worst,
-                abs(amp[0] - st.psi_L[n]),
-                abs(amp[1] - st.psi_R[n]),
+                abs(amp_L - st.psi_L[n]),
+                abs(amp_R - st.psi_R[n]),
             )
     tab_L, tab_R = genfun.bounded_gf_table(u, ub, n_series, tau_series + 1)
     for tau in range(tau_series + 1):
@@ -163,7 +163,7 @@ def check_pqrs_structure(
     worst = 0.0
     for tau in range(1, tau_max + 1):
         for n in range(tau % 2, tau + 1, 2):
-            worst = _worst(worst, pathsum.pqrs_residual(table[tau][n], ub))
+            worst = _worst(worst, pathsum.pqrs_residual(table[tau, n], ub))
     return _result("pqrs_span", worst, tol, f"all n, 1 <= tau <= {tau_max}")
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import settings
 
@@ -15,6 +16,14 @@ settings.load_profile("lzwalk")
 # reference parameter point used throughout: p = 0.2, theta = pi/4
 P_REF = 0.2
 THETA_REF = math.pi / 4
+
+
+def j_paper_exact(p, theta):
+    """The closed form of J_paper_form as written, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        q, t = mpmath.mpf(p), mpmath.mpf(theta)
+        s, c = mpmath.sqrt(1 - q), mpmath.cos(t)
+        return q * (2 - q - 2 * c * s) / (2 * s * (s * c - 1) ** 2)
 
 
 @pytest.fixture

@@ -78,7 +78,7 @@ def test_criterion_3_expansion_structure_and_recursion():
         table = transition_table(12, u, ub)
         for tau in range(1, 13):
             for n in range(tau % 2, tau + 1, 2):
-                worst_span = max(worst_span, pqrs_residual(table[tau][n], ub))
+                worst_span = max(worst_span, pqrs_residual(table[tau, n], ub))
     rec = check_recursion_relation(p=0.2, theta=THETA, beta=0.3, order=12, n_max=4)
     ok = worst_span < 1e-12 and rec.residual < 1e-10
     report(

@@ -24,6 +24,7 @@ from lzwalk import cli
 from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, emit_config, main, parse_config_text
 from lzwalk.edge import CRITICAL_BAND
 from lzwalk.genfun import MAX_TABLE_STEPS
+from conftest import j_paper_exact
 
 THETA = math.pi / 4
 
@@ -296,8 +297,10 @@ def test_edge_row_equals_the_per_point_functions(flags):
         assert (rec["J_direct"], rec["J_paper_form"], rec["E_direct"]) == (
             obs.J_direct, obs.J_paper_form, obs.E_direct,
         )
+        assert report.observables == obs
     else:
         assert [rec[k] for k in ("xi", "quasi_energy", "J_direct", "J_paper_form", "E_direct")] == [None] * 5
+        assert report.observables is None
         assert rec["weight"] == report.weight == 0.0
 
 
@@ -556,6 +559,28 @@ def test_verify_json(capsys):
     assert all(chk["residual"] < chk["tol"] for chk in payload["checks"])
 
 
+def _reject_constant(token):
+    raise ValueError(f"bare {token} token in JSON output")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_json_writes_non_finite_residual_as_string(capsys, monkeypatch, bad):
+    exact = lzwalk.walk.norms
+
+    def planted(coin, boundary_coin, steps):
+        totals = exact(coin, boundary_coin, steps)
+        totals[149] = bad  # tau = 150, after many finite norms
+        return totals
+
+    monkeypatch.setattr(lzwalk.walk, "norms", planted)
+    code, out, _ = run_cli(capsys, "verify", "--tau-max", "6", "--format", "json")
+    assert code == 2
+    payload = json.loads(out, parse_constant=_reject_constant)
+    (check,) = [chk for chk in payload["checks"] if chk["name"] == "norm_drift"]
+    assert check["residual"] == repr(bad) and check["passed"] is False
+    assert payload["all_pass"] is False
+
+
 @pytest.mark.parametrize("tau_max", [3, 17])
 def test_verify_tau_max_outside_range_exit_1(capsys, tau_max):
     code, out, err = run_cli(capsys, "verify", "--tau-max", str(tau_max))
@@ -621,6 +646,17 @@ def test_edge_at_vanishing_p_and_zero_theta(capsys):
     _, rows = parse_csv(out)
     assert float(rows[0][3]) == pytest.approx(4e300, rel=1e-13)
     assert rows[0][-2:] == ["false", "false"]
+
+
+def test_edge_at_subnormal_p_and_tiny_theta(capsys):
+    # both gaps of J_paper_form cancel to zero when formed from O(1) terms
+    code, out, err = run_cli(capsys, "edge", "--p", "1e-320", "--theta", "1e-16")
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    rec = dict(zip(header, rows[0]))
+    assert rec["localized"] == "true"
+    exact = j_paper_exact(1e-320, 1e-16)
+    assert abs(float(rec["J_paper_form"]) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize(

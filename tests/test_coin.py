@@ -14,6 +14,7 @@ from lzwalk import (
     reduce_angle,
     thresholds,
 )
+from lzwalk.coin import landau_zener_field, landau_zener_p
 
 SQ2 = math.sqrt(0.5)
 
@@ -214,6 +215,16 @@ def test_from_p_round_trip():
         ModelParams.from_p(1.0)
     with pytest.raises(ValueError):
         ModelParams.from_p(0.0)
+
+
+def test_landau_zener_map_is_the_params_map():
+    for F, Fbar in ((2.0, 1.0), (0.37, 2.5), (1e3, 1e-3)):
+        p = landau_zener_p(F, Fbar)
+        assert p == math.exp(-math.pi * Fbar / F) == ModelParams(F=F, Fbar=Fbar).p
+    for p, Fbar in ((0.2, 1.0), (1e-300, 1.5), (0.999, 2.0)):
+        F = landau_zener_field(p, Fbar)
+        assert F == -math.pi * Fbar / math.log(p) == ModelParams.from_p(p, Fbar).F
+        assert landau_zener_p(F, Fbar) == pytest.approx(p, rel=1e-12)
 
 
 def test_params_validation():

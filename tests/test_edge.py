@@ -21,7 +21,7 @@ from lzwalk import (
     thresholds,
 )
 from lzwalk.verify import check_edge_mode
-from conftest import P_REF, THETA_REF
+from conftest import P_REF, THETA_REF, j_paper_exact
 
 # frozen reference values at p = 0.2, theta = pi/4 (cross-checked below
 # against the independent pole-residue route)
@@ -268,6 +268,34 @@ def test_observable_forms_differ_by_sqrt_one_minus_p():
             )
 
 
+# fixed before the comparison was first run: p from a subnormal to 0.99,
+# theta from 1e-16 to pi; delocalized points are skipped
+J_PAPER_P = (
+    1e-320, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-12, 1e-10, 1e-8, 1e-6,
+    1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 0.9, 0.99,
+)
+J_PAPER_THETA = (
+    1e-16, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, THETA_REF, 1.0,
+    1.5, math.pi / 2, 2.0, 2.5, 3.0, math.pi,
+)
+
+
+def test_j_paper_form_matches_high_precision():
+    # 1 - sqrt(1-p) cos(theta) and 2 - p - 2 sqrt(1-p) cos(theta) cancel at
+    # small p and theta.  Where the exact value is subnormal no float carries
+    # 1e-14 relative, so there the bound is one subnormal spacing
+    checked = 0
+    for p in J_PAPER_P:
+        for theta in J_PAPER_THETA:
+            if not is_localized(p, theta):
+                continue
+            exact = j_paper_exact(p, theta)
+            got = observables(p, theta).J_paper_form
+            assert abs(mpmath.mpf(got) - exact) <= max(1e-14 * exact, 2.0**-1074), (p, theta)
+            checked += 1
+    assert checked >= 250
+
+
 def test_observables_vanish_in_weak_tunneling_limit():
     obs = observables(1e-6, THETA_REF)
     assert obs.J_direct < 1e-4
@@ -323,6 +351,9 @@ def test_edge_report_localized():
     assert rep.quasi_energy == pytest.approx(
         params.F / (2 * math.pi) * ARG_Z2_REF, rel=1e-13
     )
+    assert rep.observables == observables(P_REF, THETA_REF)
+    scaled = edge_report(ModelParams.from_p(P_REF, gamma=THETA_REF, j0=3.0, E0=0.5))
+    assert scaled.observables == observables(P_REF, THETA_REF, 3.0, 0.5)
 
 
 def test_edge_report_delocalized():
@@ -332,6 +363,7 @@ def test_edge_report_delocalized():
     assert rep.weight == 0.0
     assert rep.xi is None
     assert rep.quasi_energy is None
+    assert rep.observables is None
     assert rep.r > 1.0
 
 

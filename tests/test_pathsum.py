@@ -68,18 +68,17 @@ def test_invalid_ranges_rejected():
 
 def test_parity_mismatch_amplitude_is_zero(phased_coins):
     u, ub = phased_coins
-    t = transition_amplitude(1, 2, u, ub)
-    assert np.all(t.xi == 0.0)
+    xi = transition_amplitude(1, 2, u, ub)
+    assert np.all(xi == 0.0)
 
 
 def test_single_path_amplitudes(phased_coins):
     u, ub = phased_coins
-    t = transition_amplitude(1, 1, u, ub)
-    assert np.allclose(t.xi, [[0, 0], [ub.c, ub.d]], atol=0)
+    xi = transition_amplitude(1, 1, u, ub)
+    assert np.allclose(xi, [[0, 0], [ub.c, ub.d]], atol=0)
     # the light-cone edge is reached by the single monotone word Q^{tau-1} Q~
     for tau in (3, 5, 7):
-        t = transition_amplitude(tau, tau, u, ub)
-        _, amp_R = t.apply()
+        _, amp_R = transition_amplitude(tau, tau, u, ub)[:, 0]
         assert amp_R == pytest.approx(u.d ** (tau - 1) * ub.c, abs=1e-14)
 
 
@@ -101,13 +100,13 @@ def test_reflecting_minus_absorbing_is_the_revisit_sum(phased_coins):
         for label in path:
             prod = mats[label] @ prod
         total += prod
-    assert np.allclose(refl.xi - absb.xi, total, atol=1e-13)
+    assert np.allclose(refl - absb, total, atol=1e-13)
 
 
 def test_pqrs_coefficients_of_basis_element(phased_coins):
     _, ub = phased_coins
-    t = transition_amplitude(1, 1, ub, ub)  # Xi = Q~ itself
-    b_q, b_r = pqrs_coefficients(t, ub)
+    xi = transition_amplitude(1, 1, ub, ub)  # Xi = Q~ itself
+    b_q, b_r = pqrs_coefficients(xi, ub)
     assert b_q == pytest.approx(1.0, abs=1e-15)
     assert b_r == pytest.approx(0.0, abs=1e-15)
 
@@ -115,8 +114,7 @@ def test_pqrs_coefficients_of_basis_element(phased_coins):
 def test_up_move_component_vanishes_at_the_boundary_site(phased_coins):
     u, ub = phased_coins
     for tau in (0, 2, 4, 6, 8):
-        t = transition_amplitude(0, tau, u, ub)
-        b_q, _ = pqrs_coefficients(t, ub)
+        b_q, _ = pqrs_coefficients(transition_amplitude(0, tau, u, ub), ub)
         assert abs(b_q) < 1e-14
 
 
@@ -124,8 +122,7 @@ def test_span_residual_vanishes_for_all_path_sums(phased_coins):
     u, ub = phased_coins
     for tau in range(1, 13):
         for n in range(tau % 2, tau + 1, 2):
-            t = transition_amplitude(n, tau, u, ub)
-            assert pqrs_residual(t, ub) < 1e-12
+            assert pqrs_residual(transition_amplitude(n, tau, u, ub), ub) < 1e-12
 
 
 def test_span_residual_random_unitary_coins():
@@ -139,8 +136,7 @@ def test_span_residual_random_unitary_coins():
         ub = make_boundary_coin(float(rng.uniform(-math.pi, math.pi)))
         for tau in range(1, 11):
             for n in range(tau % 2, tau + 1, 2):
-                t = transition_amplitude(n, tau, u, ub)
-                assert pqrs_residual(t, ub) < 1e-12
+                assert pqrs_residual(transition_amplitude(n, tau, u, ub), ub) < 1e-12
 
 
 def test_coefficient_series_drops_identity_at_origin(phased_coins):
@@ -178,12 +174,12 @@ def reference_sum(n, tau, u, ub, boundary):
 
 def assert_table_matches_reference(tau_max, u, ub, boundary):
     table = transition_table(tau_max, u, ub, boundary)
-    assert [len(row) for row in table] == list(range(1, tau_max + 2))
+    assert table.shape == (tau_max + 1, tau_max + 1, 2, 2)
+    assert table.dtype == np.complex128
     for tau in range(tau_max + 1):
+        assert np.all(table[tau, tau + 1 :] == 0.0), tau  # beyond the light cone
         for n in range(tau + 1):
-            entry = table[tau][n]
-            assert (entry.n, entry.tau, entry.boundary) == (n, tau, boundary)
-            assert np.array_equal(entry.xi, reference_sum(n, tau, u, ub, boundary)), (n, tau)
+            assert np.array_equal(table[tau, n], reference_sum(n, tau, u, ub, boundary)), (n, tau)
 
 
 @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
@@ -209,7 +205,7 @@ def test_transition_amplitude_is_the_table_entry(phased_coins):
     u, ub = phased_coins
     table = transition_table(9, u, ub)
     for n in range(10):
-        assert np.array_equal(transition_amplitude(n, 9, u, ub).xi, table[9][n].xi)
+        assert np.array_equal(transition_amplitude(n, 9, u, ub), table[9, n])
 
 
 def test_table_limits(phased_coins):

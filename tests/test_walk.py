@@ -105,7 +105,7 @@ def test_walk_matches_path_enumeration(phased_coins):
     for tau in range(13):
         st = states[tau]
         for n in range(tau % 2, tau + 1, 2):
-            amp_L, amp_R = transition_amplitude(n, tau, u, ub).apply()
+            amp_L, amp_R = transition_amplitude(n, tau, u, ub)[:, 0]
             assert amp_L == pytest.approx(st.psi_L[n], abs=1e-10)
             assert amp_R == pytest.approx(st.psi_R[n], abs=1e-10)
 
