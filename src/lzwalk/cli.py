@@ -8,6 +8,14 @@ Configuration files are flat ``key = value`` text; command-line flags
 override file values, and unknown keys are hard errors so a typo in a
 physics parameter cannot pass silently.
 
+The ``evolve`` and ``series`` tables are made one snapshot at a time: the
+snapshot must sum to 1, then its parity-slice columns, from
+``walk.light_cone_columns``, zip into rows, and each row fills one
+%-template (``%d,%d,%.17g,%.17g`` in CSV, ``%d``/``%r`` cells in JSON).
+The sum check fails on NaN and inf, so these cells are always ints and
+finite floats.  The ``edge`` and ``sweep`` tables, whose cells can be
+None, booleans or non-finite, render cell by cell.
+
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 3 I/O error.  Every failure prints one ``error:`` line on stderr and no
 traceback.  Exceptions map onto the codes by class:
@@ -27,8 +35,9 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -287,42 +296,52 @@ def _snapshot_times(steps: int) -> list[int]:
     return sorted(times)
 
 
-def _probability_rows(snapshots: dict[int, tuple[np.ndarray, np.ndarray]]) -> list[list]:
-    rows = []
-    for tau in sorted(snapshots):
-        prob_L, prob_R = snapshots[tau]
+# The table of evolve and series.  Its rows come from _probability_rows, so
+# tau and n are ints and, past the snapshot-sum check, every probability is
+# a finite float: the renderers fill one %-template per row for it, where
+# "%.17g" prints such a float as _fmt does and "%r" as float.__repr__.
+_PROBABILITY_COLUMNS = ["tau", "n", "prob_L", "prob_R"]
+_PROBABILITY_CSV_ROW = "%d,%d,%.17g,%.17g"
+_PROBABILITY_JSON_CELLS = ("%d", "%d", "%r", "%r")
+
+
+def _probability_rows(
+    snapshots: Iterable[tuple[int, np.ndarray, np.ndarray]],
+) -> Iterator[tuple[int, int, float, float]]:
+    """(tau, n, prob_L, prob_R) rows, made one snapshot at a time.
+
+    Each snapshot must sum to 1 within 1e-10 before any of its rows is made;
+    the check fails on NaN and inf.
+    """
+    for tau, prob_L, prob_R in snapshots:
         total = float(np.sum(prob_L) + np.sum(prob_R))
         if not abs(total - 1.0) <= 1e-10:  # fails on NaN too
             raise ArithmeticError(f"snapshot at tau={tau} sums to {total!r}, not 1")
-        for n in range(tau % 2, tau + 1, 2):
-            rows.append([tau, n, float(prob_L[n]), float(prob_R[n])])
-    return rows
+        yield from zip(repeat(tau), *walk.light_cone_columns(tau, prob_L, prob_R))
 
 
-def run_evolve(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def run_evolve(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
-    snapshots = dict(
-        walk.trajectory(
-            u, ub, cfg.steps, _snapshot_times(cfg.steps),
-            lambda s: (s.tau, (np.abs(s.psi_L) ** 2, np.abs(s.psi_R) ** 2)),
-        )
+    snapshots = walk.trajectory(
+        u, ub, cfg.steps, _snapshot_times(cfg.steps),
+        lambda s: (s.tau, *walk.probabilities(s)),
     )
-    return ["tau", "n", "prob_L", "prob_R"], _probability_rows(snapshots)
+    return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
-def run_series(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
     times = _snapshot_times(cfg.steps)
     tab_L, tab_R = bounded_gf_table(u, ub, cfg.steps, max(cfg.steps + 1, 2), columns=times)
-    snapshots = {
-        tau: (np.abs(tab_L[: tau + 1, i]) ** 2, np.abs(tab_R[: tau + 1, i]) ** 2)
+    snapshots = [
+        (tau, np.abs(tab_L[: tau + 1, i]) ** 2, np.abs(tab_R[: tau + 1, i]) ** 2)
         for i, tau in enumerate(times)
-    }
-    return ["tau", "n", "prob_L", "prob_R"], _probability_rows(snapshots)
+    ]
+    return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
 _EDGE_COLUMNS = [
@@ -392,9 +411,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_csv(header: list[str], rows: Iterable[list]) -> str:
+def _render_csv(header: list[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
-    lines += [",".join(map(_cell, row)) for row in rows]
+    if header == _PROBABILITY_COLUMNS:
+        lines += map(_PROBABILITY_CSV_ROW.__mod__, rows)
+    else:
+        lines += [",".join(map(_cell, row)) for row in rows]
     lines.append("")  # the final LF
     return "\n".join(lines)
 
@@ -421,11 +443,13 @@ def _json_cell(value) -> str:
     return json.dumps(_json_value(value))
 
 
-def _render_json(cfg: RunConfig, header: list[str], rows: Iterable[list]) -> str:
+def _render_json(cfg: RunConfig, header: list[str], rows: Iterable[Sequence]) -> str:
     """The bytes of ``json.dumps({"config": ..., "rows": [...]}, indent=2)``.
 
     The small config object goes through the encoder; each row fills one
     %-template, an object at indent 4 with one "key": cell entry per line.
+    A probability row fills it directly, any other row with ``_json_cell``
+    of each cell.
     """
     config_echo = {
         f.name: _json_value(getattr(cfg, f.name))
@@ -433,10 +457,15 @@ def _render_json(cfg: RunConfig, header: list[str], rows: Iterable[list]) -> str
         if getattr(cfg, f.name) is not None
     }
     config = json.dumps(config_echo, indent=2).replace("\n", "\n  ")
+    probability = header == _PROBABILITY_COLUMNS
+    cells = _PROBABILITY_JSON_CELLS if probability else ("%s",) * len(header)
     template = "{\n      " + ",\n      ".join(
-        json.dumps(key).replace("%", "%%") + ": %s" for key in header
+        json.dumps(key).replace("%", "%%") + ": " + cell for key, cell in zip(header, cells)
     ) + "\n    }"
-    objects = [template % tuple(map(_json_cell, row)) for row in rows]
+    if probability:
+        objects = list(map(template.__mod__, rows))
+    else:
+        objects = [template % tuple(map(_json_cell, row)) for row in rows]
     head = '{\n  "config": ' + config + ',\n  "rows": ['
     if not objects:
         return head + "]\n}\n"

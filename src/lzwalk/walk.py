@@ -72,6 +72,8 @@ __all__ = [
     "evolve",
     "norm",
     "norms",
+    "probabilities",
+    "light_cone_columns",
     "distribution",
 ]
 
@@ -308,16 +310,33 @@ def evolve(coin: Coin, boundary_coin: Coin, steps: int) -> WalkState:
     return state
 
 
+def probabilities(state: WalkState) -> tuple[np.ndarray, np.ndarray]:
+    """|psi_L|^2 and |psi_R|^2 on every site of [0, tau].
+
+    Squared from numpy's array abs, whose complex loop can differ from
+    ``abs`` of one element in the last bit; every printed probability comes
+    from here or from the same expression on a series column.
+    """
+    return np.abs(state.psi_L) ** 2, np.abs(state.psi_R) ** 2
+
+
+def light_cone_columns(
+    tau: int, prob_L: np.ndarray, prob_R: np.ndarray
+) -> tuple[range, list[float], list[float]]:
+    """The sites n = tau (mod 2), n <= tau, and their two probabilities.
+
+    ``prob_L`` and ``prob_R`` cover [0, tau]; the columns hold Python ints
+    and floats, ready to zip into rows.
+    """
+    start = tau % 2
+    return range(start, tau + 1, 2), prob_L[start::2].tolist(), prob_R[start::2].tolist()
+
+
 def distribution(state: WalkState) -> list[tuple[int, float, float]]:
     """Per-site probabilities (n, |psi_L|^2, |psi_R|^2) on the light cone.
 
     Only sites with n = tau (mod 2) are listed; all others carry exactly
-    zero amplitude.
+    zero amplitude.  The values are bit-identical to the rows that
+    ``lzwalk evolve`` prints for this state.
     """
-    start = state.tau % 2
-    out = []
-    for n in range(start, state.tau + 1, 2):
-        out.append(
-            (n, float(abs(state.psi_L[n]) ** 2), float(abs(state.psi_R[n]) ** 2))
-        )
-    return out
+    return list(zip(*light_cone_columns(state.tau, *probabilities(state))))

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 import tracemalloc
 from dataclasses import fields
@@ -22,6 +23,7 @@ from lzwalk import (
 )
 from lzwalk import cli
 from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, emit_config, main, parse_config_text
+from lzwalk.coin import make_boundary_coin, make_bulk_coin
 from lzwalk.edge import CRITICAL_BAND
 from lzwalk.genfun import MAX_TABLE_STEPS
 from conftest import j_paper_exact
@@ -139,6 +141,34 @@ def test_series_with_a_nan_probability_exits_2(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "series", "--p", "0.2", "--steps", "8")
     assert code == 2 and out == ""
     assert err == "error: numerical self-check failed: snapshot at tau=8 sums to nan, not 1\n"
+
+
+def test_evolve_with_a_nan_probability_exits_2(monkeypatch, capsys):
+    trajectory = cli.walk.trajectory
+
+    def planted(*args, **kwargs):
+        snapshots = trajectory(*args, **kwargs)
+        tau, prob_L, prob_R = snapshots[2]  # rows of earlier snapshots come first
+        prob_L = prob_L.copy()
+        prob_L[tau] = math.nan
+        snapshots[2] = (tau, prob_L, prob_R)
+        return snapshots
+
+    monkeypatch.setattr(cli.walk, "trajectory", planted)
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "evolve", "--p", "0.2", "--steps", "8", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: numerical self-check failed: snapshot at tau=4 sums to nan, not 1\n"
+
+
+def test_distribution_equals_the_evolve_rows_bit_for_bit(capsys):
+    steps = 400
+    code, out, _ = run_cli(capsys, "evolve", "--p", "0.3", "--theta", str(THETA), "--steps", str(steps))
+    assert code == 0
+    _, rows = parse_csv(out)
+    printed = [(int(n), float(pl).hex(), float(pr).hex()) for tau, n, pl, pr in rows if tau == str(steps)]
+    state = lzwalk.walk.evolve(make_bulk_coin(0.3, 0.0, THETA), make_boundary_coin(0.0), steps)
+    assert [(n, pl.hex(), pr.hex()) for n, pl, pr in lzwalk.walk.distribution(state)] == printed
 
 
 def test_series_zero_steps(capsys):
@@ -417,9 +447,17 @@ SYNTHETIC_ROWS = [
     [math.nan, -0.0, 10**30, -(10**30), 0],
     [5e-324, -1.5, 2**63, True, None],
 ]
+# p = 0.2 at 1200 steps: the light-cone tail holds exact-zero and
+# subnormal probabilities
+TAIL_CASE = ("evolve", "--p", "0.2", "--theta", str(THETA), "--steps", "1200")
 RENDER_CASES = [
     ("evolve", "--p", "0.49", "--theta", str(THETA), "--steps", "40"),
     ("series", "--p", "0.2", "--theta", str(THETA), "--steps", "30"),
+    pytest.param(("evolve", "--p", "0.49", "--steps", "0"), id="evolve-steps0"),
+    pytest.param(("evolve", "--p", "0.49", "--theta", str(THETA), "--steps", "1"), id="evolve-steps1"),
+    pytest.param(("evolve", "--p", "0.49", "--theta", str(THETA), "--steps", "41"), id="evolve-steps41"),
+    pytest.param(TAIL_CASE, id="evolve-tail"),
+    pytest.param(("series", "--p", "1", "--theta", str(THETA), "--steps", "30"), id="series-ballistic"),
     ("edge", "--p", "0.8", "--theta", "0.5"),  # delocalized: null cells
     # E0 = 1e308 overflows the energy columns to inf
     ("sweep", "--theta", str(THETA), "--fmin", "0.5", "--fmax", "6", "--points", "5",
@@ -447,6 +485,10 @@ def test_json_rows_match_the_encoder(args):
         assert None in cells
     if args[0] in ("sweep", "synthetic"):
         assert any(isinstance(v, float) and not math.isfinite(v) for v in cells)
+    if args == TAIL_CASE:
+        probabilities = [v for row in rows for v in row[2:]]
+        assert 0.0 in probabilities
+        assert any(0.0 < v < sys.float_info.min for v in probabilities)
     # the renderer reads its rows once, as they come
     assert cli._render_json(cfg, header, iter(rows)) == _reference_json(cfg, header, rows)
     assert cli._render_json(cfg, header, iter([])) == _reference_json(cfg, header, [])
