@@ -43,16 +43,21 @@ form.  Both flavors call them, and so do the residues in
 ``edge.floquet_mode`` and the pole check in ``verify``.
 
 eta, t and both site-1 kernels (numerator / h) are odd series, so
-``bounded_gf_table`` works on their odd-coefficient sublattice and fills
-only the columns tau >= n with tau = n (mod 2) of row n.  It keeps the
-running power t^(n-1) and takes each entry it is asked for as one dot
-product, so with a few columns its memory is linear in the order.
+``bounded_gf_table`` works on their odd-coefficient sublattice x = z^2 and
+fills only the columns tau >= n with tau = n (mod 2) of row n.  Row n needs
+the power t^(n-1), and the table takes all of them by the baby-step /
+giant-step split of Paterson and Stockmeyer (SIAM J. Comput. 2 (1973)
+60-66): S ~ sqrt(order/2) baby rows t^r times each kernel, and one giant
+power t^(qS) per block of S rows, so about 3S + n_max/S series products
+where a running power took one per row.  Each entry it is asked for is
+still one direct sum of products, not an FFT product, which would lose the
+relative accuracy of the tiny coefficients near the light cone.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
+import math
 import operator
 
 import numpy as np
@@ -75,11 +80,12 @@ __all__ = [
     "bounded_gf_table",
 ]
 
-# largest n_max and order - 1 of bounded_gf_table; the work is O(cap^3).  At
-# the cap `series --steps 2000`, which keeps only its snapshot columns (O(cap)
-# memory, 0.9 MiB traced peak), takes 0.4 s (p = 0.8) to 0.6 s (p = 0.2) on a
+# largest n_max and order - 1 of bounded_gf_table.  At the cap `series
+# --steps 2000`, which keeps only its snapshot columns (1.8 MiB traced peak,
+# most of it the baby rows), takes 0.07 s at p = 0.2, 0.49 and 0.8 on a
 # 2-core VM; a full table, which no CLI mode asks for, is two 2001 x 2001
-# complex arrays (122 MiB) and takes about 6 s there, one dot per entry
+# complex arrays (122 MiB) and takes 1.5 s (p = 0.8) to 2.3 s (p = 0.2)
+# there, one dot per entry
 MAX_TABLE_STEPS = 2000
 
 # relative gap below which the two root moduli of the quadratic count as tied
@@ -366,10 +372,13 @@ def bounded_gf_table(
     columns[i]; ``columns``, a sorted list of distinct tau in [0, order),
     defaults to all of range(order).  Shares the branch series and the
     denominator inversion across sites, so it is the cheap way to tabulate
-    many sites at once.  Site 0 follows from row 1.  Memory is
-    O(order + n_max * len(columns)), and an entry does not depend on which
-    other columns are asked for.  Raises ResourceLimitError, before
-    allocating, when n_max or order - 1 exceeds MAX_TABLE_STEPS.
+    many sites at once.  Site 0 follows from row 1.  The powers of t cost
+    O(order^2.5) and each asked entry one dot of length at most order/2;
+    the extra memory is O(sqrt(order) * order) for the baby rows, besides
+    the O(n_max * len(columns)) result.  An entry depends only on the coins,
+    order, n and tau: not on n_max or on which other columns are asked for.
+    Raises ResourceLimitError, before allocating, when n_max or order - 1
+    exceeds MAX_TABLE_STEPS.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -387,37 +396,47 @@ def bounded_gf_table(
     num_L, num_R = bounded_numerators(coin, boundary_coin, eta, zs)
     kernel_L, kernel_R = num_L * inv_den, num_R * inv_den
     t = site_factor(coin, eta, zs)
-    # t and both kernels are odd: keep their z^(2j+1) coefficients.  pref
-    # holds t^(n-1) at z^(n-1+2j), so row n fills columns n, n+2, ... only
-    k_L, k_R, t_odd = kernel_L.coeffs[1::2], kernel_R.coeffs[1::2], t.coeffs[1::2]
+    # t and both kernels are odd: on x = z^2 they are z T(x) and z K(x),
+    # and row n >= 1 is z^n T^(n-1) K, so its entry at tau = n + 2c is
+    # [T^(n-1) K]_c.  Split n - 1 = q S + r: baby[:, r] holds x^(r//2) T^r K,
+    # so the rows r = par, par + 2, ... of block q all read column tau at one
+    # index c0 of the giant power T^(qS), and each of their entries is one
+    # direct sum of products.  S comes from the order alone, so an entry
+    # depends only on (coins, order, n, tau)
+    width = order // 2
+    t_odd, k = t.coeffs[1::2], (kernel_L.coeffs[1::2], kernel_R.coeffs[1::2])
+    step = math.isqrt(width)  # width >= 1: eta_series rejects order < 2
+    baby = np.zeros((2, step, width), dtype=np.complex128)
+    power = np.ones(1, dtype=np.complex128)  # T^r, and T^S after the loop
+    for r in range(step):
+        w = width - r // 2
+        for side in (0, 1):
+            baby[side, r, r // 2 :] = np.convolve(power[:w], k[side][:w])[:w]
+        power = np.convolve(power, t_odd)[:width]
     rows = max(n_max, 1) + 1
-    psi_L = np.zeros((rows, len(columns)), dtype=np.complex128)
-    psi_R = np.zeros((rows, len(columns)), dtype=np.complex128)
-    # row 1 in full, since site 0 needs it; for n >= 2 each kept entry is
-    # one dot, pref[0] k[c] + ... + pref[c] k[0], added to +0 so that an
-    # exact zero is stored as +0
+    psi = np.zeros((2, rows, len(columns)), dtype=np.complex128)
+    giant = np.zeros(width, dtype=np.complex128)
+    giant[0] = 1.0
+    for n0 in range(1, min(rows, order), step):
+        if n0 > 1:
+            # block q reads T^(qS) up to x^((order - 1 - n0) // 2)
+            w = (order + 1 - n0) // 2
+            giant = np.convolve(giant[:w], power[:w])[:w]
+        end = min(rows, n0 + step)
+        for i, tau in enumerate(columns):
+            if tau >= n0:
+                c0, par = divmod(tau - n0, 2)
+                # rows past the light cone tau >= n dot only the zeros of
+                # their shift; += stores an exact zero as +0.  numpy's matmul
+                # sums each row in order, outside BLAS, for a negative-stride
+                # vector, so a row's bits depend neither on the other rows
+                # nor on the BLAS thread count
+                psi[:, n0 + par : end : 2, i] += baby[:, par : end - n0 : 2, : c0 + 1] @ giant[c0::-1]
+    psi_L, psi_R = psi
+    # row 1 in full, since site 0 needs it
     row1_L = np.zeros(order, dtype=np.complex128)
     row1_R = np.zeros(order, dtype=np.complex128)
-    rev_L, rev_R = k_L[::-1].copy(), k_R[::-1].copy()
-    last = len(k_L) - 1  # k[c::-1] is rev[last - c:]
-    # row n fills only the columns tau = n + 2c of its own parity: split
-    # them once, as (index, tau) pairs and their taus
-    by_parity = [[(i, tau) for i, tau in enumerate(columns) if tau % 2 == q] for q in (0, 1)]
-    taus = [[tau for _, tau in pairs] for pairs in by_parity]
-    pref = np.ones(1, dtype=np.complex128)
-    for n in range(1, min(rows, order)):
-        w = (order - 1 - n) // 2 + 1  # row n's columns n, n+2, ..., order - 1
-        if n == 1:
-            row1_L[1::2] = np.convolve(pref, k_L[:w])[:w]
-            row1_R[1::2] = np.convolve(pref, k_R[:w])[:w]
-        else:
-            # columns before the row's light cone tau >= n hold zeros
-            start = bisect.bisect_left(taus[n % 2], n)
-            for i, tau in by_parity[n % 2][start:]:
-                c = (tau - n) // 2
-                psi_L[n, i] += np.dot(pref[: c + 1], rev_L[last - c :])
-                psi_R[n, i] += np.dot(pref[: c + 1], rev_R[last - c :])
-        pref = np.convolve(pref, t_odd[:w])[:w]
+    row1_L[1::2], row1_R[1::2] = k
     psi_L[1], psi_R[1] = row1_L[columns], row1_R[columns]
     psi_L[0] = _site0(coin, zs, Series(row1_L), Series(row1_R)).coeffs[columns]
     return psi_L[: n_max + 1], psi_R[: n_max + 1]

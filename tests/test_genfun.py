@@ -18,6 +18,7 @@ from lzwalk import (
     make_bulk_coin,
     step,
 )
+from lzwalk.cli import _snapshot_times
 from lzwalk.genfun import (
     _absorbing,
     _site0,
@@ -313,6 +314,8 @@ def _assert_columns_exact(u, ub, n_max, order, cols):
         (13, 14, [0, 6, 7, 10, 13]),  # odd T
         (20, 9, [1, 8]),
         (5, 40, [0, 3, 4, 39]),
+        (200, 201, _snapshot_times(200)),  # CLI sizes: several giant steps
+        (201, 202, _snapshot_times(201)),
     ],
 )
 def test_table_columns_are_bit_identical(p, n_max, order, cols):
@@ -333,6 +336,19 @@ def test_table_columns_are_bit_identical_random_phases(p, beta, gamma, gamma_til
     cols = sorted(data.draw(st.sets(st.integers(0, order - 1), max_size=6)))
     u = make_bulk_coin(p, beta, gamma)
     _assert_columns_exact(u, make_boundary_coin(gamma_tilde), n_max, order, cols)
+
+
+@pytest.mark.parametrize("p", [P_REF, 1.0, 1e-300])
+def test_table_rows_do_not_depend_on_n_max(p):
+    # the baby/giant split is taken from the order, so a shorter table
+    # repeats the rows of a longer one bit for bit
+    u, ub = make_bulk_coin(p, 0.3, THETA_REF + 0.1), make_boundary_coin(0.1)
+    cols = _snapshot_times(200)
+    ref_L, ref_R = bounded_gf_table(u, ub, 200, 201, columns=cols)
+    for n_max in (0, 1, 2, 8, 9, 10, 11, 100, 199):
+        tab_L, tab_R = bounded_gf_table(u, ub, n_max, 201, columns=cols)
+        assert tab_L.tobytes() == ref_L[: n_max + 1].tobytes()
+        assert tab_R.tobytes() == ref_R[: n_max + 1].tobytes()
 
 
 @pytest.mark.parametrize("p", [P_REF, 1.0, 1e-300])
