@@ -9,7 +9,6 @@ from .coin import (
     ModelParams,
     make_boundary_coin,
     make_bulk_coin,
-    pqrs_decompose,
     reduce_angle,
 )
 from .edge import (
@@ -51,12 +50,10 @@ from .pathsum import (
     pqrs_row,
     transition_amplitude,
     transition_table,
-    word,
 )
 from .walk import (
     MAX_EVOLVE_STEPS,
     WalkState,
-    distribution,
     evolve,
     initial_state,
     norm,

@@ -24,7 +24,8 @@ traceback.  Exceptions map onto the codes by class:
 * ``ResourceLimitError`` (a hard cap) and ``MemoryError`` -> 1;
 * ``ArithmeticError`` (a failed numerical self-check, such as a snapshot
   that does not sum to 1 or a pole hit) -> 2, like a failed ``verify``;
-* ``OSError`` while writing the output -> 3.
+* ``OSError`` while writing the output, or a ``--out`` path that
+  contains a NUL (``ValueError``) -> 3.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .pathsum import TAU_CAP
 # this module because benches/spans.py wraps them by name on it.
 from .walk import MAX_EVOLVE_STEPS, initial_state, step  # noqa: F401
 
-__all__ = ["RunConfig", "main", "app", "parse_config_text", "emit_config"]
+__all__ = ["RunConfig", "main", "app", "parse_config_text"]
 
 MODES = ("evolve", "series", "edge", "sweep", "verify")
 
@@ -133,23 +134,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def emit_config(cfg: RunConfig) -> str:
-    """Render a config as the flat text format (round-trips with the parser)."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = _fmt(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
-    return "\n".join(lines) + "\n"
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use."""
@@ -211,9 +195,10 @@ def _resolve_config(argv: list[str]) -> RunConfig:
     if ns.config is not None:
         try:
             with open(ns.config, "r", encoding="utf-8") as fh:
-                values.update(parse_config_text(fh.read()))
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise UsageError(f"cannot read config file: {exc}") from exc
+        values.update(parse_config_text(text))
         values.pop("mode", None)  # the positional argument wins
     if ns.theta is not None:
         if ns.gamma is not None or ns.gamma_tilde is not None:
@@ -543,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         _emit(cfg, text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the --out path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
     return code

@@ -17,8 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "UNITARITY_TOL",
     "Coin",
@@ -27,7 +25,6 @@ __all__ = [
     "make_boundary_coin",
     "landau_zener_p",
     "landau_zener_field",
-    "pqrs_decompose",
     "reduce_angle",
 ]
 
@@ -96,20 +93,9 @@ class Coin:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.complex128)
-
     def unitarity_defect(self) -> float:
         """Max entrywise deviation of U^dag U from the identity."""
         return self._defect
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Coin":
-        m = np.asarray(m, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
 
 
 def make_bulk_coin(p: float, beta: float, gamma: float) -> Coin:
@@ -149,22 +135,6 @@ def landau_zener_p(F: float, Fbar: float) -> float:
 def landau_zener_field(p: float, Fbar: float) -> float:
     """Field ``F = -pi*Fbar/ln(p)`` at which the tunneling probability is p."""
     return -math.pi * Fbar / math.log(p)
-
-
-def pqrs_decompose(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a coin into the four single-row matrices P, Q, R, S.
-
-    P = [[a,b],[0,0]] and Q = [[0,0],[c,d]] satisfy P + Q = U; together with
-    R = [[c,d],[0,0]] and S = [[0,0],[a,b]] they form an orthonormal basis of
-    the 2x2 complex matrices under <A|B> = Tr(A^dag B) whenever U is unitary.
-    """
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    zero = 0.0 + 0.0j
-    P = np.array([[a, b], [zero, zero]], dtype=np.complex128)
-    Q = np.array([[zero, zero], [c, d]], dtype=np.complex128)
-    R = np.array([[c, d], [zero, zero]], dtype=np.complex128)
-    S = np.array([[zero, zero], [a, b]], dtype=np.complex128)
-    return P, Q, R, S
 
 
 @dataclass(frozen=True)
@@ -213,11 +183,3 @@ class ModelParams:
     @property
     def theta(self) -> float:
         return reduce_angle(self.gamma - self.gamma_tilde)
-
-    @classmethod
-    def from_p(cls, p: float, Fbar: float = 1.0, **kwargs) -> "ModelParams":
-        """Build params from a tunneling probability; F = -pi*Fbar/ln(p)."""
-        _require_finite("p", p)
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must lie in (0, 1) to define a finite field, got {p}")
-        return cls(F=landau_zener_field(p, Fbar), Fbar=Fbar, **kwargs)

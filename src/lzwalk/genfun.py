@@ -130,11 +130,11 @@ class Series:
         return cls(c)
 
     @classmethod
-    def monomial(cls, k: int, order: int, coeff: complex = 1.0) -> "Series":
+    def monomial(cls, k: int, order: int) -> "Series":
         if not 0 <= k < order:
             raise ValueError(f"monomial degree {k} outside order {order}")
         c = np.zeros(order, dtype=np.complex128)
-        c[k] = coeff
+        c[k] = 1.0
         return cls(c)
 
     # -- inspection ---------------------------------------------------
@@ -171,9 +171,6 @@ class Series:
 
     def __neg__(self):
         return Series(-self._c)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Series) else -complex(other))
 
     def __rsub__(self, other):
         return (-self) + complex(other)
@@ -214,12 +211,6 @@ class Series:
             base = base * base
             e >>= 1
         return result
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for v in self._c[::-1]:
-            acc = acc * z + v
-        return complex(acc)
 
 
 # -- branch series ----------------------------------------------------

@@ -9,7 +9,7 @@ exact and serves as the reference the fast engines are checked against.
 Move labels: "P" steps down, "Q" steps up in the bulk, "Q~" steps up off the
 boundary site.  A word is stored in time order (first move first); its
 matrix product form puts the latest move leftmost, e.g. the time-ordered
-word (Q~, Q, P, Q) prints as QPQQ~.
+word (Q~, Q, P, Q) is the product QPQQ~.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "UP",
     "UP_BOUNDARY",
     "enumerate_paths",
-    "word",
     "transition_table",
     "transition_amplitude",
     "pqrs_coefficients",
@@ -91,11 +90,6 @@ def enumerate_paths(n: int, tau: int, boundary: str = "reflecting") -> list[tupl
 
     extend(0, tau)
     return out
-
-
-def word(path: tuple[str, ...]) -> str:
-    """Matrix-product rendering of a path, latest move leftmost."""
-    return "".join(reversed(path))
 
 
 def transition_table(

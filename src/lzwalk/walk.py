@@ -74,7 +74,6 @@ __all__ = [
     "norms",
     "probabilities",
     "light_cone_columns",
-    "distribution",
 ]
 
 MAX_EVOLVE_STEPS = 100_000
@@ -331,12 +330,3 @@ def light_cone_columns(
     start = tau % 2
     return range(start, tau + 1, 2), prob_L[start::2].tolist(), prob_R[start::2].tolist()
 
-
-def distribution(state: WalkState) -> list[tuple[int, float, float]]:
-    """Per-site probabilities (n, |psi_L|^2, |psi_R|^2) on the light cone.
-
-    Only sites with n = tau (mod 2) are listed; all others carry exactly
-    zero amplitude.  The values are bit-identical to the rows that
-    ``lzwalk evolve`` prints for this state.
-    """
-    return list(zip(*light_cone_columns(state.tau, *probabilities(state))))

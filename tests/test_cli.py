@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lzwalk.walk
 from lzwalk import (
@@ -22,10 +28,12 @@ from lzwalk import (
     quasi_energy,
 )
 from lzwalk import cli
-from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, emit_config, main, parse_config_text
+from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, main, parse_config_text
 from lzwalk.coin import make_boundary_coin, make_bulk_coin
 from lzwalk.edge import CRITICAL_BAND
 from lzwalk.genfun import MAX_TABLE_STEPS
+from lzwalk.pathsum import TAU_CAP
+from lzwalk.verify import TAU_MIN
 from conftest import j_paper_exact
 
 THETA = math.pi / 4
@@ -45,11 +53,30 @@ def parse_csv(text):
 
 
 def test_config_round_trip():
+    text = """\
+mode = sweep
+fbar = 1
+beta = 0
+gamma = 0.78539816339744828
+gamma_tilde = 0
+L = 1
+j0 = 1
+E0 = 1
+steps = 200
+fmin = 0.5
+fmax = 6
+points = 12
+log = true
+out = x.csv
+format = json
+tau_max = 10
+unitarity_tol = 9.9999999999999994e-12
+"""
     cfg = RunConfig(
         mode="sweep", fbar=1.0, gamma=THETA, fmin=0.5, fmax=6.0, points=12,
         log=True, format="json", out="x.csv",
     )
-    parsed = parse_config_text(emit_config(cfg))
+    parsed = parse_config_text(text)
     mode = parsed.pop("mode")
     assert RunConfig(mode=mode, **parsed) == cfg
 
@@ -72,6 +99,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     header, rows = parse_csv(out)
     assert header == ["tau", "n", "prob_L", "prob_R"]
     assert max(int(r[0]) for r in rows) == 2  # flag overrode the file value
+
+
+def test_unreadable_config_text_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"p = 0.2\xff\n")
+    for path in (str(bad), str(tmp_path / "a\0b.cfg")):
+        code, out, err = run_cli(capsys, "evolve", "--config", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
 
 
 def test_evolve_zero_steps(capsys):
@@ -175,7 +211,8 @@ def test_distribution_equals_the_evolve_rows_bit_for_bit(capsys):
     _, rows = parse_csv(out)
     printed = [(int(n), float(pl).hex(), float(pr).hex()) for tau, n, pl, pr in rows if tau == str(steps)]
     state = lzwalk.walk.evolve(make_bulk_coin(0.3, 0.0, THETA), make_boundary_coin(0.0), steps)
-    assert [(n, pl.hex(), pr.hex()) for n, pl, pr in lzwalk.walk.distribution(state)] == printed
+    columns = lzwalk.walk.light_cone_columns(steps, *lzwalk.walk.probabilities(state))
+    assert [(n, pl.hex(), pr.hex()) for n, pl, pr in zip(*columns)] == printed
 
 
 def test_series_zero_steps(capsys):
@@ -587,6 +624,14 @@ def test_unwritable_output_path(tmp_path, capsys):
     assert code == 3 and "cannot write" in err
 
 
+def test_output_path_with_a_nul_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"out = a\0b\n")
+    code, out, err = run_cli(capsys, "edge", "--p", "0.2", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--tau-max", "6")
     assert code == 0
@@ -726,4 +771,78 @@ def test_exit_code_per_exception_class(monkeypatch, capsys, exc, expected):
     assert code == expected
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# -- exit-code contract ------------------------------------------------------
+
+# the exponent form, the ends of the float range, the non-finite spellings and
+# phases far outside (-pi, pi], besides ordinary values
+FLOATS = st.sampled_from(
+    ["-1e-3", "5e-324", "-5e-324", "1e-300", "nan", "-nan", "inf", "-inf", "1e308",
+     "-1e308", "-6e95", "1e16", "0", "-0.0", "0.2", "0.49", "0.8", "1", "2.5", "3.2"]
+)
+# each cap plus one, but never the evolve or sweep cap itself: a run there
+# takes seconds
+STEP_COUNTS = ["-1", "0", "1", "2", "7", "40", str(MAX_TABLE_STEPS + 1), str(MAX_EVOLVE_STEPS + 1)]
+POINT_COUNTS = ["-1", "1", "2", "3", "5", str(MAX_SWEEP_POINTS + 1)]
+TAU_MAXES = [str(TAU_MIN - 1), str(TAU_MIN), str(TAU_MIN + 1), str(TAU_CAP + 1)]
+# float flags other than --p and --field; evolve, series and edge get one of
+# those two
+FLOAT_FLAGS = [
+    "--fbar", "--beta", "--gamma", "--gamma-tilde", "--theta", "--L", "--j0", "--E0",
+    "--fmin", "--fmax", "--unitarity-tol",
+]
+OUT_PATHS = ["out.txt", "missing/out.txt"]
+# a config line is either raw bytes or "key = value" with a value from any pool
+CONFIG_LINES = st.binary(max_size=24) | st.tuples(
+    st.sampled_from([f.name for f in fields(RunConfig)]),
+    FLOATS | st.sampled_from(STEP_COUNTS + POINT_COUNTS + TAU_MAXES + OUT_PATHS + ["true", "csv", "json"]),
+).map(lambda kv: f"{kv[0]} = {kv[1]}".encode())
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, config file bytes or None) from the flag grammar."""
+    mode = draw(st.sampled_from(cli.MODES))
+    flags = draw(st.lists(st.sampled_from(FLOAT_FLAGS), unique=True, max_size=3))
+    if mode in ("evolve", "series", "edge"):
+        flags.insert(0, draw(st.sampled_from(["--p", "--field"])))
+    elif mode == "sweep":
+        flags[:0] = ["--fmin", "--fmax"]
+    argv = [mode]
+    for flag in flags:
+        argv += [flag, draw(FLOATS)]
+    for flag, values in (("--steps", STEP_COUNTS), ("--points", POINT_COUNTS), ("--tau-max", TAU_MAXES),
+                         ("--format", ["csv", "json"]), ("--out", OUT_PATHS)):
+        if (mode, flag) == ("sweep", "--points") or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv.append("--log")
+    config = draw(st.none() | st.lists(CONFIG_LINES, max_size=4).map(b"\n".join))
+    return argv, config
+
+
+@settings(max_examples=100)
+@given(cli_calls())
+def test_exit_code_contract(call):
+    argv, config = call
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a config may name any relative --out path
+        try:
+            if config is not None:
+                Path("run.cfg").write_bytes(config)
+                argv = argv + ["--config", "run.cfg"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+    if code in (1, 3):
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -10,7 +10,6 @@ from lzwalk import (
     ModelParams,
     make_boundary_coin,
     make_bulk_coin,
-    pqrs_decompose,
     reduce_angle,
     thresholds,
 )
@@ -19,15 +18,19 @@ from lzwalk.coin import landau_zener_field, landau_zener_p
 SQ2 = math.sqrt(0.5)
 
 
+def _matrix(u):
+    return np.array([[u.a, u.b], [u.c, u.d]])
+
+
 def test_bulk_coin_identity_limit():
     u = make_bulk_coin(1.0, 0.0, 0.0)
-    assert np.allclose(u.matrix, np.eye(2), atol=0)
+    assert np.allclose(_matrix(u), np.eye(2), atol=0)
 
 
 def test_bulk_coin_real_rotation():
     u = make_bulk_coin(0.5, 0.0, 0.0)
     expected = np.array([[SQ2, SQ2], [-SQ2, SQ2]])
-    assert np.allclose(u.matrix, expected, atol=1e-15)
+    assert np.allclose(_matrix(u), expected, atol=1e-15)
 
 
 def test_bulk_coin_entries_match_direct_evaluation():
@@ -40,8 +43,8 @@ def test_bulk_coin_entries_match_direct_evaluation():
 
 
 def test_boundary_coin_examples():
-    assert np.allclose(make_boundary_coin(0.0).matrix, [[0, 1], [-1, 0]], atol=0)
-    assert np.allclose(make_boundary_coin(math.pi / 2).matrix, [[0, 1j], [1j, 0]], atol=1e-15)
+    assert np.allclose(_matrix(make_boundary_coin(0.0)), [[0, 1], [-1, 0]], atol=0)
+    assert np.allclose(_matrix(make_boundary_coin(math.pi / 2)), [[0, 1j], [1j, 0]], atol=1e-15)
     u = make_boundary_coin(math.pi / 4)
     assert u.b == pytest.approx(complex(SQ2, SQ2), abs=1e-15)
     assert u.c == pytest.approx(complex(-SQ2, SQ2), abs=1e-15)
@@ -64,7 +67,7 @@ def test_coin_rejects_nonunitary_matrix():
     with pytest.raises(ValueError):
         Coin(1.0, 0.0, 0.0, 2.0)
     with pytest.raises(ValueError):
-        Coin.from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        Coin(1.0, 0.1, 0.0, 1.0)
 
 
 def test_random_coins_unitary_with_unit_determinant():
@@ -143,38 +146,6 @@ def test_entry_with_overflowing_modulus_raises_value_error():
             Coin(1.3e154, b, 0.0, 0.0)
 
 
-def test_pqrs_identity_coin():
-    P, Q, R, S = pqrs_decompose(make_bulk_coin(1.0, 0.0, 0.0))
-    assert np.allclose(P, [[1, 0], [0, 0]], atol=0)
-    assert np.allclose(Q, [[0, 0], [0, 1]], atol=0)
-    assert np.allclose(R, [[0, 1], [0, 0]], atol=0)
-    assert np.allclose(S, [[0, 0], [1, 0]], atol=0)
-
-
-def test_pqrs_sum_and_orthonormality():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        u = make_bulk_coin(
-            float(rng.uniform(0.01, 1.0)),
-            float(rng.uniform(-math.pi, math.pi)),
-            float(rng.uniform(-math.pi, math.pi)),
-        )
-        P, Q, R, S = pqrs_decompose(u)
-        assert np.array_equal(P + Q, u.matrix)
-        basis = (P, Q, R, S)
-        for i, A in enumerate(basis):
-            for j, B in enumerate(basis):
-                inner = np.trace(A.conj().T @ B)
-                assert abs(inner - (1.0 if i == j else 0.0)) < 1e-12
-
-
-def test_pqrs_q_row_matches_coin():
-    u = make_bulk_coin(0.2, 0.0, math.pi / 4)
-    _, Q, _, _ = pqrs_decompose(u)
-    assert Q[1, 0] == u.c
-    assert Q[1, 1] == u.d
-
-
 def test_reduce_angle_interval():
     assert reduce_angle(math.pi) == pytest.approx(math.pi)
     assert reduce_angle(-math.pi) == pytest.approx(math.pi)
@@ -208,22 +179,13 @@ def test_p_at_critical_field_equals_sin_squared_theta():
         assert ModelParams(F=f_c, Fbar=1.0).p == pytest.approx(p_c, abs=1e-12)
 
 
-def test_from_p_round_trip():
-    params = ModelParams.from_p(0.2, Fbar=1.5)
-    assert params.p == pytest.approx(0.2, rel=1e-15)
-    with pytest.raises(ValueError):
-        ModelParams.from_p(1.0)
-    with pytest.raises(ValueError):
-        ModelParams.from_p(0.0)
-
-
 def test_landau_zener_map_is_the_params_map():
     for F, Fbar in ((2.0, 1.0), (0.37, 2.5), (1e3, 1e-3)):
         p = landau_zener_p(F, Fbar)
         assert p == math.exp(-math.pi * Fbar / F) == ModelParams(F=F, Fbar=Fbar).p
     for p, Fbar in ((0.2, 1.0), (1e-300, 1.5), (0.999, 2.0)):
         F = landau_zener_field(p, Fbar)
-        assert F == -math.pi * Fbar / math.log(p) == ModelParams.from_p(p, Fbar).F
+        assert F == -math.pi * Fbar / math.log(p) == ModelParams(F=F, Fbar=Fbar).F
         assert landau_zener_p(F, Fbar) == pytest.approx(p, rel=1e-12)
 
 

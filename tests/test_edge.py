@@ -20,6 +20,7 @@ from lzwalk import (
     quasi_energy,
     thresholds,
 )
+from lzwalk.coin import landau_zener_field
 from lzwalk.verify import check_edge_mode
 from conftest import P_REF, THETA_REF, j_paper_exact
 
@@ -223,7 +224,7 @@ def test_floquet_mode_rejects_delocalized():
 
 
 def test_quasi_energy_reference():
-    params = ModelParams.from_p(P_REF, Fbar=1.0, gamma=THETA_REF)
+    params = ModelParams(F=landau_zener_field(P_REF, 1.0), Fbar=1.0, gamma=THETA_REF)
     expected = params.L * params.F / (2 * math.pi) * ARG_Z2_REF
     assert quasi_energy(params) == pytest.approx(expected, rel=1e-13)
     # proportional to F (and to L) at fixed p, theta
@@ -339,7 +340,7 @@ def test_edge_quantities_even_in_theta():
 
 
 def test_edge_report_localized():
-    params = ModelParams.from_p(P_REF, Fbar=1.0, gamma=THETA_REF)
+    params = ModelParams(F=landau_zener_field(P_REF, 1.0), Fbar=1.0, gamma=THETA_REF)
     rep = edge_report(params)
     assert rep.localized and not rep.critical
     assert rep.r == pytest.approx(R_REF, rel=1e-14)
@@ -352,12 +353,12 @@ def test_edge_report_localized():
         params.F / (2 * math.pi) * ARG_Z2_REF, rel=1e-13
     )
     assert rep.observables == observables(P_REF, THETA_REF)
-    scaled = edge_report(ModelParams.from_p(P_REF, gamma=THETA_REF, j0=3.0, E0=0.5))
+    scaled = edge_report(ModelParams(F=landau_zener_field(P_REF, 1.0), Fbar=1.0, gamma=THETA_REF, j0=3.0, E0=0.5))
     assert scaled.observables == observables(P_REF, THETA_REF, 3.0, 0.5)
 
 
 def test_edge_report_delocalized():
-    params = ModelParams.from_p(0.7, Fbar=1.0, gamma=THETA_REF)
+    params = ModelParams(F=landau_zener_field(0.7, 1.0), Fbar=1.0, gamma=THETA_REF)
     rep = edge_report(params)
     assert not rep.localized and not rep.critical
     assert rep.weight == 0.0

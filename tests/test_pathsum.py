@@ -15,7 +15,6 @@ from lzwalk import (
     pqrs_residual,
     transition_amplitude,
     transition_table,
-    word,
 )
 from lzwalk.verify import check_recursion_relation
 
@@ -24,12 +23,12 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
 def test_reflecting_paths_to_site_two_in_four_steps():
     paths = enumerate_paths(2, 4, "reflecting")
-    assert [word(p) for p in paths] == ["QQ~PQ~", "QPQQ~", "PQQQ~"]
+    assert paths == [("Q~", "P", "Q~", "Q"), ("Q~", "Q", "P", "Q"), ("Q~", "Q", "Q", "P")]
 
 
 def test_absorbing_drops_the_boundary_revisit():
     paths = enumerate_paths(2, 4, "absorbing")
-    assert [word(p) for p in paths] == ["QPQQ~", "PQQQ~"]
+    assert paths == [("Q~", "Q", "P", "Q"), ("Q~", "Q", "Q", "P")]
 
 
 def test_parity_mismatch_yields_no_paths():

@@ -25,6 +25,7 @@ from lzwalk import (
     observables,
     trajectory,
 )
+from lzwalk.coin import landau_zener_field
 from lzwalk.verify import three_way_residual
 
 PHASES = st.floats(-math.pi, math.pi)
@@ -83,7 +84,10 @@ def test_edge_quantities_are_even_in_theta(point):
     p, beta, gamma, gamma_tilde = point
     plus, minus = (
         edge_report(
-            ModelParams.from_p(p, beta=beta, gamma=sign * gamma, gamma_tilde=sign * gamma_tilde)
+            ModelParams(
+                F=landau_zener_field(p, 1.0), Fbar=1.0, beta=beta,
+                gamma=sign * gamma, gamma_tilde=sign * gamma_tilde,
+            )
         )
         for sign in (1.0, -1.0)
     )

@@ -1,0 +1,150 @@
+"""Every function defined in src/lzwalk is reached from the command line.
+
+A fixed corpus of CLI calls runs in a fresh interpreter under a
+``sys.setprofile`` hook that records the first line of every code object of
+the package it enters.  The corpus covers every mode in both formats,
+``--config`` (with a ``log = true`` line), ``--out``, localized, obtuse and
+delocalized ``edge``, one ``verify`` and the usage and I/O errors.  The
+definitions (``def`` statements, read with ``ast``) it never enters must be
+exactly the keys of ``UNREACHED``, each kept for a stated reason: the
+benchmark looks it up by name, it is the console entry point, or pytest
+prints it.  A newly dead definition fails the test, and so does a listed one
+that becomes reached.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lzwalk"
+
+SPANS = "benches/spans.py wraps it"
+LADDERS = "benches/ladders.py times it"
+ENTRY_POINT = "pyproject.toml installs it as the lzwalk console script"
+REPR = "pytest prints it when an assertion on a series fails"
+
+# reason -> (file, text the file holds for a function of that name)
+EVIDENCE = {
+    SPANS: ("benches/spans.py", '"{}"'),
+    LADDERS: ("benches/ladders.py", ".{}("),
+    ENTRY_POINT: ("pyproject.toml", "lzwalk.cli:{}"),
+}
+
+# module-qualified name -> why no CLI call enters it
+UNREACHED = {
+    "cli.app": ENTRY_POINT,
+    "edge.is_localized": SPANS,
+    "edge.localization_length": SPANS,
+    "edge.quasi_energy": SPANS,
+    "genfun.Series.__repr__": REPR,
+    "genfun.lambda_plus_eval": SPANS,
+    "genfun.lambda_plus_series": SPANS,
+    "pathsum.enumerate_paths": LADDERS,
+    "pathsum.enumerate_paths.<locals>.extend": LADDERS,
+    "pathsum.transition_amplitude": SPANS,
+    "walk.evolve": SPANS,
+    "walk.initial_state": SPANS,
+    "walk.norm": SPANS,
+    "walk.step": SPANS,
+}
+
+# (argv, exit code); {tmp} is the working directory of the run
+CORPUS = [
+    (["evolve", "--p", "0.2", "--theta", "0.7853981633974483", "--steps", "12"], 0),
+    (["evolve", "--field", "2", "--steps", "12", "--format", "json"], 0),
+    (["series", "--p", "0.49", "--steps", "12"], 0),
+    (["series", "--p", "0.8", "--steps", "12", "--format", "json"], 0),
+    (["edge", "--p", "0.2", "--theta", "0.7853981633974483"], 0),
+    (["edge", "--p", "0.2", "--theta", "2.5", "--format", "json"], 0),
+    (["edge", "--p", "0.9", "--theta", "0.7853981633974483"], 0),
+    (["sweep", "--fmin", "0.5", "--fmax", "5", "--points", "4"], 0),
+    (["sweep", "--config", "{tmp}/sweep.cfg", "--format", "json", "--out", "{tmp}/sweep.json"], 0),
+    (["verify", "--tau-max", "4"], 0),
+    (["evolve"], 1),
+    (["walk", "--p", "0.2"], 1),
+    (["edge", "--p", "0.2", "--theta", "1", "--gamma", "1"], 1),
+    (["evolve", "--config", "{tmp}/missing.cfg"], 1),
+    (["edge", "--p", "0.2", "--out", "{tmp}/missing/out.csv"], 3),
+]
+
+SWEEP_CONFIG = "fmin = 0.5\nfmax = 5\npoints = 4\nlog = true\n"
+
+# runs the corpus and prints the exit codes and the (file, first line) of
+# every package code object entered, as JSON
+_RUNNER = """
+import contextlib, io, json, sys
+package, corpus = sys.argv[1], json.loads(sys.argv[2])
+entered = set()
+
+def hook(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        entered.add((code.co_filename, code.co_firstlineno))
+
+sys.setprofile(hook)
+from lzwalk import cli
+codes = []
+for argv in corpus:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def _definitions() -> dict[tuple[str, int], str]:
+    """(file, first line) -> module-qualified name of every def in the package.
+
+    The first line is that of the first decorator, as in the code object.
+    """
+    out: dict[tuple[str, int], str] = {}
+
+    def visit(node, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(path, first)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), f"{path.stem}.")
+    return out
+
+
+def test_unreached_definitions_are_the_listed_ones(tmp_path):
+    (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG, encoding="utf-8")
+    corpus = [[arg.replace("{tmp}", str(tmp_path)) for arg in argv] for argv, _ in CORPUS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER, str(PACKAGE), json.dumps(corpus)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [code for _, code in CORPUS]
+    assert (tmp_path / "sweep.json").read_text(encoding="utf-8").count('"F"') == 4
+
+    entered = {(path, line) for path, line in result["entered"]}
+    never = {name for key, name in _definitions().items() if key not in entered}
+    assert sorted(never - UNREACHED.keys()) == [], "never entered, and not listed"
+    assert sorted(UNREACHED.keys() - never) == [], "listed, but entered"
+
+
+def test_each_listed_reason_holds():
+    for name, reason in UNREACHED.items():
+        if reason == REPR:
+            assert name.endswith(".__repr__")
+            continue
+        path, pattern = EVIDENCE[reason]
+        func = name.split(".<locals>.")[0].rsplit(".", 1)[1]
+        assert pattern.format(func) in (ROOT / path).read_text(encoding="utf-8"), (name, reason)

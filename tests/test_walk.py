@@ -9,7 +9,6 @@ from lzwalk import (
     MAX_EVOLVE_STEPS,
     ResourceLimitError,
     decay_ratio,
-    distribution,
     evolve,
     initial_state,
     make_boundary_coin,
@@ -20,8 +19,13 @@ from lzwalk import (
     trajectory,
     transition_amplitude,
 )
-from lzwalk.walk import WalkState
+from lzwalk.walk import WalkState, light_cone_columns, probabilities
 from conftest import P_REF, THETA_REF
+
+
+def _distribution(s):
+    """(n, |psi_L|^2, |psi_R|^2) on the light cone, as the evolve rows list them."""
+    return list(zip(*light_cone_columns(s.tau, *probabilities(s))))
 
 
 def test_initial_state():
@@ -45,7 +49,7 @@ def test_single_step_reflects_off_boundary(gamma_tilde, ref_coins):
 def test_two_steps_split(ref_coins):
     u, ub = ref_coins
     s = step(step(initial_state(), u, ub), u, ub)
-    probs = {n: (pl, pr) for n, pl, pr in distribution(s)}
+    probs = {n: (pl, pr) for n, pl, pr in _distribution(s)}
     assert probs[0][0] == pytest.approx(0.8, abs=1e-14)
     assert probs[0][1] == 0.0
     assert probs[2][1] == pytest.approx(0.2, abs=1e-14)
@@ -124,8 +128,8 @@ def test_evolve_step_cap(ref_coins):
 
 def test_distribution_examples(ref_coins):
     u, ub = ref_coins
-    assert distribution(initial_state()) == [(0, 1.0, 0.0)]
-    one = distribution(step(initial_state(), u, ub))
+    assert _distribution(initial_state()) == [(0, 1.0, 0.0)]
+    one = _distribution(step(initial_state(), u, ub))
     assert len(one) == 1
     n, pl, pr = one[0]
     assert (n, pl) == (1, 0.0)
@@ -135,7 +139,7 @@ def test_distribution_examples(ref_coins):
 def test_distribution_sums_to_one(phased_coins):
     u, ub = phased_coins
     s = evolve(u, ub, 37)
-    total = sum(pl + pr for _, pl, pr in distribution(s))
+    total = sum(pl + pr for _, pl, pr in _distribution(s))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -145,7 +149,7 @@ def test_bimodal_distribution_at_long_times(ref_coins):
     # near sqrt(p)*tau (= 89.4 here), clearly separated by a low valley.
     u, ub = ref_coins
     s = evolve(u, ub, 200)
-    prob = {n: pl + pr for n, pl, pr in distribution(s)}
+    prob = {n: pl + pr for n, pl, pr in _distribution(s)}
     sites = sorted(prob)
     edge_peak = max(prob[n] for n in sites if n <= 2)
     front_sites = [n for n in sites if n >= 30]
