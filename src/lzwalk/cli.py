@@ -256,6 +256,21 @@ def _validate_config(cfg: RunConfig) -> None:
     for flag, value in (("fbar", cfg.fbar), ("L", cfg.L), ("unitarity-tol", cfg.unitarity_tol)):
         if value <= 0.0:
             raise UsageError(f"--{flag} must be positive, got {value}")
+    # a field must give a p in the range --p takes; p grows with the field,
+    # so a sweep checks its two ends
+    if cfg.mode == "sweep":
+        ends = ("fmin", "fmax")
+    else:
+        ends = ("field",) if needs_point and cfg.field is not None else ()
+    closed = cfg.mode in ("evolve", "series")
+    for flag in ends:
+        field = getattr(cfg, flag)
+        p = landau_zener_p(field, cfg.fbar)
+        if not (0.0 < p < 1.0 or (closed and p == 1.0)):
+            raise UsageError(
+                f"--{flag} {field} gives p = exp(-pi*Fbar/F) = {p}, outside "
+                f"(0, 1{']' if closed else ')'} for mode {cfg.mode!r}"
+            )
 
 
 def _resolve_p(cfg: RunConfig) -> float:

@@ -44,14 +44,22 @@ form.  Both flavors call them, and so do the residues in
 
 eta, t and both site-1 kernels (numerator / h) are odd series, so
 ``bounded_gf_table`` works on their odd-coefficient sublattice x = z^2 and
-fills only the columns tau >= n with tau = n (mod 2) of row n.  Row n needs
-the power t^(n-1), and the table takes all of them by the baby-step /
+fills only the columns tau >= n with tau = n (mod 2) of row n.  Row n is
+t^(n-1) times a kernel, and the table takes all of them by the baby-step /
 giant-step split of Paterson and Stockmeyer (SIAM J. Comput. 2 (1973)
-60-66): S ~ sqrt(order/2) baby rows t^r times each kernel, and one giant
-power t^(qS) per block of S rows, so about 3S + n_max/S series products
-where a running power took one per row.  Each entry it is asked for is
-still one direct sum of products, not an FFT product, which would lose the
-relative accuracy of the tiny coefficients near the light cone.
+60-66): S = isqrt(2 order / 3) baby rows hold the bare powers t^r, r < S,
+and each block of S rows one giant row t^(qS) K per kernel K, which one
+product with t^S carries to the next block.  That is S + 2 n_max / S
+series products where a running power took one per row.  A ``Series``
+product sums the products of the parity blocks of its operands, each
+trimmed of its trailing zeros, and skips an all-zero block, so z times a
+series is a shift and a kernel, odd numerator times even 1/h, one
+half-length product.  1/h is solved on x = z^2 by a blocked
+back-substitution in the manner of van der Hoeven's relaxed scheme
+(J. Symbolic Comput. 34 (2002) 479-542), in blocks of isqrt(order / 2)
+coefficients.  Each entry it is asked for is still one
+direct sum of products, not an FFT product, which would lose the relative
+accuracy of the tiny coefficients near the light cone.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ import math
 import operator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coin import Coin
 from .errors import BranchAmbiguityError, ResourceLimitError, SingularityError
@@ -81,10 +90,10 @@ __all__ = [
 ]
 
 # largest n_max and order - 1 of bounded_gf_table.  At the cap `series
-# --steps 2000`, which keeps only its snapshot columns (1.8 MiB traced peak,
-# most of it the baby rows), takes 0.07 s at p = 0.2, 0.49 and 0.8 on a
-# 2-core VM; a full table, which no CLI mode asks for, is two 2001 x 2001
-# complex arrays (122 MiB) and takes 1.5 s (p = 0.8) to 2.3 s (p = 0.2)
+# --steps 2000`, which keeps only its snapshot columns (1.5 MiB traced peak,
+# the largest part the 36 baby rows), takes 0.04-0.05 s at p = 0.49 and 0.8
+# and 0.06 s at p = 0.2 on a 2-core VM; a full table, which no CLI mode asks
+# for, is two 2001 x 2001 complex arrays (122 MiB) and takes 1.2-2.0 s
 # there, one dot per entry
 MAX_TABLE_STEPS = 2000
 
@@ -178,7 +187,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             m = min(self.order, other.order)
-            return Series(np.convolve(self._c[:m], other._c[:m])[:m])
+            return Series(_product(self._c[:m], other._c[:m]))
         return Series(self._c * complex(other))
 
     __rmul__ = __mul__
@@ -187,16 +196,21 @@ class Series:
         if not isinstance(other, Series):
             return Series(self._c / complex(other))
         m = min(self.order, other.order)
-        b = other._c
+        b = other._c[:m]
         if abs(b[0]) < 1e-300:
             raise SingularityError(
                 "division by a series with (numerically) vanishing constant term"
             )
-        a = self._c
+        # an even divisor keeps the two parity classes of the dividend apart,
+        # so each is solved on the sublattice x = z^2
+        s = 1 if b[1::2].any() else 2
+        b = b[::s]
+        block = math.isqrt(len(b))
         q = np.zeros(m, dtype=np.complex128)
-        for k in range(m):
-            acc = a[k] - np.dot(q[:k], b[k:0:-1])
-            q[k] = acc / b[0]
+        for r in range(s):
+            a = self._c[r:m:s]
+            if a.any():
+                q[r::s] = _back_substitute(a, b, block)
         return Series(q)
 
     def __pow__(self, exponent: int):
@@ -211,6 +225,74 @@ class Series:
             base = base * base
             e >>= 1
         return result
+
+
+def _trimmed(v: np.ndarray) -> np.ndarray:
+    """v without its trailing zeros; empty when v is all zero."""
+    nonzero = np.flatnonzero(v)
+    return v[: nonzero[-1] + 1] if nonzero.size else v[:0]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated Cauchy product of two coefficient arrays of one length.
+
+    The parity blocks a[pa::2] and b[pb::2] multiply into the slots pa + pb,
+    pa + pb + 2, ...: the even slots sum the even-even product and then the
+    odd-odd one, the odd slots the even-odd product and then the odd-even
+    one.  Each block is trimmed of its trailing zeros and an all-zero block
+    is skipped, so z times a series is a shift and an odd series times an
+    even one is one half-length product.
+    """
+    m = len(a)
+    out = np.zeros(m, dtype=np.complex128)
+    blocks_b = [_trimmed(b[pb::2]) for pb in (0, 1)]
+    for pa in (0, 1):
+        fa = _trimmed(a[pa::2])
+        for pb, fb in enumerate(blocks_b):
+            w = (m - pa - pb + 1) // 2  # slots pa + pb + 2i below m
+            if w > 0 and fa.size and fb.size:
+                prod = np.convolve(fa[:w], fb[:w])[:w]
+                out[pa + pb : pa + pb + 2 * len(prod) : 2] += prod
+    return out
+
+
+def _toeplitz(v: np.ndarray) -> np.ndarray:
+    """Read-only view M[i, j] = v[i - j], 0 for j > i, with negative column stride."""
+    padded = np.concatenate([np.zeros(len(v), dtype=v.dtype), v])
+    return sliding_window_view(padded, len(v))[1:, ::-1]
+
+
+def _back_substitute(a: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
+    """q with q * b = a to len(a) terms, ``block`` coefficients at a time.
+
+    Needs len(b) >= len(a) and b[0] != 0.  Coefficients k0 <= k < k1 of a
+    block take r_k = a_k - sum_{j < k0} q_j b_{k-j} from the solved ones,
+    then q_k = sum_{k0 <= j <= k} g_{k-j} r_j with g = 1/b to ``block``
+    terms, itself solved one coefficient at a time (g_0 = 1/b_0).  Both
+    contractions are matmuls with a reversed (negative-stride) operand,
+    which numpy sums in order outside BLAS, so q depends neither on the
+    BLAS build nor on its thread count.
+    """
+    m = len(a)
+    width = min(block, m)
+    if block > 1:
+        unit = np.zeros(width, dtype=np.complex128)
+        unit[0] = 1.0
+        g = _back_substitute(unit, b[:width], 1)
+    else:
+        g = np.array([1.0 / b[0]])
+    # lower-triangular Toeplitz matrices, rows read backwards: row i of gmat
+    # is g_i, g_(i-1), ..., g_0, 0, ... and row k of bmat b_k, ..., b_0, 0, ...
+    gmat = _toeplitz(g)
+    bmat = _toeplitz(b[:m])
+    q = np.zeros(m, dtype=np.complex128)
+    for k0 in range(0, m, width):
+        k1 = min(m, k0 + width)
+        r = a[k0:k1]
+        if k0:
+            r = r - bmat[k0:k1, :k0] @ q[:k0]
+        q[k0:k1] = gmat[: k1 - k0, : k1 - k0] @ r
+    return q
 
 
 # -- branch series ----------------------------------------------------
@@ -231,7 +313,9 @@ def eta_series(coin: Coin, order: int) -> Series:
     """Coefficients of the branch variable eta.
 
     eta_k depends only on eta_j with j <= k-2, so the recurrence is exact;
-    it fills the odd orders only, and the even ones stay exactly zero.
+    it fills the odd orders only, and the even ones stay exactly zero.  The
+    sum of [eta^2]_(k-1) is a matmul with a reversed operand, which numpy
+    sums in order outside BLAS; np.dot would copy that operand and call BLAS.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
@@ -239,7 +323,7 @@ def eta_series(coin: Coin, order: int) -> Series:
     eta = np.zeros(max(order, 4), dtype=np.complex128)
     eta[3] = 1.0
     for k in range(5, order, 2):
-        eta[k] = s * eta[k - 2] + q * np.dot(eta[3 : k - 3 : 2], eta[k - 4 : 2 : -2])
+        eta[k] = s * eta[k - 2] + q * (eta[3 : k - 3 : 2] @ eta[k - 4 : 2 : -2])
     return Series(eta, order)
 
 
@@ -354,6 +438,50 @@ def _checked_columns(columns, order: int) -> list[int]:
     return cols
 
 
+def _baby_steps(order: int) -> int:
+    """S = isqrt(2 order / 3), at least 1: the baby rows of ``bounded_gf_table``.
+
+    The table makes S baby products of length order/2 and two giant products
+    per block of S rows, about 2 order/S, whose length falls from order/2 to
+    0, so that their mean cost is a third of a baby product's.  S^2 = 2
+    order/3 balances the two.
+    """
+    return max(1, math.isqrt(2 * order // 3))
+
+
+def _baby_rows(t_odd: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(baby, T^S): baby[r] = x^(r//2) T^r for r < S, on order // 2 slots.
+
+    Row r keeps T^r only up to the last slot it reaches after its shift, and
+    T^S up to the length of the first giant step.
+    """
+    width, step = order // 2, _baby_steps(order)
+    baby = np.zeros((step, width), dtype=np.complex128)
+    power = np.ones(1, dtype=np.complex128)  # T^r, and T^S after the loop
+    for r in range(step):
+        row = power[: width - r // 2]
+        baby[r, r // 2 : r // 2 + len(row)] = row
+        w = width - (r + 1) // 2
+        power = np.convolve(power[:w], t_odd[:w])[:w]
+    return baby, power
+
+
+def _giant_rows(kernels: np.ndarray, power: np.ndarray, order: int, rows: int):
+    """Yield (n0, giant) for the blocks of S rows n0 = 1 + qS < min(rows, order).
+
+    giant[side] is T^(qS) K_side; one product per kernel and block updates
+    it in place, up to the last slot the block reads, (order - 1 - n0) // 2.
+    """
+    giant = kernels.copy()
+    step = _baby_steps(order)
+    for n0 in range(1, min(rows, order), step):
+        if n0 > 1:
+            w = (order + 1 - n0) // 2
+            for g in giant:
+                g[:w] = np.convolve(g[:w], power[:w])[:w]
+        yield n0, giant
+
+
 def bounded_gf_table(
     coin: Coin, boundary_coin: Coin, n_max: int, order: int, columns=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -364,10 +492,12 @@ def bounded_gf_table(
     defaults to all of range(order).  Shares the branch series and the
     denominator inversion across sites, so it is the cheap way to tabulate
     many sites at once.  Site 0 follows from row 1.  The powers of t cost
-    O(order^2.5) and each asked entry one dot of length at most order/2;
-    the extra memory is O(sqrt(order) * order) for the baby rows, besides
-    the O(n_max * len(columns)) result.  An entry depends only on the coins,
-    order, n and tau: not on n_max or on which other columns are asked for.
+    O(order^2.5), S = isqrt(2 order / 3) baby products and two giant ones
+    per block of S rows, and each asked entry one dot of length at most
+    order/2; the extra memory is the S baby rows of order/2 coefficients,
+    O(order^1.5), besides the O(n_max * len(columns)) result.  An entry
+    depends only on the coins, order, n and tau: not on n_max or on which
+    other columns are asked for.
     Raises ResourceLimitError, before allocating, when n_max or order - 1
     exceeds MAX_TABLE_STEPS.
     """
@@ -389,30 +519,18 @@ def bounded_gf_table(
     t = site_factor(coin, eta, zs)
     # t and both kernels are odd: on x = z^2 they are z T(x) and z K(x),
     # and row n >= 1 is z^n T^(n-1) K, so its entry at tau = n + 2c is
-    # [T^(n-1) K]_c.  Split n - 1 = q S + r: baby[:, r] holds x^(r//2) T^r K,
-    # so the rows r = par, par + 2, ... of block q all read column tau at one
-    # index c0 of the giant power T^(qS), and each of their entries is one
-    # direct sum of products.  S comes from the order alone, so an entry
-    # depends only on (coins, order, n, tau)
-    width = order // 2
-    t_odd, k = t.coeffs[1::2], (kernel_L.coeffs[1::2], kernel_R.coeffs[1::2])
-    step = math.isqrt(width)  # width >= 1: eta_series rejects order < 2
-    baby = np.zeros((2, step, width), dtype=np.complex128)
-    power = np.ones(1, dtype=np.complex128)  # T^r, and T^S after the loop
-    for r in range(step):
-        w = width - r // 2
-        for side in (0, 1):
-            baby[side, r, r // 2 :] = np.convolve(power[:w], k[side][:w])[:w]
-        power = np.convolve(power, t_odd)[:width]
+    # [T^(n-1) K]_c.  Split n - 1 = q S + r: baby[r] holds x^(r//2) T^r and
+    # giant[side] the power times the kernel, T^(qS) K, so the rows r = par,
+    # par + 2, ... of block q all read column tau at one index c0 of the
+    # giant row, and each of their entries is one direct sum of products.
+    # S comes from the order alone, so an entry depends only on (coins,
+    # order, n, tau)
+    baby, power = _baby_rows(t.coeffs[1::2], order)
+    step = len(baby)
+    kernels = np.stack([kernel_L.coeffs[1::2], kernel_R.coeffs[1::2]])
     rows = max(n_max, 1) + 1
     psi = np.zeros((2, rows, len(columns)), dtype=np.complex128)
-    giant = np.zeros(width, dtype=np.complex128)
-    giant[0] = 1.0
-    for n0 in range(1, min(rows, order), step):
-        if n0 > 1:
-            # block q reads T^(qS) up to x^((order - 1 - n0) // 2)
-            w = (order + 1 - n0) // 2
-            giant = np.convolve(giant[:w], power[:w])[:w]
+    for n0, giant in _giant_rows(kernels, power, order, rows):
         end = min(rows, n0 + step)
         for i, tau in enumerate(columns):
             if tau >= n0:
@@ -421,13 +539,15 @@ def bounded_gf_table(
                 # their shift; += stores an exact zero as +0.  numpy's matmul
                 # sums each row in order, outside BLAS, for a negative-stride
                 # vector, so a row's bits depend neither on the other rows
-                # nor on the BLAS thread count
-                psi[:, n0 + par : end : 2, i] += baby[:, par : end - n0 : 2, : c0 + 1] @ giant[c0::-1]
+                # nor on the BLAS thread count.  (A matrix of two reversed
+                # giant columns would go to BLAS for more than one row.)
+                blk = baby[par : end - n0 : 2, : c0 + 1]
+                psi[:, n0 + par : end : 2, i] += (blk @ giant[:, c0::-1, None])[..., 0]
     psi_L, psi_R = psi
     # row 1 in full, since site 0 needs it
     row1_L = np.zeros(order, dtype=np.complex128)
     row1_R = np.zeros(order, dtype=np.complex128)
-    row1_L[1::2], row1_R[1::2] = k
+    row1_L[1::2], row1_R[1::2] = kernels
     psi_L[1], psi_R[1] = row1_L[columns], row1_R[columns]
     psi_L[0] = _site0(coin, zs, Series(row1_L), Series(row1_R)).coeffs[columns]
     return psi_L[: n_max + 1], psi_R[: n_max + 1]

@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -381,14 +383,36 @@ def test_edge_row_equals_the_per_point_functions(flags):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "grid",
-    [("--fmin", "0.5", "--fmax", "1e308", "--log"), ("--fmin", "1e-300", "--fmax", "2")],
+    [
+        (("--fmin", "0.5", "--fmax", "1e308", "--log"), "--fmax 1e+308 gives p = exp(-pi*Fbar/F) = 1.0,"),
+        (("--fmin", "1e-300", "--fmax", "2"), "--fmin 1e-300 gives p = exp(-pi*Fbar/F) = 0.0,"),
+    ],
     ids=["p-reaches-1", "p-underflows"],
 )
-def test_sweep_grid_outside_p_range_exits_1(capsys, grid, fmt):
-    # the bad point is met while the rows are rendered, before any output
-    code, out, err = run_cli(capsys, "sweep", *grid, "--points", "5", "--format", fmt)
+def test_sweep_grid_outside_p_range_exits_1(monkeypatch, capsys, grid, fmt):
+    # the end of the grid whose p leaves (0, 1) is named before any work
+    monkeypatch.setattr(cli, "edge_point", None)
+    args, message = grid
+    code, out, err = run_cli(capsys, "sweep", *args, "--points", "5", "--format", fmt)
     assert code == 1 and out == ""
-    assert err.startswith("error: p must lie in (0, 1)") and err.count("\n") == 1
+    assert err == f"error: {message} outside (0, 1) for mode 'sweep'\n"
+
+
+@pytest.mark.parametrize(
+    "args, interval",
+    [
+        (("evolve", "--field", "1e-3"), "(0, 1]"),
+        (("series", "--field", "1e-3"), "(0, 1]"),
+        (("edge", "--field", "1e-3"), "(0, 1)"),
+        (("sweep", "--fmin", "1e-3", "--fmax", "1e-2", "--points", "3"), "(0, 1)"),
+    ],
+    ids=["evolve", "series", "edge", "sweep"],
+)
+def test_field_whose_p_underflows_is_named(capsys, args, interval):
+    # every mode names the field it was given, not the p = 0 it derived
+    code, out, err = run_cli(capsys, *args)
+    message = f"{args[1]} 0.001 gives p = exp(-pi*Fbar/F) = 0.0, outside {interval} for mode {args[0]!r}"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_sweep_log_grid(capsys):
@@ -614,6 +638,21 @@ def test_series_memory_is_linear_in_steps(capsys):
     capsys.readouterr()
     assert code == 0
     assert peak < 4 * 2**20
+
+
+def test_series_does_not_depend_on_blas_threads(tmp_path):
+    # the table's products go through BLAS; with one and with two BLAS
+    # threads the printed table at the step cap is the same
+    digests = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lzwalk", "series", "--steps", str(MAX_TABLE_STEPS), "--p", "0.2"],
+            capture_output=True, cwd=tmp_path, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(hashlib.sha256(proc.stdout).hexdigest())
+    assert len(digests) == 1
 
 
 def test_unwritable_output_path(tmp_path, capsys):

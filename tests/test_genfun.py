@@ -21,6 +21,10 @@ from lzwalk import (
 from lzwalk.cli import _snapshot_times
 from lzwalk.genfun import (
     _absorbing,
+    _baby_rows,
+    _baby_steps,
+    _eta_coefficients,
+    _giant_rows,
     _site0,
     bounded_denominator,
     bounded_numerators,
@@ -421,3 +425,117 @@ def test_series_parseval(phased_coins):
         np.sum(np.abs(tab_L[:, tau]) ** 2) + np.sum(np.abs(tab_R[:, tau]) ** 2)
     )
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+# -- baby/giant split and blocked inverse --------------------------------
+
+
+@pytest.mark.parametrize("S", range(1, 9))
+def test_table_matches_walk_for_every_baby_step(S):
+    # full tables, so every baby row and every parity of tau and n is read;
+    # the snapshot columns of `series` can leave rows unread: at even tau
+    # and even S every block starts at an odd n0 and reads only odd rows
+    orders = [order for order in range(2, 200) if _baby_steps(order) == S]
+    partial = [
+        order for order in orders
+        if (order - 1) % S and ((order + 1) // 2) % math.isqrt((order + 1) // 2)
+    ]
+    picked = sorted({orders[0], orders[-1], *partial[:1]})
+    assert {order % 2 for order in picked} == {0, 1}
+    # the last giant block (rows 1..order - 1) and the last inverse block
+    # (the (order + 1) // 2 even coefficients of 1/h) are partial, wherever
+    # S and the inverse block exceed 1
+    assert partial or S == 1
+    phases = [(P_REF, 0.0, THETA_REF, 0.0), (0.7, 0.3, -1.1, 0.4), (1.0, 0.2, 0.5, -0.3)]
+    for p, beta, gamma, gamma_tilde in phases:
+        u, ub = make_bulk_coin(p, beta, gamma), make_boundary_coin(gamma_tilde)
+        for order in picked:
+            assert three_way_residual(u, ub, 0, order - 1, order - 1) < 1e-12, (p, order)
+
+
+# np.convolve, which makes the baby, giant and Series products, is not pinned
+# to an order of summation: with numpy 2.4.6 and OpenBLAS, 592 of the 636
+# entries of five random complex convolutions of lengths 5 to 400 match
+# neither the forward nor the backward in-order sum.  Its bits are pinned
+# against the BLAS thread count by test_series_does_not_depend_on_blas_threads
+# in test_cli.py.  The contractions below are summed in order, as these
+# Python sums spell out.
+
+
+def _inorder_dot(x, y):
+    acc = 0j
+    for xi, yi in zip(x, y):
+        acc += complex(xi) * complex(yi)
+    return acc
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3, 9, 10, 24, 40, 41])
+def test_table_entries_are_inorder_sums(phased_coins, order):
+    u, ub = phased_coins
+    tab = bounded_gf_table(u, ub, order - 1, order)
+    eta, zs = eta_series(u, order), Series.monomial(1, order)
+    inv_den = Series.constant(1.0, order) / bounded_denominator(u, ub, eta, zs)
+    kernels = np.stack([(num * inv_den).coeffs[1::2] for num in bounded_numerators(u, ub, eta, zs)])
+    baby, power = _baby_rows(site_factor(u, eta, zs).coeffs[1::2], order)
+    checked = 0
+    for n0, giant in _giant_rows(kernels, power, order, order):
+        for n in range(max(n0, 2), min(order, n0 + len(baby))):
+            for tau in range(n, order, 2):
+                c0 = (tau - n0) // 2
+                for side in (0, 1):
+                    ref = _inorder_dot(baby[n - n0, : c0 + 1], giant[side, c0::-1])
+                    assert _bits(0j + ref) == _bits(tab[side][n, tau]), (n, tau, side)
+                    checked += 1
+    assert checked == 2 * sum(len(range(n, order, 2)) for n in range(2, order))
+
+
+def _inorder_back_substitute(a, b, block):
+    """_back_substitute with every contraction a Python sum, in order."""
+    a, b = [complex(v) for v in a], [complex(v) for v in b]
+    m = len(a)
+    width = min(block, m)
+    if block > 1:
+        g = _inorder_back_substitute([1.0] + [0.0] * (width - 1), b[:width], 1)
+    else:
+        g = [complex(np.complex128(1.0) / np.complex128(b[0]))]
+    q = [0j] * m
+    for k0 in range(0, m, width):
+        k1 = min(m, k0 + width)
+        # row k of the solved part reads b_k, b_(k-1), ..., b_(k-k0+1)
+        r = [a[k] - _inorder_dot(b[k : k - k0 : -1], q[:k0]) if k0 else a[k] for k in range(k0, k1)]
+        for i in range(k1 - k0):
+            q[k0 + i] = _inorder_dot([g[i - j] if j <= i else 0j for j in range(k1 - k0)], r)
+    return q
+
+
+@pytest.mark.parametrize("order", range(2, 42))
+def test_blocked_inverse_is_inorder_sums(phased_coins, order):
+    # 1/h on the even sublattice, and a quotient by a divisor of both
+    # parities on all of z; both in blocks of isqrt(length) coefficients
+    u, ub = phased_coins
+    den = bounded_denominator(u, ub, eta_series(u, order), Series.monomial(1, order))
+    inv = (Series.constant(1.0, order) / den).coeffs
+    even = den.coeffs[::2]
+    ref = _inorder_back_substitute([1.0] + [0.0] * (len(even) - 1), even, math.isqrt(len(even)))
+    assert _bits(inv[::2]) == _bits(ref)
+    assert not inv[1::2].any()
+    rng = np.random.default_rng(order)
+    a, b = rng.normal(size=(2, order, 2)) @ [1.0, 1j]
+    b[0] = 1.0
+    quotient = (Series(a) / Series(b)).coeffs
+    assert _bits(quotient) == _bits(_inorder_back_substitute(a, b, math.isqrt(order)))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 17, 40, 41])
+def test_eta_recurrence_is_inorder_sums(phased_coins, order):
+    u, _ = phased_coins
+    s, q = (complex(v) for v in _eta_coefficients(u))
+    ref = [0j] * max(order, 4)
+    ref[3] = 1 + 0j
+    for k in range(5, order, 2):
+        ref[k] = s * ref[k - 2] + q * _inorder_dot(ref[3 : k - 3 : 2], ref[k - 4 : 2 : -2])
+    assert _bits(eta_series(u, order).coeffs) == _bits(ref[:order])
