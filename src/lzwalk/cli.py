@@ -16,6 +16,16 @@ The sum check fails on NaN and inf, so these cells are always ints and
 finite floats.  The ``edge`` and ``sweep`` tables, whose cells can be
 None, booleans or non-finite, render cell by cell.
 
+Each mode loads only the engines it uses; the ``run_*`` functions import
+them when called.  At import this module loads ``coin``, ``edge`` and
+``errors`` alone, none of which imports numpy, so ``edge``, a linear
+``sweep``, ``--help`` and every usage error run without numpy: their
+process time is mostly interpreter start-up.  ``evolve`` loads ``walk``,
+``series`` loads ``genfun`` and ``walk``, and ``verify`` loads every
+engine.  A linear sweep grid is computed in Python with the float
+operations of ``np.linspace``, bit for bit; ``sweep --log`` loads numpy for
+``np.geomspace``, which a Python copy does not match in the last bit.
+
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 3 I/O error.  Every failure prints one ``error:`` line on stderr and no
 traceback.  Exceptions map onto the codes by class:
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import re
@@ -40,21 +51,13 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-import numpy as np
-
-from . import verify, walk
 from .coin import ModelParams, landau_zener_field, landau_zener_p, make_boundary_coin, make_bulk_coin
 from .edge import edge_point, edge_report
 # decay_ratio, is_localized, localization_length and observables are not
 # called here; they stay importable from this module because
 # benches/spans.py wraps them by name on it.
 from .edge import decay_ratio, is_localized, localization_length, observables  # noqa: F401
-from .errors import ResourceLimitError
-from .genfun import bounded_gf_table
-from .pathsum import TAU_CAP
-# initial_state and step are not called here; they stay importable from
-# this module because benches/spans.py wraps them by name on it.
-from .walk import MAX_EVOLVE_STEPS, initial_state, step  # noqa: F401
+from .errors import MAX_EVOLVE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
 
 __all__ = ["RunConfig", "main", "app", "parse_config_text"]
 
@@ -178,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tau-max",
         type=int,
         dest="tau_max",
-        help=f"verify: path enumeration bound, {verify.TAU_MIN} to {TAU_CAP} (default 10)",
+        help=f"verify: path enumeration bound, {TAU_MIN} to {TAU_CAP} (default 10)",
     )
     parser.add_argument(
         "--unitarity-tol",
@@ -249,9 +252,9 @@ def _validate_config(cfg: RunConfig) -> None:
             )
         if not 0.0 < cfg.fmin <= cfg.fmax:
             raise UsageError(f"need 0 < fmin <= fmax, got {cfg.fmin}, {cfg.fmax}")
-    if cfg.mode == "verify" and not verify.TAU_MIN <= cfg.tau_max <= TAU_CAP:
+    if cfg.mode == "verify" and not TAU_MIN <= cfg.tau_max <= TAU_CAP:
         raise UsageError(
-            f"--tau-max must lie in [{verify.TAU_MIN}, {TAU_CAP}], got {cfg.tau_max}"
+            f"--tau-max must lie in [{TAU_MIN}, {TAU_CAP}], got {cfg.tau_max}"
         )
     for flag, value in (("fbar", cfg.fbar), ("L", cfg.L), ("unitarity-tol", cfg.unitarity_tol)):
         if value <= 0.0:
@@ -270,6 +273,15 @@ def _validate_config(cfg: RunConfig) -> None:
             raise UsageError(
                 f"--{flag} {field} gives p = exp(-pi*Fbar/F) = {p}, outside "
                 f"(0, 1{']' if closed else ')'} for mode {cfg.mode!r}"
+            )
+    # edge reports the field of a --p and evaluates p = exp(-pi*Fbar/F) from
+    # it: a subnormal F does not give --p back, and an infinite one is no field
+    if cfg.mode == "edge" and cfg.p is not None:
+        field = landau_zener_field(cfg.p, cfg.fbar)
+        if not sys.float_info.min <= field <= sys.float_info.max:
+            raise UsageError(
+                f"--p {cfg.p} with --fbar {cfg.fbar} gives F = -pi*Fbar/ln(p) = {field}, "
+                "outside the normal float range"
             )
 
 
@@ -313,25 +325,35 @@ def _probability_rows(
     Each snapshot must sum to 1 within 1e-10 before any of its rows is made;
     the check fails on NaN and inf.
     """
+    import numpy as np
+
+    from .walk import light_cone_columns
+
     for tau, prob_L, prob_R in snapshots:
         total = float(np.sum(prob_L) + np.sum(prob_R))
         if not abs(total - 1.0) <= 1e-10:  # fails on NaN too
             raise ArithmeticError(f"snapshot at tau={tau} sums to {total!r}, not 1")
-        yield from zip(repeat(tau), *walk.light_cone_columns(tau, prob_L, prob_R))
+        yield from zip(repeat(tau), *light_cone_columns(tau, prob_L, prob_R))
 
 
 def run_evolve(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
+    from .walk import probabilities, trajectory
+
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
-    snapshots = walk.trajectory(
+    snapshots = trajectory(
         u, ub, cfg.steps, _snapshot_times(cfg.steps),
-        lambda s: (s.tau, *walk.probabilities(s)),
+        lambda s: (s.tau, *probabilities(s)),
     )
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
 def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
+    import numpy as np
+
+    from .genfun import bounded_gf_table
+
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
@@ -378,10 +400,33 @@ _SWEEP_COLUMNS = ["F", "p", "r", "xi", "weight", "J_direct", "J_paper_form", "E_
 
 def run_sweep(cfg: RunConfig) -> tuple[list[str], Iterator[list]]:
     if cfg.log:
-        grid = np.geomspace(cfg.fmin, cfg.fmax, cfg.points)
+        # a pure-Python copy of np.geomspace (log10, then 10**y) differed
+        # from it in 34 547 of 520 976 grid entries, so the log grid keeps
+        # numpy's own
+        import numpy as np
+
+        grid = np.geomspace(cfg.fmin, cfg.fmax, cfg.points).tolist()
     else:
-        grid = np.linspace(cfg.fmin, cfg.fmax, cfg.points)
-    return list(_SWEEP_COLUMNS), _sweep_rows(cfg, grid.tolist())
+        grid = _linear_grid(cfg.fmin, cfg.fmax, cfg.points)
+    return list(_SWEEP_COLUMNS), _sweep_rows(cfg, grid)
+
+
+def _linear_grid(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for num >= 2, bit for bit.
+
+    The same float64 operations in the same order: each entry is
+    i * step + start, or i / div * delta + start when the step underflows
+    to 0, and the last entry is stop itself.
+    """
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
 
 
 def _sweep_rows(cfg: RunConfig, grid: list[float]) -> Iterator[list]:
@@ -484,7 +529,9 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def run_verify(cfg: RunConfig) -> tuple[int, str]:
-    results = verify.run_all(tau_max=cfg.tau_max, unitarity_tol=cfg.unitarity_tol)
+    from .verify import run_all
+
+    results = run_all(tau_max=cfg.tau_max, unitarity_tol=cfg.unitarity_tol)
     ok = all(res.passed for res in results)
     if cfg.format == "json":
         payload = {
@@ -551,3 +598,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+# walk.initial_state, walk.step and genfun.bounded_gf_table are not called
+# here; benches/spans.py wraps them by name on this module, so they resolve
+# on first access, and importing this module loads neither engine
+_SPAN_TARGETS = {"initial_state": "walk", "step": "walk", "bounded_gf_table": "genfun"}
+
+
+def __getattr__(name: str):
+    module = _SPAN_TARGETS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)

@@ -18,6 +18,11 @@ for every p in (0,1), so the state never delocalizes there.
 Conventions: arguments of complex numbers are principal values in (-pi, pi];
 quasi-energy uses hbar = 1, h = 2 pi; theta enters through cos/sin only, so
 all reported magnitudes are even in theta while arg(z_pole^2) is odd.
+
+Imports: everything here except ``FloquetMode`` and ``floquet_mode`` is
+scalar closed-form arithmetic on ``math`` and ``cmath``.  Those two import
+numpy and the ``genfun`` closed forms when they run, so loading this module
+(as the ``edge`` and ``sweep`` CLI modes do) loads neither.
 """
 
 from __future__ import annotations
@@ -27,13 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .coin import Coin, ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
 from .errors import DelocalizedError
-from .genfun import bounded_denominator, bounded_numerators, eta_eval, site_factor
-# not called here; benches/spans.py wraps it by name on this module
-from .genfun import lambda_plus_eval  # noqa: F401
 
 __all__ = [
     "CRITICAL_BAND",
@@ -152,6 +152,8 @@ class FloquetMode:
     phi_R: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         for name, dtype in (("sites", np.int64), ("phi_L", np.complex128), ("phi_R", np.complex128)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
@@ -159,6 +161,8 @@ class FloquetMode:
 
     def probabilities(self) -> np.ndarray:
         """|phi_L|^2 + |phi_R|^2 per listed site."""
+        import numpy as np
+
         return np.abs(self.phi_L) ** 2 + np.abs(self.phi_R) ** 2
 
 
@@ -184,6 +188,10 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     phi_R(0) = 0.  Raises ArithmeticError when the denominator h at z_pole
     is not zero to within 1e-12 |h'|, i.e. the pole is displaced.
     """
+    import numpy as np
+
+    from .genfun import bounded_denominator, bounded_numerators, eta_eval, site_factor
+
     theta = _check_p_theta(p, theta)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -372,3 +380,14 @@ def edge_report(params: ModelParams) -> EdgeReport:
         critical=abs(r - 1.0) <= CRITICAL_BAND,
         observables=obs,
     )
+
+
+def __getattr__(name: str):
+    # genfun.lambda_plus_eval is not called here; benches/spans.py wraps it
+    # by name on this module, so it resolves on first access and importing
+    # this module loads no genfun
+    if name == "lambda_plus_eval":
+        from .genfun import lambda_plus_eval
+
+        return lambda_plus_eval
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

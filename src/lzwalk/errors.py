@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types and hard caps shared across the package.
+
+The caps live here, next to the ``ResourceLimitError`` that enforces them,
+because every CLI mode validates against them and this module imports no
+numpy: ``edge``, a linear ``sweep`` and every usage error check them
+without loading an engine.  ``walk``, ``pathsum`` and ``verify`` import
+them from here, so each cap is defined once.
+"""
+
+# longest walk; larger requests raise ResourceLimitError before anything is
+# allocated (the cost estimate is in the ``walk`` docstring)
+MAX_EVOLVE_STEPS = 100_000
+
+# longest path enumeration: the path count grows exponentially with tau
+TAU_CAP = 16
+
+# smallest tau_max verify.run_all accepts: check_recursion_relation's n_max
+TAU_MIN = 4
 
 
 class SingularityError(ValueError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coin import Coin
-from .errors import ResourceLimitError
+from .errors import TAU_CAP, ResourceLimitError
 
 __all__ = [
     "TAU_CAP",
@@ -32,8 +32,6 @@ __all__ = [
     "pqrs_coefficient_series",
     "pqrs_residual",
 ]
-
-TAU_CAP = 16
 
 DOWN = "P"
 UP = "Q"

@@ -17,11 +17,9 @@ import numpy as np
 
 from . import edge, genfun, pathsum, walk
 from .coin import Coin, make_boundary_coin, make_bulk_coin
+from .errors import TAU_MIN
 
 __all__ = ["TAU_MIN", "CheckResult", "run_all"]
-
-# smallest tau_max run_all accepts: check_recursion_relation's n_max
-TAU_MIN = 4
 
 
 @dataclass(frozen=True)

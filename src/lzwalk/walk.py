@@ -43,9 +43,10 @@ would no longer be fixed by this code.  The compact sum still groups its
 terms differently from the dense one, which also holds the parity zeros, so
 the two can differ in the last bits.
 
-Two constants bound the work.  ``MAX_EVOLVE_STEPS`` caps every walk; larger
-requests raise ResourceLimitError before anything is allocated.  The kernel
-does about steps^2 / 4 site updates: on a 2-core VM, 100 000 steps at
+Two constants bound the work.  ``MAX_EVOLVE_STEPS`` (defined in ``errors``)
+caps every walk; larger requests raise ResourceLimitError before anything
+is allocated.  The kernel does about steps^2 / 4 site updates: on a 2-core
+VM, 100 000 steps at
 theta = pi/4 extrapolate from 32 000 to 15-35 s, and to about 2 min near the
 critical point, where subnormal amplitudes slow the arithmetic.
 ``NORM_TOL_PER_STEP`` is the norm drift per step that ``evolve`` tolerates
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import Coin
-from .errors import ResourceLimitError
+from .errors import MAX_EVOLVE_STEPS, ResourceLimitError
 
 __all__ = [
     "MAX_EVOLVE_STEPS",
@@ -76,7 +77,6 @@ __all__ = [
     "light_cone_columns",
 ]
 
-MAX_EVOLVE_STEPS = 100_000
 NORM_TOL_PER_STEP = 1e-12
 
 

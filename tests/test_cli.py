@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lzwalk.genfun
+import lzwalk.verify
 import lzwalk.walk
 from lzwalk import (
     MAX_EVOLVE_STEPS,
@@ -174,7 +176,7 @@ def test_series_mode_agrees_with_evolve_long_horizon(capsys, p, steps):
 
 
 def test_series_with_a_nan_probability_exits_2(monkeypatch, capsys):
-    table = cli.bounded_gf_table
+    table = lzwalk.genfun.bounded_gf_table
 
     def planted(*args, **kwargs):
         tab_L, tab_R = table(*args, **kwargs)
@@ -182,14 +184,14 @@ def test_series_with_a_nan_probability_exits_2(monkeypatch, capsys):
         tab_L[3, -1] = complex(math.nan, 0.0)
         return tab_L, tab_R
 
-    monkeypatch.setattr(cli, "bounded_gf_table", planted)
+    monkeypatch.setattr(lzwalk.genfun, "bounded_gf_table", planted)
     code, out, err = run_cli(capsys, "series", "--p", "0.2", "--steps", "8")
     assert code == 2 and out == ""
     assert err == "error: numerical self-check failed: snapshot at tau=8 sums to nan, not 1\n"
 
 
 def test_evolve_with_a_nan_probability_exits_2(monkeypatch, capsys):
-    trajectory = cli.walk.trajectory
+    trajectory = lzwalk.walk.trajectory
 
     def planted(*args, **kwargs):
         snapshots = trajectory(*args, **kwargs)
@@ -199,7 +201,7 @@ def test_evolve_with_a_nan_probability_exits_2(monkeypatch, capsys):
         snapshots[2] = (tau, prob_L, prob_R)
         return snapshots
 
-    monkeypatch.setattr(cli.walk, "trajectory", planted)
+    monkeypatch.setattr(lzwalk.walk, "trajectory", planted)
     for fmt in ("csv", "json"):
         code, out, err = run_cli(capsys, "evolve", "--p", "0.2", "--steps", "8", "--format", fmt)
         assert code == 2 and out == ""
@@ -415,6 +417,49 @@ def test_field_whose_p_underflows_is_named(capsys, args, interval):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "fbar, field",
+    [("1e-320", "2.6097e-320"), ("1e-310", "2.6093551634239e-310"), ("1e308", "inf")],
+    ids=["subnormal-field", "subnormal-field-near-normal", "infinite-field"],
+)
+def test_edge_p_whose_field_is_not_normal_exits_1(capsys, fbar, field):
+    # edge derives F from --p and reports p = exp(-pi*Fbar/F): a subnormal F
+    # does not give --p back, an infinite one would be named as if given
+    code, out, err = run_cli(capsys, "edge", "--p", "0.3", "--theta", "0.78", "--fbar", fbar)
+    message = (
+        f"--p 0.3 with --fbar {float(fbar)} gives F = -pi*Fbar/ln(p) = {field}, "
+        "outside the normal float range"
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_linear_sweep_grid_is_np_linspace_bit_for_bit():
+    # the linear grid is computed without numpy; --log still calls
+    # np.geomspace, because a Python copy of it (log10, then 10**y) differed
+    # from it in 34 547 of 520 976 entries
+    rng = np.random.default_rng(19)
+    cases = [
+        (1.0, 1.0, 5),  # fmin == fmax
+        (1.0, math.nextafter(1.0, 2.0), 9),  # adjacent floats
+        (5e-324, 1e-323, 100),  # the step underflows to 0
+        (0.5, 6.0, 2),
+        (0.5, 6.0, MAX_SWEEP_POINTS),
+        (1e-300, 1e-295, MAX_SWEEP_POINTS),
+    ]
+    for _ in range(300):
+        fmin = 10.0 ** rng.uniform(-300.0, 300.0)
+        span = 10.0 ** rng.uniform(-16.0, 5.0)
+        cases.append((fmin, min(fmin * (1.0 + span), 1e308), int(rng.integers(2, 3000))))
+    for fmin, fmax, points in cases:
+        grid = cli._linear_grid(fmin, fmax, points)
+        assert len(grid) == points and all(type(f) is float for f in grid)
+        assert np.array_equal(_bits(grid), _bits(np.linspace(fmin, fmax, points))), (fmin, fmax, points)
+
+
 def test_sweep_log_grid(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--theta", str(THETA), "--fmin", "0.5", "--fmax", "2",
@@ -593,7 +638,7 @@ def test_csv_cells():
 def test_bad_float_flags_exit_1_up_front(monkeypatch, capsys, args, flag):
     # rejected before any work: a warning would be an error here, and the
     # verify suite must not run
-    monkeypatch.setattr(cli.verify, "run_all", None)
+    monkeypatch.setattr(lzwalk.verify, "run_all", None)
     code, out, err = run_cli(capsys, *args)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -619,7 +664,7 @@ def test_negative_exponent_value_is_a_value(capsys):
     ids=["fmin", "tol", "fmin-inf", "L"],
 )
 def test_negative_exponent_values_reach_range_checks(monkeypatch, capsys, args, message):
-    monkeypatch.setattr(cli.verify, "run_all", None)
+    monkeypatch.setattr(lzwalk.verify, "run_all", None)
     code, out, err = run_cli(capsys, *args)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

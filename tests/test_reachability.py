@@ -7,9 +7,9 @@ the package it enters.  The corpus covers every mode in both formats,
 delocalized ``edge``, one ``verify`` and the usage and I/O errors.  The
 definitions (``def`` statements, read with ``ast``) it never enters must be
 exactly the keys of ``UNREACHED``, each kept for a stated reason: the
-benchmark looks it up by name, it is the console entry point, or pytest
-prints it.  A newly dead definition fails the test, and so does a listed one
-that becomes reached.
+benchmark looks it up by name or resolves a name through it, it is the
+console entry point, or pytest or ``dir()`` calls it.  A newly dead
+definition fails the test, and so does a listed one that becomes reached.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ SPANS = "benches/spans.py wraps it"
 LADDERS = "benches/ladders.py times it"
 ENTRY_POINT = "pyproject.toml installs it as the lzwalk console script"
 REPR = "pytest prints it when an assertion on a series fails"
+DIR = "dir() calls it to list the names that load on first access"
+# evidence: the hook is entered while benches/spans.py installs its wrappers
+SPAN_LOOKUP = "benches/spans.py resolves a name it wraps through it"
 
 # reason -> (file, text the file holds for a function of that name)
 EVIDENCE = {
@@ -38,6 +41,8 @@ EVIDENCE = {
 
 # module-qualified name -> why no CLI call enters it
 UNREACHED = {
+    "__init__.__dir__": DIR,
+    "cli.__getattr__": SPAN_LOOKUP,
     "cli.app": ENTRY_POINT,
     "edge.is_localized": SPANS,
     "edge.localization_length": SPANS,
@@ -75,18 +80,22 @@ CORPUS = [
 
 SWEEP_CONFIG = "fmin = 0.5\nfmax = 5\npoints = 4\nlog = true\n"
 
-# runs the corpus and prints the exit codes and the (file, first line) of
-# every package code object entered, as JSON
-_RUNNER = """
+# records the (file, first line) of every package code object entered
+_HOOK = """
 import contextlib, io, json, sys
-package, corpus = sys.argv[1], json.loads(sys.argv[2])
+package = sys.argv[1]
 entered = set()
 
 def hook(frame, event, arg):
     code = frame.f_code
     if event == "call" and code.co_filename.startswith(package):
         entered.add((code.co_filename, code.co_firstlineno))
+"""
 
+# runs the corpus and prints the exit codes and the entered code objects,
+# as JSON
+_RUNNER = _HOOK + """
+corpus = json.loads(sys.argv[2])
 sys.setprofile(hook)
 from lzwalk import cli
 codes = []
@@ -95,6 +104,20 @@ for argv in corpus:
         codes.append(cli.main(argv))
 sys.setprofile(None)
 print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+# installs and restores the benchmark's span wrappers and prints the code
+# objects entered meanwhile, as JSON
+_SPANS_RUNNER = _HOOK + """
+sys.path.insert(0, sys.argv[2])
+import lzwalk, lzwalk.cli
+from spans import Tracer
+tracer = Tracer()
+sys.setprofile(hook)
+tracer.install(lzwalk)
+sys.setprofile(None)
+tracer.restore()
+print(json.dumps(sorted(entered)))
 """
 
 
@@ -121,14 +144,18 @@ def _definitions() -> dict[tuple[str, int], str]:
     return out
 
 
+def _run(runner: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", runner, str(PACKAGE), *args],
+        capture_output=True, text=True, cwd=cwd, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+
+
 def test_unreached_definitions_are_the_listed_ones(tmp_path):
     (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG, encoding="utf-8")
     corpus = [[arg.replace("{tmp}", str(tmp_path)) for arg in argv] for argv, _ in CORPUS]
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUNNER, str(PACKAGE), json.dumps(corpus)],
-        capture_output=True, text=True, cwd=tmp_path, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
-    )
+    proc = _run(_RUNNER, json.dumps(corpus), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [code for _, code in CORPUS]
@@ -142,9 +169,20 @@ def test_unreached_definitions_are_the_listed_ones(tmp_path):
 
 def test_each_listed_reason_holds():
     for name, reason in UNREACHED.items():
-        if reason == REPR:
-            assert name.endswith(".__repr__")
+        if reason in (REPR, DIR):
+            assert name.endswith(".__repr__" if reason == REPR else ".__dir__")
             continue
+        if reason == SPAN_LOOKUP:
+            continue  # test_span_lookups_enter_the_listed_hooks
         path, pattern = EVIDENCE[reason]
         func = name.split(".<locals>.")[0].rsplit(".", 1)[1]
         assert pattern.format(func) in (ROOT / path).read_text(encoding="utf-8"), (name, reason)
+
+
+def test_span_lookups_enter_the_listed_hooks(tmp_path):
+    proc = _run(_SPANS_RUNNER, str(ROOT / "benches"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    entered = {(path, line) for path, line in json.loads(proc.stdout)}
+    names = {name for key, name in _definitions().items() if key in entered}
+    listed = {name for name, reason in UNREACHED.items() if reason == SPAN_LOOKUP}
+    assert sorted(listed - names) == []
