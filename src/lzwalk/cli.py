@@ -283,6 +283,14 @@ def _validate_config(cfg: RunConfig) -> None:
                 f"--p {cfg.p} with --fbar {cfg.fbar} gives F = -pi*Fbar/ln(p) = {field}, "
                 "outside the normal float range"
             )
+    # a subnormal field or threshold has lost bits, and F and p with it;
+    # a subnormal fmax implies a subnormal fmin, which is named first
+    for flag in (*ends, "fbar"):
+        value = getattr(cfg, flag)
+        if value < sys.float_info.min:
+            raise UsageError(
+                f"--{flag} {value} is below the smallest normal float, {sys.float_info.min}"
+            )
 
 
 def _resolve_p(cfg: RunConfig) -> float:

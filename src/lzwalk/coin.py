@@ -33,8 +33,8 @@ UNITARITY_TOL = 1e-12
 
 def _require_finite(name: str, *values: complex) -> None:
     for v in values:
-        z = complex(v)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        # an int beyond the float range raises OverflowError here
+        if not cmath.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 

@@ -2,7 +2,10 @@
 
 Transition amplitudes are sums over every path from site 0 of the
 transfer-matrix pieces multiplied in path order.  One depth-first walk of
-the path tree yields them for all endpoints at once.  Cost is exponential
+the path tree yields them for all endpoints at once; since every move
+matrix has a single nonzero row, it carries one row per path prefix.  The
+sum is still taken path by path, never by a transfer-matrix recursion over
+sites, which would make it a copy of the walk engine.  Cost is exponential
 in the step count, so a hard cap applies; within the cap the result is
 exact and serves as the reference the fast engines are checked against.
 
@@ -107,34 +110,52 @@ def transition_table(
     the lexicographic order of ``enumerate_paths`` and multiplies in time
     order, so each block is that sum over single paths, bit for bit.
     Blocks with n > tau or of the wrong parity are zero.
+
+    P = [[a, b], [0, 0]], Q = [[0, 0], [c, d]] and Q~ each have one nonzero
+    row, so after the first move a prefix product has one live row: row 0
+    after P, row 1 after Q or Q~.  The walk carries that row and its index,
+    and a move scales it by one coin entry, the one the live row meets.  A
+    full 2x2 product would add to each entry a term of the zero row, which
+    is a signed zero: it changes no nonzero value, and a zero only in its
+    sign, and finite products and sums carry such a difference on only as
+    the sign of a zero.  No slot can end up -0 either way, since every slot
+    starts at +0 and a round-to-nearest sum is -0 only when both addends
+    are.  So the blocks keep every bit of the full products, and each is
+    still the sum, path by path, of that path's product.
     """
     _validate(0, tau_max, boundary)
-    zero = 0.0 + 0.0j
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    one, zero = 1.0 + 0.0j, 0.0 + 0.0j
+    width = tau_max + 1
+    # sums[i][j][tau * width + n] accumulates entry (i, j) of block [tau, n]
+    sums = [[[zero] * (width * width) for _ in range(2)] for _ in range(2)]
+    down = (coin.a, coin.b)  # the entry of P that meets live row 0 or 1
+    up = (coin.c, coin.d)
     ct, dt = boundary_coin.c, boundary_coin.d
     absorbing = boundary == "absorbing"
-    sums = [[(zero,) * 4] * (tau_max + 1) for _ in range(tau_max + 1)]
 
-    def visit(pos: int, tau: int, p0: complex, p1: complex, p2: complex, p3: complex) -> None:
-        # (p0, p1, p2, p3) is the prefix product [[p0, p1], [p2, p3]]
-        row = sums[tau]
-        s0, s1, s2, s3 = row[pos]
-        row[pos] = (s0 + p0, s1 + p1, s2 + p2, s3 + p3)
-        if tau == tau_max or (absorbing and pos == 0 and tau > 0):
+    def visit(pos: int, tau: int, row: int, x0: complex, x1: complex) -> None:
+        # (x0, x1) is row `row` of the prefix product; its other row is zero
+        s0, s1 = sums[row]
+        k = tau * width + pos
+        s0[k] += x0
+        s1[k] += x1
+        if tau == tau_max:
             return
-        # move @ prefix for the single-row moves P = [[a, b], [0, 0]],
-        # Q = [[0, 0], [c, d]] and Q~; the zero row is multiplied out, not
-        # assumed, so signed zeros match a plain 2x2 product
-        z0 = zero * p0 + zero * p2
-        z1 = zero * p1 + zero * p3
-        if pos == 0:
-            visit(1, tau + 1, z0, z1, ct * p0 + dt * p2, ct * p1 + dt * p3)
+        if pos == 0:  # reached by P, so the live row is row 0
+            if not absorbing:
+                visit(1, tau + 1, 1, ct * x0, ct * x1)
         else:
-            visit(pos - 1, tau + 1, a * p0 + b * p2, a * p1 + b * p3, z0, z1)
-            visit(pos + 1, tau + 1, z0, z1, c * p0 + d * p2, c * p1 + d * p3)
+            m = down[row]
+            visit(pos - 1, tau + 1, 0, m * x0, m * x1)
+            m = up[row]
+            visit(pos + 1, tau + 1, 1, m * x0, m * x1)
 
-    visit(0, 0, 1.0 + 0.0j, zero, zero, 1.0 + 0.0j)
-    return np.array(sums, dtype=np.complex128).reshape(tau_max + 1, tau_max + 1, 2, 2)
+    # the empty path is the identity, whose two rows are both live
+    sums[0][0][0] = sums[1][1][0] = one
+    if tau_max:
+        visit(1, 1, 1, ct * one + dt * zero, ct * zero + dt * one)
+    table = np.array(sums, dtype=np.complex128).reshape(2, 2, width, width)
+    return np.ascontiguousarray(table.transpose(2, 3, 0, 1))
 
 
 def transition_amplitude(

@@ -103,25 +103,27 @@ def three_way_residual(
     or series coefficients (tau <= tau_series, n <= n_series) for one coin pair."""
     worst = 0.0
     horizon = max(tau_pathsum, tau_series)
-    states = walk.trajectory(u, ub, horizon, range(horizon + 1))
-    table = pathsum.transition_table(tau_pathsum, u, ub)
+    # Python complex throughout: the same IEEE differences and the same hypot
+    # as numpy scalars, without a numpy scalar per entry
+    states = walk.trajectory(
+        u, ub, horizon, range(horizon + 1), lambda s: (s.psi_L.tolist(), s.psi_R.tolist())
+    )
+    table = pathsum.transition_table(tau_pathsum, u, ub).tolist()
     for tau in range(tau_pathsum + 1):
-        st = states[tau]
+        psi_L, psi_R = states[tau]
+        blocks = table[tau]
         for n in range(tau % 2, tau + 1, 2):
-            amp_L, amp_R = table[tau, n, :, 0]  # Xi applied to the start t(1, 0)
-            worst = _worst(
-                worst,
-                abs(amp_L - st.psi_L[n]),
-                abs(amp_R - st.psi_R[n]),
-            )
+            (amp_L, _), (amp_R, _) = blocks[n]  # Xi applied to the start t(1, 0)
+            worst = _worst(worst, abs(amp_L - psi_L[n]), abs(amp_R - psi_R[n]))
     tab_L, tab_R = genfun.bounded_gf_table(u, ub, n_series, tau_series + 1)
+    tab_L, tab_R = tab_L.tolist(), tab_R.tolist()
     for tau in range(tau_series + 1):
-        st = states[tau]
+        psi_L, psi_R = states[tau]
         for n in range(0, min(tau, n_series) + 1):
             worst = _worst(
                 worst,
-                abs(tab_L[n, tau] - st.psi_L[n]),
-                abs(tab_R[n, tau] - st.psi_R[n]),
+                abs(tab_L[n][tau] - psi_L[n]),
+                abs(tab_R[n][tau] - psi_R[n]),
             )
     return worst
 

@@ -433,6 +433,36 @@ def test_edge_p_whose_field_is_not_normal_exits_1(capsys, fbar, field):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "args, flag, value",
+    [
+        (("edge", "--field", "2e-310", "--fbar", "1e-310", "--theta", "0.78"), "--field", 2e-310),
+        (
+            ("sweep", "--fmin", "2e-310", "--fmax", "3e-310", "--fbar", "1e-310", "--points", "2"),
+            "--fmin",
+            2e-310,
+        ),
+        (("evolve", "--field", "1e-310", "--fbar", "5e-311"), "--field", 1e-310),
+        (("evolve", "--field", "1e-300", "--fbar", "1e-310", "--steps", "2"), "--fbar", 1e-310),
+        (("verify", "--fbar", "4e-324"), "--fbar", 5e-324),
+    ],
+    ids=["edge-field", "sweep-fmin", "evolve-field", "evolve-fbar", "verify-fbar"],
+)
+def test_subnormal_field_flags_exit_1(monkeypatch, capsys, args, flag, value):
+    # each of these derived p in range, so the run went on with F and p off
+    # in their last bits
+    monkeypatch.setattr(lzwalk.verify, "run_all", None)
+    code, out, err = run_cli(capsys, *args)
+    message = f"{flag} {value} is below the smallest normal float, {sys.float_info.min}"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_smallest_normal_field_is_accepted(capsys):
+    tiny = str(sys.float_info.min)
+    code, out, err = run_cli(capsys, "evolve", "--field", tiny, "--fbar", tiny, "--steps", "2")
+    assert code == 0 and err == ""
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 

@@ -63,6 +63,40 @@ def test_coins_reject_nonfinite_phases():
         make_boundary_coin(math.inf)
 
 
+_NAN_ENTRY = np.complex128(complex(math.nan, 0.5))
+_INF_PHASE = np.float64(-math.inf)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: Coin(complex(SQ2, math.inf), SQ2, -SQ2, SQ2),
+            "coin entry must be finite, got (0.7071067811865476+infj)",
+        ),
+        (
+            lambda: Coin(SQ2, _NAN_ENTRY, -SQ2, SQ2),
+            f"coin entry must be finite, got {_NAN_ENTRY!r}",
+        ),
+        (lambda: make_bulk_coin(math.nan, 0.0, 0.0), "p must be finite, got nan"),
+        (lambda: make_bulk_coin(0.5, _INF_PHASE, 0.0), f"beta must be finite, got {_INF_PHASE!r}"),
+        (lambda: make_bulk_coin(0.5, 0.0, math.inf), "gamma must be finite, got inf"),
+    ],
+    ids=["complex-inf-imag", "numpy-complex-nan", "p-nan", "beta-numpy-inf", "gamma-inf"],
+)
+def test_nonfinite_values_raise_with_their_name(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_int_beyond_the_float_range_raises_overflow_error():
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        Coin(10**400, 0.0, 0.0, 1.0)
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        make_bulk_coin(0.5, 0.0, -(10**400))
+
+
 def test_coin_rejects_nonunitary_matrix():
     with pytest.raises(ValueError):
         Coin(1.0, 0.0, 0.0, 2.0)

@@ -44,6 +44,7 @@ UNREACHED = {
     "__init__.__dir__": DIR,
     "cli.__getattr__": SPAN_LOOKUP,
     "cli.app": ENTRY_POINT,
+    "edge.__getattr__": SPAN_LOOKUP,
     "edge.is_localized": SPANS,
     "edge.localization_length": SPANS,
     "edge.quasi_energy": SPANS,
@@ -89,6 +90,10 @@ entered = set()
 def hook(frame, event, arg):
     code = frame.f_code
     if event == "call" and code.co_filename.startswith(package):
+        # a "from module import name" probes the module for __path__ through
+        # its __getattr__; that call serves no lookup of the package's own
+        if code.co_name == "__getattr__" and frame.f_locals.get("name") == "__path__":
+            return
         entered.add((code.co_filename, code.co_firstlineno))
 """
 
