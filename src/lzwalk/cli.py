@@ -1,16 +1,18 @@
 """Command-line interface: evolution snapshots, series expansion, edge
 reports, field sweeps, and the self-verification suite.
 
-Design notes.  Output is byte-deterministic for a fixed configuration:
+Design notes.  Output is byte-deterministic for a fixed configuration on
+one machine (BLAS and numpy pick CPU-specific kernels; see the README):
 floats are printed with 17 significant digits (lossless for 64-bit values),
 CSV uses comma separators and LF line endings, JSON uses a fixed key order.
 Configuration files are flat ``key = value`` text; command-line flags
 override file values, and unknown keys are hard errors so a typo in a
 physics parameter cannot pass silently.
 
-The ``evolve`` and ``series`` tables are made one snapshot at a time: the
-snapshot must sum to 1, then its parity-slice columns, from
-``walk.light_cone_columns``, zip into rows, and each row fills one
+The ``evolve`` and ``series`` tables are made one amplitude snapshot at a
+time, in ``_probability_rows``: the snapshot must sum to 1 by
+``walk.total_probability``, then |psi|^2 is formed on its whole arrays, the
+light-cone sites n = tau (mod 2) zip into rows, and each row fills one
 %-template (``%d,%d,%.17g,%.17g`` in CSV, ``%d``/``%r`` cells in JSON).
 The sum check fails on NaN and inf, so these cells are always ints and
 finite floats.  The ``edge`` and ``sweep`` tables, whose cells can be
@@ -275,7 +277,9 @@ def _validate_config(cfg: RunConfig) -> None:
                 f"(0, 1{']' if closed else ')'} for mode {cfg.mode!r}"
             )
     # edge reports the field of a --p and evaluates p = exp(-pi*Fbar/F) from
-    # it: a subnormal F does not give --p back, and an infinite one is no field
+    # it, so the printed p can differ from --p in the last bits even for a
+    # normal F (--p 0.5 --theta pi/4 prints 0.50000000000000011); a subnormal
+    # F has lost more bits than that, and an infinite one is no field
     if cfg.mode == "edge" and cfg.p is not None:
         field = landau_zener_field(cfg.p, cfg.fbar)
         if not sys.float_info.min <= field <= sys.float_info.max:
@@ -299,14 +303,6 @@ def _resolve_p(cfg: RunConfig) -> float:
     return landau_zener_p(cfg.field, cfg.fbar)
 
 
-def _resolve_field(cfg: RunConfig, p: float) -> float | None:
-    if cfg.field is not None:
-        return cfg.field
-    if p >= 1.0:
-        return None
-    return landau_zener_field(p, cfg.fbar)
-
-
 def _snapshot_times(steps: int) -> list[int]:
     """{0, steps/4, steps/2, 3 steps/4, steps}; interior times on even tau."""
     times = {0, steps}
@@ -328,38 +324,46 @@ _PROBABILITY_JSON_CELLS = ("%d", "%d", "%r", "%r")
 def _probability_rows(
     snapshots: Iterable[tuple[int, np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[int, int, float, float]]:
-    """(tau, n, prob_L, prob_R) rows, made one snapshot at a time.
+    """(tau, n, prob_L, prob_R) rows from amplitude snapshots on [0, tau].
 
     Each snapshot must sum to 1 within 1e-10 before any of its rows is made;
-    the check fails on NaN and inf.
+    the check fails on NaN and inf.  Every printed probability is
+    ``np.abs(psi) ** 2`` on the snapshot's array as given, and only then
+    sliced to the light cone: numpy's array abs can differ from ``abs`` of
+    one element in the last bit, and its loop on a strided slice is not
+    known to match.
     """
     import numpy as np
 
-    from .walk import light_cone_columns
+    from .walk import total_probability
 
-    for tau, prob_L, prob_R in snapshots:
-        total = float(np.sum(prob_L) + np.sum(prob_R))
+    for tau, psi_L, psi_R in snapshots:
+        total = total_probability(psi_L, psi_R)
         if not abs(total - 1.0) <= 1e-10:  # fails on NaN too
             raise ArithmeticError(f"snapshot at tau={tau} sums to {total!r}, not 1")
-        yield from zip(repeat(tau), *light_cone_columns(tau, prob_L, prob_R))
+        cone = slice(tau % 2, None, 2)
+        yield from zip(
+            repeat(tau),
+            range(tau % 2, tau + 1, 2),
+            (np.abs(psi_L) ** 2)[cone].tolist(),
+            (np.abs(psi_R) ** 2)[cone].tolist(),
+        )
 
 
 def run_evolve(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
-    from .walk import probabilities, trajectory
+    from .walk import trajectory
 
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
     snapshots = trajectory(
         u, ub, cfg.steps, _snapshot_times(cfg.steps),
-        lambda s: (s.tau, *probabilities(s)),
+        lambda s: (s.tau, s.psi_L, s.psi_R),
     )
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
 def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
-    import numpy as np
-
     from .genfun import bounded_gf_table
 
     p = _resolve_p(cfg)
@@ -367,10 +371,7 @@ def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     ub = make_boundary_coin(cfg.gamma_tilde)
     times = _snapshot_times(cfg.steps)
     tab_L, tab_R = bounded_gf_table(u, ub, cfg.steps, max(cfg.steps + 1, 2), columns=times)
-    snapshots = [
-        (tau, np.abs(tab_L[: tau + 1, i]) ** 2, np.abs(tab_R[: tau + 1, i]) ** 2)
-        for i, tau in enumerate(times)
-    ]
+    snapshots = [(tau, tab_L[: tau + 1, i], tab_R[: tau + 1, i]) for i, tau in enumerate(times)]
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
@@ -382,8 +383,7 @@ _EDGE_COLUMNS = [
 
 
 def run_edge(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    p = _resolve_p(cfg)
-    field = _resolve_field(cfg, p)
+    field = cfg.field if cfg.field is not None else landau_zener_field(cfg.p, cfg.fbar)
     params = ModelParams(
         F=field, Fbar=cfg.fbar, beta=cfg.beta, gamma=cfg.gamma,
         gamma_tilde=cfg.gamma_tilde, L=cfg.L, j0=cfg.j0, E0=cfg.E0,

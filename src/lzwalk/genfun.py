@@ -60,6 +60,10 @@ back-substitution in the manner of van der Hoeven's relaxed scheme
 coefficients.  Each entry it is asked for is still one
 direct sum of products, not an FFT product, which would lose the relative
 accuracy of the tiny coefficients near the light cone.
+
+Every series product of the table, of ``Series`` and of the baby and giant
+steps goes through ``_truncated_product``, the engine's one ``np.convolve``
+and so its one BLAS call, where the CPU can move the printed bits.
 """
 
 from __future__ import annotations
@@ -233,6 +237,17 @@ def _trimmed(v: np.ndarray) -> np.ndarray:
     return v[: nonzero[-1] + 1] if nonzero.size else v[:0]
 
 
+def _truncated_product(a: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
+    """The first w coefficients of the product of a[:w] and b[:w].
+
+    The one ``np.convolve`` of the series engine, and so its one BLAS call:
+    for complex input numpy's correlate calls BLAS ``zdotu``, whose kernel
+    OpenBLAS picks per CPU, so the summation order, and with it the last
+    bits of the ``series`` output, can move from one CPU to another.
+    """
+    return np.convolve(a[:w], b[:w])[:w]
+
+
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product of two coefficient arrays of one length.
 
@@ -251,7 +266,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for pb, fb in enumerate(blocks_b):
             w = (m - pa - pb + 1) // 2  # slots pa + pb + 2i below m
             if w > 0 and fa.size and fb.size:
-                prod = np.convolve(fa[:w], fb[:w])[:w]
+                prod = _truncated_product(fa, fb, w)
                 out[pa + pb : pa + pb + 2 * len(prod) : 2] += prod
     return out
 
@@ -462,7 +477,7 @@ def _baby_rows(t_odd: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         row = power[: width - r // 2]
         baby[r, r // 2 : r // 2 + len(row)] = row
         w = width - (r + 1) // 2
-        power = np.convolve(power[:w], t_odd[:w])[:w]
+        power = _truncated_product(power, t_odd, w)
     return baby, power
 
 
@@ -478,7 +493,7 @@ def _giant_rows(kernels: np.ndarray, power: np.ndarray, order: int, rows: int):
         if n0 > 1:
             w = (order + 1 - n0) // 2
             for g in giant:
-                g[:w] = np.convolve(g[:w], power[:w])[:w]
+                g[:w] = _truncated_product(g, power, w)
         yield n0, giant
 
 

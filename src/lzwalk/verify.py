@@ -253,7 +253,7 @@ def check_parseval(
     """Series coefficients at fixed tau carry unit total probability."""
     u, ub = _coin_pair(p, theta, beta)
     col_L, col_R = genfun.bounded_gf_table(u, ub, tau, tau + 1, columns=[tau])
-    total = float(np.sum(np.abs(col_L) ** 2) + np.sum(np.abs(col_R) ** 2))
+    total = walk.total_probability(col_L[:, 0], col_R[:, 0])
     return _result("series_parseval", abs(total - 1.0), tol, f"tau = {tau}")
 
 

@@ -36,12 +36,13 @@ layout differs from the dense one in three ways:
   in the last bit, so this order is part of the result: both layouts give
   bit-identical amplitudes.
 
-``norm`` and ``norms`` share one sum: abs, square, then ``np.add.reduce``
-per component, in numpy alone.  A BLAS ``np.dot`` is faster, but the BLAS
-build and the CPU pick its summation order, so the printed norm residuals
-would no longer be fixed by this code.  The compact sum still groups its
-terms differently from the dense one, which also holds the parity zeros, so
-the two can differ in the last bits.
+``norm``, ``norms``, the CLI's snapshot check and ``verify``'s Parseval
+check share one sum, ``total_probability``: abs, square, then
+``np.add.reduce`` per component, in numpy alone.  A BLAS ``np.dot`` is
+faster, but the BLAS build and the CPU pick its summation order, so the
+printed norm residuals would no longer be fixed by this code.  The compact
+sum still groups its terms differently from the dense one, which also holds
+the parity zeros, so the two can differ in the last bits.
 
 Two constants bound the work.  ``MAX_EVOLVE_STEPS`` (defined in ``errors``)
 caps every walk; larger requests raise ResourceLimitError before anything
@@ -73,8 +74,7 @@ __all__ = [
     "evolve",
     "norm",
     "norms",
-    "probabilities",
-    "light_cone_columns",
+    "total_probability",
 ]
 
 NORM_TOL_PER_STEP = 1e-12
@@ -262,9 +262,12 @@ def trajectory(
     return out
 
 
-def _total_probability(psi_L: np.ndarray, psi_R: np.ndarray) -> float:
-    # |psi|^2 as abs then square, each component summed on its own: the
-    # same roundings as (abs(psi) ** 2).sum(), in one reused buffer
+def total_probability(psi_L: np.ndarray, psi_R: np.ndarray) -> float:
+    """|psi_L|^2 + |psi_R|^2 summed over two 1-D amplitude arrays.
+
+    abs then square, each component summed on its own: the same roundings
+    as (abs(psi) ** 2).sum(), in one reused buffer.
+    """
     sq = np.abs(psi_L)
     np.square(sq, out=sq)
     total = np.add.reduce(sq)
@@ -275,7 +278,7 @@ def _total_probability(psi_L: np.ndarray, psi_R: np.ndarray) -> float:
 
 def norm(state: WalkState) -> float:
     """Total probability carried by the state."""
-    return _total_probability(state.psi_L, state.psi_R)
+    return total_probability(state.psi_L, state.psi_R)
 
 
 def norms(coin: Coin, boundary_coin: Coin, steps: int) -> list[float]:
@@ -289,7 +292,7 @@ def norms(coin: Coin, boundary_coin: Coin, steps: int) -> list[float]:
     _check_steps(steps)
     states = _walk(coin, boundary_coin, steps)
     next(states)  # tau = 0, the initial state
-    return [_total_probability(live_L, live_R) for _, live_L, live_R in states]
+    return [total_probability(live_L, live_R) for _, live_L, live_R in states]
 
 
 def evolve(coin: Coin, boundary_coin: Coin, steps: int) -> WalkState:
@@ -307,26 +310,3 @@ def evolve(coin: Coin, boundary_coin: Coin, steps: int) -> WalkState:
             "the coins are not unitary to working precision"
         )
     return state
-
-
-def probabilities(state: WalkState) -> tuple[np.ndarray, np.ndarray]:
-    """|psi_L|^2 and |psi_R|^2 on every site of [0, tau].
-
-    Squared from numpy's array abs, whose complex loop can differ from
-    ``abs`` of one element in the last bit; every printed probability comes
-    from here or from the same expression on a series column.
-    """
-    return np.abs(state.psi_L) ** 2, np.abs(state.psi_R) ** 2
-
-
-def light_cone_columns(
-    tau: int, prob_L: np.ndarray, prob_R: np.ndarray
-) -> tuple[range, list[float], list[float]]:
-    """The sites n = tau (mod 2), n <= tau, and their two probabilities.
-
-    ``prob_L`` and ``prob_R`` cover [0, tau]; the columns hold Python ints
-    and floats, ready to zip into rows.
-    """
-    start = tau % 2
-    return range(start, tau + 1, 2), prob_L[start::2].tolist(), prob_R[start::2].tolist()
-

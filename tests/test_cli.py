@@ -33,7 +33,7 @@ from lzwalk import (
 )
 from lzwalk import cli
 from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, main, parse_config_text
-from lzwalk.coin import make_boundary_coin, make_bulk_coin
+from lzwalk.coin import landau_zener_p, make_boundary_coin, make_bulk_coin
 from lzwalk.edge import CRITICAL_BAND
 from lzwalk.genfun import MAX_TABLE_STEPS
 from lzwalk.pathsum import TAU_CAP
@@ -195,10 +195,10 @@ def test_evolve_with_a_nan_probability_exits_2(monkeypatch, capsys):
 
     def planted(*args, **kwargs):
         snapshots = trajectory(*args, **kwargs)
-        tau, prob_L, prob_R = snapshots[2]  # rows of earlier snapshots come first
-        prob_L = prob_L.copy()
-        prob_L[tau] = math.nan
-        snapshots[2] = (tau, prob_L, prob_R)
+        tau, psi_L, psi_R = snapshots[2]  # rows of earlier snapshots come first
+        psi_L = psi_L.copy()
+        psi_L[tau] = math.nan
+        snapshots[2] = (tau, psi_L, psi_R)
         return snapshots
 
     monkeypatch.setattr(lzwalk.walk, "trajectory", planted)
@@ -208,6 +208,67 @@ def test_evolve_with_a_nan_probability_exits_2(monkeypatch, capsys):
         assert err == "error: numerical self-check failed: snapshot at tau=4 sums to nan, not 1\n"
 
 
+def _plant_in_trajectory(monkeypatch, drift, totals):
+    """Add ``drift`` to the total of the tau = 4 snapshot of an 8-step evolve."""
+    trajectory = lzwalk.walk.trajectory
+
+    def planted(*args, **kwargs):
+        snapshots = trajectory(*args, **kwargs)
+        tau, psi_L, psi_R = snapshots[2]
+        psi_L = psi_L.copy()
+        psi_L[tau - 1] = math.sqrt(drift)  # a site of the wrong parity: no row prints it
+        snapshots[2] = (tau, psi_L, psi_R)
+        totals.append(lzwalk.walk.total_probability(psi_L, psi_R))
+        return snapshots
+
+    monkeypatch.setattr(lzwalk.walk, "trajectory", planted)
+
+
+def _plant_in_table(monkeypatch, drift, totals):
+    """Add ``drift`` to the total of the tau = 8 column of an 8-step series."""
+    table = lzwalk.genfun.bounded_gf_table
+
+    def planted(*args, **kwargs):
+        tab_L, tab_R = table(*args, **kwargs)
+        tab_L = tab_L.copy()
+        tab_L[3, -1] = math.sqrt(drift)  # a site of the wrong parity: no row prints it
+        totals.append(lzwalk.walk.total_probability(tab_L[:, -1], tab_R[:, -1]))
+        return tab_L, tab_R
+
+    monkeypatch.setattr(lzwalk.genfun, "bounded_gf_table", planted)
+
+
+PLANTS = [
+    pytest.param(_plant_in_trajectory, "evolve", 4, id="evolve"),
+    pytest.param(_plant_in_table, "series", 8, id="series"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("plant, mode, tau", PLANTS)
+def test_a_snapshot_off_by_more_than_1e_10_exits_2(monkeypatch, capsys, plant, mode, tau, fmt):
+    totals = []
+    plant(monkeypatch, 2e-10, totals)
+    code, out, err = run_cli(capsys, mode, "--p", "0.2", "--steps", "8", "--format", fmt)
+    (total,) = totals
+    assert 1.0 + 1.5e-10 < total < 1.0 + 2.5e-10
+    assert code == 2 and out == ""
+    assert err == f"error: numerical self-check failed: snapshot at tau={tau} sums to {total!r}, not 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("plant, mode, tau", PLANTS)
+def test_a_snapshot_off_by_less_than_1e_10_passes(monkeypatch, capsys, plant, mode, tau, fmt):
+    argv = (mode, "--p", "0.2", "--steps", "8", "--format", fmt)
+    clean = run_cli(capsys, *argv)
+    totals = []
+    plant(monkeypatch, 5e-11, totals)
+    planted = run_cli(capsys, *argv)
+    (total,) = totals
+    assert 1.0 + 2.5e-11 < total < 1.0 + 7.5e-11
+    assert planted == clean and clean[0] == 0
+
+
 def test_distribution_equals_the_evolve_rows_bit_for_bit(capsys):
     steps = 400
     code, out, _ = run_cli(capsys, "evolve", "--p", "0.3", "--theta", str(THETA), "--steps", str(steps))
@@ -215,8 +276,8 @@ def test_distribution_equals_the_evolve_rows_bit_for_bit(capsys):
     _, rows = parse_csv(out)
     printed = [(int(n), float(pl).hex(), float(pr).hex()) for tau, n, pl, pr in rows if tau == str(steps)]
     state = lzwalk.walk.evolve(make_bulk_coin(0.3, 0.0, THETA), make_boundary_coin(0.0), steps)
-    columns = lzwalk.walk.light_cone_columns(steps, *lzwalk.walk.probabilities(state))
-    assert [(n, pl.hex(), pr.hex()) for n, pl, pr in zip(*columns)] == printed
+    rows = cli._probability_rows([(steps, state.psi_L, state.psi_R)])
+    assert [(n, pl.hex(), pr.hex()) for _, n, pl, pr in rows] == printed
 
 
 def test_series_zero_steps(capsys):
@@ -242,6 +303,19 @@ def test_edge_mode_row_matches_module(capsys):
     assert row["localized"] == "true"
     # the derived field reproduces p through exp(-pi Fbar / F)
     assert math.exp(-math.pi / float(row["F"])) == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", ["0.5", "0.2", "0.9", "1e-300", "0.999999"])
+def test_edge_prints_the_p_of_its_printed_field(capsys, p):
+    # edge reports F = -pi*Fbar/ln(--p) and p = exp(-pi*Fbar/F) of that F,
+    # which can differ from --p in the last bits
+    code, out, _ = run_cli(capsys, "edge", "--p", p, "--theta", str(THETA))
+    assert code == 0
+    header, (row,) = parse_csv(out)
+    cells = dict(zip(header, row))
+    assert float(cells["p"]).hex() == landau_zener_p(float(cells["F"]), 1.0).hex()
+    if p == "0.5":
+        assert cells["p"] == "0.50000000000000011"
 
 
 def test_edge_mode_rejects_p_one(capsys):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,13 +455,39 @@ def test_table_matches_walk_for_every_baby_step(S):
             assert three_way_residual(u, ub, 0, order - 1, order - 1) < 1e-12, (p, order)
 
 
-# np.convolve, which makes the baby, giant and Series products, is not pinned
-# to an order of summation: with numpy 2.4.6 and OpenBLAS, 592 of the 636
-# entries of five random complex convolutions of lengths 5 to 400 match
-# neither the forward nor the backward in-order sum.  Its bits are pinned
-# against the BLAS thread count by test_series_does_not_depend_on_blas_threads
-# in test_cli.py.  The contractions below are summed in order, as these
-# Python sums spell out.
+def _convolve_sites(path):
+    """Qualified names of the definitions in ``path`` that name ``convolve``."""
+    sites = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr == "convolve") or (
+            isinstance(node, ast.alias) and node.name == "convolve"
+        ):
+            sites.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_np_convolve_has_one_site_in_the_series_engine():
+    # every series product goes through _truncated_product, so its order of
+    # summation is chosen in one place; verify's recursion check keeps its own
+    package = Path(__file__).resolve().parents[1] / "src" / "lzwalk"
+    sites = set().union(*map(_convolve_sites, package.glob("*.py")))
+    assert sites == {"genfun._truncated_product", "verify.check_recursion_relation"}
+
+
+# np.convolve, which makes the baby, giant and Series products in
+# genfun._truncated_product, is not pinned to an order of summation: with
+# numpy 2.4.6 and OpenBLAS, 592 of the 636 entries of five random complex
+# convolutions of lengths 5 to 400 match neither the forward nor the
+# backward in-order sum.  Its bits are pinned against the BLAS thread count
+# by test_series_does_not_depend_on_blas_threads in test_cli.py.  The
+# contractions below are summed in order, as these Python sums spell out.
 
 
 def _inorder_dot(x, y):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import lzwalk.cli
 import lzwalk.walk
 from lzwalk import (
     MAX_EVOLVE_STEPS,
@@ -19,13 +20,13 @@ from lzwalk import (
     trajectory,
     transition_amplitude,
 )
-from lzwalk.walk import WalkState, light_cone_columns, probabilities
+from lzwalk.walk import WalkState
 from conftest import P_REF, THETA_REF
 
 
 def _distribution(s):
     """(n, |psi_L|^2, |psi_R|^2) on the light cone, as the evolve rows list them."""
-    return list(zip(*light_cone_columns(s.tau, *probabilities(s))))
+    return [row[1:] for row in lzwalk.cli._probability_rows([(s.tau, s.psi_L, s.psi_R)])]
 
 
 def test_initial_state():
