@@ -9,8 +9,9 @@ Configuration files are flat ``key = value`` text; command-line flags
 override file values, and unknown keys are hard errors so a typo in a
 physics parameter cannot pass silently.
 
-The ``evolve`` and ``series`` tables are made one amplitude snapshot at a
-time, in ``_probability_rows``: the snapshot must sum to 1 by
+The ``evolve`` and ``series`` tables are made one amplitude snapshot
+``(tau, psi_L, psi_R)`` at a time, from ``walk.trajectory`` or a column of
+the series table, in ``_probability_rows``: the snapshot must sum to 1 by
 ``walk.total_probability``, then |psi|^2 is formed on its whole arrays, the
 light-cone sites n = tau (mod 2) zip into rows, and each row fills one
 %-template (``%d,%d,%.17g,%.17g`` in CSV, ``%d``/``%r`` cells in JSON).
@@ -22,11 +23,14 @@ Each mode loads only the engines it uses; the ``run_*`` functions import
 them when called.  At import this module loads ``coin``, ``edge`` and
 ``errors`` alone, none of which imports numpy, so ``edge``, a linear
 ``sweep``, ``--help`` and every usage error run without numpy: their
-process time is mostly interpreter start-up.  ``evolve`` loads ``walk``,
-``series`` loads ``genfun`` and ``walk``, and ``verify`` loads every
-engine.  A linear sweep grid is computed in Python with the float
-operations of ``np.linspace``, bit for bit; ``sweep --log`` loads numpy for
-``np.geomspace``, which a Python copy does not match in the last bit.
+process time is mostly interpreter start-up.  A ``--steps`` beyond the cap
+of its mode (``errors.MAX_TABLE_STEPS`` for ``series``,
+``errors.MAX_EVOLVE_STEPS`` otherwise) is such a usage error.  ``evolve``
+loads ``walk``, ``series`` loads ``genfun`` and ``walk``, and ``verify``
+loads every engine.  A linear sweep grid is computed in Python with the
+float operations of ``np.linspace``, bit for bit; ``sweep --log`` loads
+numpy for ``np.geomspace``, which a Python copy does not match in the last
+bit.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 3 I/O error.  Every failure prints one ``error:`` line on stderr and no
@@ -59,7 +63,7 @@ from .edge import edge_point, edge_report
 # called here; they stay importable from this module because
 # benches/spans.py wraps them by name on it.
 from .edge import decay_ratio, is_localized, localization_length, observables  # noqa: F401
-from .errors import MAX_EVOLVE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
+from .errors import MAX_EVOLVE_STEPS, MAX_TABLE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
 
 __all__ = ["RunConfig", "main", "app", "parse_config_text"]
 
@@ -239,10 +243,9 @@ def _validate_config(cfg: RunConfig) -> None:
                 )
         if cfg.field is not None and cfg.field <= 0.0:
             raise UsageError(f"--field must be positive, got {cfg.field}")
-        if not 0 <= cfg.steps <= MAX_EVOLVE_STEPS:
-            raise UsageError(
-                f"--steps must lie in [0, {MAX_EVOLVE_STEPS}], got {cfg.steps}"
-            )
+        cap = MAX_TABLE_STEPS if cfg.mode == "series" else MAX_EVOLVE_STEPS
+        if not 0 <= cfg.steps <= cap:
+            raise UsageError(f"--steps must lie in [0, {cap}], got {cfg.steps}")
     if cfg.mode == "sweep":
         if cfg.p is not None or cfg.field is not None:
             raise UsageError("sweep mode takes a field grid, not --p/--field")
@@ -356,10 +359,7 @@ def run_evolve(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     p = _resolve_p(cfg)
     u = make_bulk_coin(p, cfg.beta, cfg.gamma)
     ub = make_boundary_coin(cfg.gamma_tilde)
-    snapshots = trajectory(
-        u, ub, cfg.steps, _snapshot_times(cfg.steps),
-        lambda s: (s.tau, s.psi_L, s.psi_R),
-    )
+    snapshots = list(trajectory(u, ub, _snapshot_times(cfg.steps)))
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 

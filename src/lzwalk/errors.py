@@ -3,13 +3,21 @@
 The caps live here, next to the ``ResourceLimitError`` that enforces them,
 because every CLI mode validates against them and this module imports no
 numpy: ``edge``, a linear ``sweep`` and every usage error check them
-without loading an engine.  ``walk``, ``pathsum`` and ``verify`` import
-them from here, so each cap is defined once.
+without loading an engine.  ``walk``, ``genfun``, ``pathsum`` and
+``verify`` import them from here, so each cap is defined once.
 """
 
 # longest walk; larger requests raise ResourceLimitError before anything is
 # allocated (the cost estimate is in the ``walk`` docstring)
 MAX_EVOLVE_STEPS = 100_000
+
+# largest n_max and order - 1 of genfun.bounded_gf_table.  At the cap `series
+# --steps 2000`, which keeps only its snapshot columns (1.5 MiB traced peak,
+# the largest part the 36 baby rows), takes 0.04-0.05 s at p = 0.49 and 0.8
+# and 0.06 s at p = 0.2 on a 2-core VM; a full table, which no CLI mode asks
+# for, is two 2001 x 2001 complex arrays (122 MiB) and takes 1.2-2.0 s
+# there, one dot per entry
+MAX_TABLE_STEPS = 2000
 
 # longest path enumeration: the path count grows exponentially with tau
 TAU_CAP = 16

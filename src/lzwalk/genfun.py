@@ -76,7 +76,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coin import Coin
-from .errors import BranchAmbiguityError, ResourceLimitError, SingularityError
+from .errors import MAX_TABLE_STEPS, BranchAmbiguityError, ResourceLimitError, SingularityError
 
 __all__ = [
     "MAX_TABLE_STEPS",
@@ -92,14 +92,6 @@ __all__ = [
     "b_gf_closed_series",
     "bounded_gf_table",
 ]
-
-# largest n_max and order - 1 of bounded_gf_table.  At the cap `series
-# --steps 2000`, which keeps only its snapshot columns (1.5 MiB traced peak,
-# the largest part the 36 baby rows), takes 0.04-0.05 s at p = 0.49 and 0.8
-# and 0.06 s at p = 0.2 on a 2-core VM; a full table, which no CLI mode asks
-# for, is two 2001 x 2001 complex arrays (122 MiB) and takes 1.2-2.0 s
-# there, one dot per entry
-MAX_TABLE_STEPS = 2000
 
 # relative gap below which the two root moduli of the quadratic count as tied
 _MODULUS_TIE_TOL = 1e-9

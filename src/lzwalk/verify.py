@@ -105,9 +105,10 @@ def three_way_residual(
     horizon = max(tau_pathsum, tau_series)
     # Python complex throughout: the same IEEE differences and the same hypot
     # as numpy scalars, without a numpy scalar per entry
-    states = walk.trajectory(
-        u, ub, horizon, range(horizon + 1), lambda s: (s.psi_L.tolist(), s.psi_R.tolist())
-    )
+    states = [
+        (psi_L.tolist(), psi_R.tolist())
+        for _, psi_L, psi_R in walk.trajectory(u, ub, range(horizon + 1))
+    ]
     table = pathsum.transition_table(tau_pathsum, u, ub).tolist()
     for tau in range(tau_pathsum + 1):
         psi_L, psi_R = states[tau]
@@ -323,10 +324,10 @@ def check_edge_vs_simulation(
     """Residue-extracted mode weights against time-averaged site probabilities."""
     u, ub = _coin_pair(p, theta)
     times = [tau for tau in range(max(avg_start, 1), steps + 1) if tau % 2 == 0]
-    samples = walk.trajectory(
-        u, ub, steps, times,
-        lambda s: np.abs(s.psi_L[: n_max + 1]) ** 2 + np.abs(s.psi_R[: n_max + 1]) ** 2,
-    )
+    samples = [
+        np.abs(psi_L[: n_max + 1]) ** 2 + np.abs(psi_R[: n_max + 1]) ** 2
+        for _, psi_L, psi_R in walk.trajectory(u, ub, times)
+    ]
     averaged = np.mean(samples, axis=0)
     mode = edge.floquet_mode(p, theta, n_max)
     worst = 0.0
@@ -350,7 +351,7 @@ def check_quasi_energy_slope(
     """Phase slope of the simulated return amplitude against arg(z_pole^2)/2."""
     u, ub = _coin_pair(p, theta)
     taus = np.arange(fit_start, steps + 1, 2)
-    amps = walk.trajectory(u, ub, steps, taus, lambda s: complex(s.psi_L[0]))
+    amps = [complex(psi_L[0]) for _, psi_L, _ in walk.trajectory(u, ub, taus)]
     phase = np.unwrap(np.angle(np.array(amps)))
     slope = float(np.polyfit(taus, phase, 1)[0])
     expected = cmath.phase(edge.pole(p, theta)) / 2.0

@@ -15,10 +15,10 @@ truncation error by construction.
 The rule is coded once, in ``_advance``.  ``step`` applies it to a dense
 state.  A whole walk from the initial state runs in one stepping loop, the
 generator ``_walk``, which yields the live compact entries at each time.
-Two consumers read it: ``trajectory`` (and ``evolve`` on top of it) builds
-``WalkState`` snapshots only at the requested times, and ``norms`` sums the
-compact entries of every step without building a state.  The loop's working
-layout differs from the dense one in three ways:
+Two consumers read it: ``trajectory`` yields dense ``(tau, psi_L, psi_R)``
+snapshots in fresh arrays, only at the requested times, and ``norms`` sums
+the compact entries of every step without building a snapshot.  The loop's
+working layout differs from the dense one in three ways:
 
 * Compact parity sublattice.  Sites of the wrong parity are exactly zero, so
   only n = tau (mod 2) is stored, at compact index k = (n - tau mod 2) / 2.
@@ -51,12 +51,14 @@ VM, 100 000 steps at
 theta = pi/4 extrapolate from 32 000 to 15-35 s, and to about 2 min near the
 critical point, where subnormal amplitudes slow the arithmetic.
 ``NORM_TOL_PER_STEP`` is the norm drift per step that ``evolve`` tolerates
-before it raises ArithmeticError.
+before it raises ArithmeticError; the CLI checks each printed snapshot's
+sum against 1e-10 instead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +84,8 @@ NORM_TOL_PER_STEP = 1e-12
 
 @dataclass(frozen=True)
 class WalkState:
-    """Wavefunction snapshot at integer time tau.
+    """Wavefunction at integer time tau: the value of the dense single-step
+    API (``initial_state``, ``step``, ``evolve``, ``norm``).
 
     psi_L[n] and psi_R[n] hold the two amplitude components for sites
     n = 0 .. tau.  The state holds read-only copies of the arrays it is
@@ -165,14 +168,17 @@ def step(state: WalkState, coin: Coin, boundary_coin: Coin) -> WalkState:
     return WalkState(tau + 1, new_L, new_R)
 
 
-def _snapshot(tau: int, live_L: np.ndarray, live_R: np.ndarray) -> WalkState:
-    """Dense state at time tau from its live compact entries."""
+def _snapshot(
+    tau: int, live_L: np.ndarray, live_R: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Dense (tau, psi_L, psi_R) on [0, tau] from the live compact entries,
+    in fresh arrays that share no memory with the stepping loop."""
     psi_L = np.zeros(tau + 1, dtype=np.complex128)
     psi_R = np.zeros(tau + 1, dtype=np.complex128)
     live = slice(tau % 2, tau % 2 + 2 * len(live_L), 2)
     psi_L[live] = live_L
     psi_R[live] = live_R
-    return WalkState(tau, psi_L, psi_R)
+    return tau, psi_L, psi_R
 
 
 def _check_steps(steps: int) -> None:
@@ -228,38 +234,26 @@ def _walk(
 
 
 def trajectory(
-    coin: Coin,
-    boundary_coin: Coin,
-    steps: int,
-    times: Iterable[int],
-    observe: Callable[[WalkState], object] | None = None,
-) -> list:
-    """States at ``times`` of one walk of ``steps`` steps from the initial state.
+    coin: Coin, boundary_coin: Coin, times: Iterable[int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(tau, psi_L, psi_R) at ``times`` of one walk from the initial state.
 
-    ``times`` may hold any integers in [0, steps]; the states come back in
-    increasing time order, one per distinct time.  Only these snapshots are
-    built; the walk itself runs in the compact in-place layout described in
-    the module docstring, and stops at the last of ``times``.  With
-    ``observe``, each snapshot is handed to it as soon as it is built and the
-    list holds the results instead, so a caller that needs only a few sites
-    per snapshot keeps no state alive.  Raises ResourceLimitError beyond
-    ``MAX_EVOLVE_STEPS``.
+    One snapshot per distinct time, in increasing order, as fresh dense
+    arrays on [0, tau] that the caller owns.  The walk runs in the compact
+    in-place layout of the module docstring and stops at the last time.  On
+    the first ``next()``, before the walk starts, a time that is not an
+    integer raises TypeError, a negative one ValueError, and one beyond
+    ``MAX_EVOLVE_STEPS`` ResourceLimitError.
     """
-    _check_steps(steps)
-    wanted = sorted({int(t) for t in times})
+    wanted = {operator.index(t) for t in times}
     if not wanted:
-        return []
-    if wanted[0] < 0 or wanted[-1] > steps:
-        raise ValueError(f"snapshot times must lie in [0, {steps}], got {wanted}")
-    out = []
-    pending = iter(wanted)
-    due = next(pending)
-    for tau, live_L, live_R in _walk(coin, boundary_coin, wanted[-1]):
-        if tau == due:
-            state = _snapshot(tau, live_L, live_R)
-            out.append(state if observe is None else observe(state))
-            due = next(pending, None)
-    return out
+        return
+    if min(wanted) < 0:
+        raise ValueError(f"snapshot times must be nonnegative, got {min(wanted)}")
+    _check_steps(max(wanted))
+    for tau, live_L, live_R in _walk(coin, boundary_coin, max(wanted)):
+        if tau in wanted:
+            yield _snapshot(tau, live_L, live_R)
 
 
 def total_probability(psi_L: np.ndarray, psi_R: np.ndarray) -> float:
@@ -302,7 +296,8 @@ def evolve(coin: Coin, boundary_coin: Coin, steps: int) -> WalkState:
     is checked, never silently renormalized: drift beyond
     steps * NORM_TOL_PER_STEP raises ArithmeticError.
     """
-    (state,) = trajectory(coin, boundary_coin, steps, (steps,))
+    (snapshot,) = trajectory(coin, boundary_coin, (steps,))
+    state = WalkState(*snapshot)
     drift = abs(norm(state) - 1.0)
     if not drift <= max(1, steps) * NORM_TOL_PER_STEP:  # fails on NaN too
         raise ArithmeticError(

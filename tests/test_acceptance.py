@@ -15,7 +15,6 @@ from lzwalk import (
     localization_length,
     make_boundary_coin,
     make_bulk_coin,
-    norm,
     observables,
     pqrs_residual,
     thresholds,
@@ -23,7 +22,9 @@ from lzwalk import (
     transition_table,
 )
 from lzwalk.cli import main
+from lzwalk.walk import total_probability
 from lzwalk.verify import (
+    _worst,
     check_edge_mode,
     check_edge_vs_simulation,
     check_observable_ratio,
@@ -65,8 +66,8 @@ def test_criterion_2_unitarity_drift():
             float(rng.uniform(-math.pi, math.pi)),
         )
         ub = make_boundary_coin(float(rng.uniform(-math.pi, math.pi)))
-        for total in trajectory(u, ub, 500, range(1, 501), norm):
-            worst = max(worst, abs(total - 1.0))
+        for _, psi_L, psi_R in trajectory(u, ub, range(1, 501)):
+            worst = _worst(worst, abs(total_probability(psi_L, psi_R) - 1.0))
     report(2, worst < 1e-11, f"norm drift {worst:.2e} over 20 sets x 500 steps (tol 1e-11)")
 
 
@@ -78,7 +79,7 @@ def test_criterion_3_expansion_structure_and_recursion():
         table = transition_table(12, u, ub)
         for tau in range(1, 13):
             for n in range(tau % 2, tau + 1, 2):
-                worst_span = max(worst_span, pqrs_residual(table[tau, n], ub))
+                worst_span = _worst(worst_span, pqrs_residual(table[tau, n], ub))
     rec = check_recursion_relation(p=0.2, theta=THETA, beta=0.3, order=12, n_max=4)
     ok = worst_span < 1e-12 and rec.residual < 1e-10
     report(
@@ -217,7 +218,7 @@ def test_criterion_10_momentum_form_discrepancy_ledger():
         )
         for theta in THETA_GRID
     ]
-    worst = max(res.residual for res in results)
+    worst = _worst(*(res.residual for res in results))
     report(
         10,
         all(res.passed for res in results),

@@ -9,7 +9,9 @@ import ast
 from pathlib import Path
 
 import lzwalk
-import lzwalk.cli  # noqa: F401  (also imports lzwalk.verify)
+# importing lzwalk.cli loads no engine module; spans._targets reaches
+# pkg.verify and the other engines through the package's lazy __getattr__
+import lzwalk.cli  # noqa: F401
 
 
 BENCHES = Path(__file__).resolve().parents[1] / "benches"

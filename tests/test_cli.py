@@ -194,7 +194,7 @@ def test_evolve_with_a_nan_probability_exits_2(monkeypatch, capsys):
     trajectory = lzwalk.walk.trajectory
 
     def planted(*args, **kwargs):
-        snapshots = trajectory(*args, **kwargs)
+        snapshots = list(trajectory(*args, **kwargs))
         tau, psi_L, psi_R = snapshots[2]  # rows of earlier snapshots come first
         psi_L = psi_L.copy()
         psi_L[tau] = math.nan
@@ -213,7 +213,7 @@ def _plant_in_trajectory(monkeypatch, drift, totals):
     trajectory = lzwalk.walk.trajectory
 
     def planted(*args, **kwargs):
-        snapshots = trajectory(*args, **kwargs)
+        snapshots = list(trajectory(*args, **kwargs))
         tau, psi_L, psi_R = snapshots[2]
         psi_L = psi_L.copy()
         psi_L[tau - 1] = math.sqrt(drift)  # a site of the wrong parity: no row prints it

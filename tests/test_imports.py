@@ -30,6 +30,7 @@ LIGHT_CALLS = [
     (["sweep", "--theta", THETA, "--fmin", "0.5", "--fmax", "6", "--points", "45", "--format", "json"], 0),
     (["--help"], 0),
     (["evolve", "--p", "0.2", "--steps", "-1"], 1),
+    (["series", "--p", "0.2", "--steps", "2001"], 1),
 ]
 
 # runs the calls in one fresh interpreter and prints their exit codes and

@@ -20,12 +20,12 @@ from lzwalk import (
     lambda_plus_eval,
     make_boundary_coin,
     make_bulk_coin,
-    norm,
     norms,
     observables,
     trajectory,
 )
 from lzwalk.coin import landau_zener_field
+from lzwalk.walk import total_probability
 from lzwalk.verify import three_way_residual
 
 PHASES = st.floats(-math.pi, math.pi)
@@ -50,10 +50,10 @@ def points(draw, min_gap):
 def test_walk_keeps_norm_and_parity_zeros(point):
     p, beta, gamma, gamma_tilde = point
     u, ub = make_bulk_coin(p, beta, gamma), make_boundary_coin(gamma_tilde)
-    for s in trajectory(u, ub, 120, range(121)):
-        assert abs(norm(s) - 1.0) < 1e-11
-        off = np.arange(s.tau + 1) % 2 != s.tau % 2
-        assert np.all(s.psi_L[off] == 0.0) and np.all(s.psi_R[off] == 0.0)
+    for tau, psi_L, psi_R in trajectory(u, ub, range(121)):
+        assert abs(total_probability(psi_L, psi_R) - 1.0) < 1e-11
+        off = np.arange(tau + 1) % 2 != tau % 2
+        assert np.all(psi_L[off] == 0.0) and np.all(psi_R[off] == 0.0)
 
 
 @given(points(min_gap=0.0))
@@ -66,7 +66,9 @@ def test_compact_norms_match_snapshot_norms(point):
     # gap measured over 20 random coins x 300 steps was 6.7e-16
     p, beta, gamma, gamma_tilde = point
     u, ub = make_bulk_coin(p, beta, gamma), make_boundary_coin(gamma_tilde)
-    dense = trajectory(u, ub, 300, range(1, 301), norm)
+    dense = [
+        total_probability(psi_L, psi_R) for _, psi_L, psi_R in trajectory(u, ub, range(1, 301))
+    ]
     assert len(dense) == 300
     for total, expected in zip(norms(u, ub, 300), dense, strict=True):
         assert abs(total - expected) <= 2e-15

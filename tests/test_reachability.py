@@ -7,9 +7,10 @@ the package it enters.  The corpus covers every mode in both formats,
 delocalized ``edge``, one ``verify`` and the usage and I/O errors.  The
 definitions (``def`` statements, read with ``ast``) it never enters must be
 exactly the keys of ``UNREACHED``, each kept for a stated reason: the
-benchmark looks it up by name or resolves a name through it, it is the
-console entry point, or pytest or ``dir()`` calls it.  A newly dead
-definition fails the test, and so does a listed one that becomes reached.
+benchmark looks it up by name, builds a value of its class or resolves a
+name through it, it is the console entry point, or pytest or ``dir()``
+calls it.  A newly dead definition fails the test, and so does a listed
+one that becomes reached.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ REPR = "pytest prints it when an assertion on a series fails"
 DIR = "dir() calls it to list the names that load on first access"
 # evidence: the hook is entered while benches/spans.py installs its wrappers
 SPAN_LOOKUP = "benches/spans.py resolves a name it wraps through it"
+# evidence: ladders.py calls the class; walk.step, evolve and initial_state,
+# which benches/spans.py wraps, return its instances
+DENSE_STATE = "benches/ladders.py builds a WalkState, the value of the dense single-step API"
 
 # reason -> (file, text the file holds for a function of that name)
 EVIDENCE = {
     SPANS: ("benches/spans.py", '"{}"'),
     LADDERS: ("benches/ladders.py", ".{}("),
     ENTRY_POINT: ("pyproject.toml", "lzwalk.cli:{}"),
+    DENSE_STATE: ("benches/ladders.py", ".WalkState("),
 }
 
 # module-qualified name -> why no CLI call enters it
@@ -58,6 +63,7 @@ UNREACHED = {
     "walk.initial_state": SPANS,
     "walk.norm": SPANS,
     "walk.step": SPANS,
+    "walk.WalkState.__post_init__": DENSE_STATE,
 }
 
 # (argv, exit code); {tmp} is the working directory of the run

@@ -52,7 +52,7 @@ def test_norm_drift_builds_no_state(monkeypatch, ref_coins):
 
     monkeypatch.setattr(walk, "_snapshot", counted)
     u, ub = ref_coins
-    walk.trajectory(u, ub, 3, [3])
+    list(walk.trajectory(u, ub, [3]))
     assert built == [3]  # the counter sees the snapshots trajectory builds
     built.clear()
     walk.norms(u, ub, 40)

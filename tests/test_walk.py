@@ -1,5 +1,7 @@
 import cmath
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from lzwalk import (
     trajectory,
     transition_amplitude,
 )
-from lzwalk.walk import WalkState
+from lzwalk.walk import WalkState, total_probability
 from conftest import P_REF, THETA_REF
 
 
@@ -209,17 +211,17 @@ def test_trajectory_bit_identical_to_reference_stepper(p):
     ub = make_boundary_coin(0.0)
     steps = 1200
     ref = reference_walk(u, ub, steps)
-    states = trajectory(u, ub, steps, range(steps + 1))
-    assert [s.tau for s in states] == list(range(steps + 1))
-    for s, (ref_L, ref_R) in zip(states, ref):
-        assert np.array_equal(s.psi_L, ref_L) and np.array_equal(s.psi_R, ref_R), s.tau
-    final = states[-1]
-    assert np.array_equal(evolve(u, ub, steps).psi_L, final.psi_L)
+    states = list(trajectory(u, ub, range(steps + 1)))
+    assert [tau for tau, _, _ in states] == list(range(steps + 1))
+    for (tau, psi_L, psi_R), (ref_L, ref_R) in zip(states, ref):
+        assert np.array_equal(psi_L, ref_L) and np.array_equal(psi_R, ref_R), tau
+    _, final_L, final_R = states[-1]
+    assert np.array_equal(evolve(u, ub, steps).psi_L, final_L)
     if p == 0.2:
         # the light-cone edge has underflowed to exact zeros (the last
         # occupied site is about 1120), so the comparison above covered
         # the kernel's trimming of trailing zeros
-        occupied = np.flatnonzero((final.psi_L != 0.0) | (final.psi_R != 0.0))
+        occupied = np.flatnonzero((final_L != 0.0) | (final_R != 0.0))
         assert occupied[-1] < steps - 50
 
 
@@ -240,42 +242,98 @@ def test_step_on_states_with_both_parities(phased_coins):
 
 def test_trajectory_zero_steps(ref_coins):
     u, ub = ref_coins
-    (s,) = trajectory(u, ub, 0, [0])
-    assert s.tau == 0
-    assert np.array_equal(s.psi_L, initial_state().psi_L)
-    assert np.array_equal(s.psi_R, initial_state().psi_R)
-    assert trajectory(u, ub, 0, []) == []
+    ((tau, psi_L, psi_R),) = trajectory(u, ub, [0])
+    assert tau == 0
+    assert np.array_equal(psi_L, initial_state().psi_L)
+    assert np.array_equal(psi_R, initial_state().psi_R)
+    assert list(trajectory(u, ub, [])) == []
 
 
 def test_trajectory_snapshot_times(phased_coins):
     u, ub = phased_coins
     ref = reference_walk(u, ub, 9)
-    states = trajectory(u, ub, 9, [9, 0, 4, 4, 5])
-    assert [s.tau for s in states] == [0, 4, 5, 9]
-    for s in states:
-        ref_L, ref_R = ref[s.tau]
-        assert np.array_equal(s.psi_L, ref_L) and np.array_equal(s.psi_R, ref_R)
-    # an observer sees the same snapshots, and only its results are kept
-    assert trajectory(u, ub, 9, [9, 0, 4, 4, 5], norm) == [norm(s) for s in states]
+    states = list(trajectory(u, ub, [9, 0, 4, 4, 5]))
+    assert [tau for tau, _, _ in states] == [0, 4, 5, 9]
+    for tau, psi_L, psi_R in states:
+        ref_L, ref_R = ref[tau]
+        assert np.array_equal(psi_L, ref_L) and np.array_equal(psi_R, ref_R)
+    # a consumer that keeps only a sum per snapshot sees the same snapshots
+    sums = [total_probability(*s[1:]) for s in trajectory(u, ub, [9, 0, 4, 4, 5])]
+    assert sums == [total_probability(*s[1:]) for s in states]
 
 
-def test_trajectory_rejects_bad_times_and_caps(ref_coins):
+def test_trajectory_rejects_bad_times_and_caps(monkeypatch, ref_coins):
+    def walk_started(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(lzwalk.walk, "_walk", walk_started)
+    for times, error, match in [
+        ([-1], ValueError, "snapshot times"),
+        ([4, -1], ValueError, "snapshot times"),
+        ([-1, MAX_EVOLVE_STEPS + 1], ValueError, "nonnegative"),
+        ([MAX_EVOLVE_STEPS + 1], ResourceLimitError, "cap"),
+        ([0, MAX_EVOLVE_STEPS + 1], ResourceLimitError, "cap"),
+    ]:
+        snapshots = trajectory(*ref_coins, times)  # a generator: nothing is checked yet
+        with pytest.raises(error, match=match):
+            next(snapshots)
+
+
+@pytest.mark.parametrize("bad", [2.7, "3", 3.0, None], ids=["float", "str", "integral-float", "None"])
+def test_trajectory_takes_only_integer_times(ref_coins, bad):
     u, ub = ref_coins
-    with pytest.raises(ValueError, match="snapshot times"):
-        trajectory(u, ub, 4, [5])
-    with pytest.raises(ValueError, match="snapshot times"):
-        trajectory(u, ub, 4, [-1])
-    with pytest.raises(ValueError, match="nonnegative"):
-        trajectory(u, ub, -1, [])
-    with pytest.raises(ResourceLimitError, match="cap"):
-        trajectory(u, ub, MAX_EVOLVE_STEPS + 1, [MAX_EVOLVE_STEPS + 1])
+    with pytest.raises(TypeError):
+        next(trajectory(u, ub, [1, bad]))
+
+
+def test_trajectory_takes_numpy_integer_times(ref_coins):
+    u, ub = ref_coins
+    ((tau, psi_L, _),) = trajectory(u, ub, [np.int64(3)])
+    assert type(tau) is int and tau == 3
+    assert np.array_equal(psi_L, evolve(u, ub, 3).psi_L)
+
+
+def test_trajectory_first_snapshot_does_not_step(ref_coins):
+    u, ub = ref_coins
+    start = time.perf_counter()
+    tau, psi_L, psi_R = next(trajectory(u, ub, [0, MAX_EVOLVE_STEPS]))
+    assert time.perf_counter() - start < 1.0
+    assert tau == 0
+    assert np.array_equal(psi_L, initial_state().psi_L)
+    assert np.array_equal(psi_R, initial_state().psi_R)
+
+
+def test_trajectory_streams_its_snapshots(ref_coins):
+    # one snapshot of a 2000-step walk is 2 x 2001 x 16 B = 64 KB and the
+    # stepping loop's five buffers 5 x 1001 x 16 B = 80 KB; keeping every
+    # snapshot alive would take about 64 MB
+    u, ub = ref_coins
+    tracemalloc.start()
+    try:
+        count = 0
+        for tau, psi_L, psi_R in trajectory(u, ub, range(2001)):
+            assert len(psi_L) == len(psi_R) == tau + 1
+            count += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2001
+    assert peak < 1_000_000
+
+
+def test_trajectory_snapshots_are_fresh_arrays(ref_coins):
+    u, ub = ref_coins
+    states = list(trajectory(u, ub, range(6)))
+    arrays = [arr for _, psi_L, psi_R in states for arr in (psi_L, psi_R)]
+    assert all(arr.flags.owndata and arr.flags.writeable for arr in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
 
 
 def test_trajectory_odd_parity_sites_exactly_zero(phased_coins):
     u, ub = phased_coins
-    for s in trajectory(u, ub, 301, range(302)):
-        off = np.arange(s.tau + 1) % 2 != s.tau % 2
-        assert np.all(s.psi_L[off] == 0.0) and np.all(s.psi_R[off] == 0.0)
+    for tau, psi_L, psi_R in trajectory(u, ub, range(302)):
+        off = np.arange(tau + 1) % 2 != tau % 2
+        assert np.all(psi_L[off] == 0.0) and np.all(psi_R[off] == 0.0)
 
 
 @pytest.mark.parametrize("component", ["psi_L", "psi_R"])
@@ -314,8 +372,7 @@ def test_walk_state_arrays_are_read_only(phased_coins):
     u, ub = phased_coins
     built = WalkState(2, [1.0, 0.0, 0.0], np.zeros(3, dtype=np.complex128))
     stepped = step(built, u, ub)
-    (snap,) = trajectory(u, ub, 7, [7])
-    for s in (built, stepped, snap, initial_state()):
+    for s in (built, stepped, initial_state()):
         for arr in (s.psi_L, s.psi_R):
             assert arr.dtype == np.complex128 and not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
