@@ -7,7 +7,10 @@ floats are printed with 17 significant digits (lossless for 64-bit values),
 CSV uses comma separators and LF line endings, JSON uses a fixed key order.
 Configuration files are flat ``key = value`` text; command-line flags
 override file values, and unknown keys are hard errors so a typo in a
-physics parameter cannot pass silently.
+physics parameter cannot pass silently.  Each key is declared once, as a
+``RunConfig`` field: its name gives the key and the flag (``_`` -> ``-``), its
+annotation the value parser, and its default and metadata the help line.
+``_validate_config`` checks every value, from a flag or from a file.
 
 The ``evolve`` and ``series`` tables are made one amplitude snapshot
 ``(tau, psi_L, psi_R)`` at a time, from ``walk.trajectory`` or a column of
@@ -25,7 +28,8 @@ them when called.  At import this module loads ``coin``, ``edge`` and
 ``sweep``, ``--help`` and every usage error run without numpy: their
 process time is mostly interpreter start-up.  A ``--steps`` beyond the cap
 of its mode (``errors.MAX_TABLE_STEPS`` for ``series``,
-``errors.MAX_EVOLVE_STEPS`` otherwise) is such a usage error.  ``evolve``
+``errors.MAX_EVOLVE_STEPS`` for ``evolve``) is such a usage error; the
+other modes ignore ``--steps``.  ``evolve``
 loads ``walk``, ``series`` loads ``genfun`` and ``walk``, and ``verify``
 loads every engine.  A linear sweep grid is computed in Python with the
 float operations of ``np.linspace``, bit for bit; ``sweep --log`` loads
@@ -47,6 +51,7 @@ traceback.  Exceptions map onto the codes by class:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib
 import json
@@ -79,29 +84,35 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
 
 
+def _key(default, help: str):
+    """A config key's field: its default, and the help line of its flag.  (A
+    helper: the key ``field`` shadows ``dataclasses.field`` in ``RunConfig``.)"""
+    return dataclasses.field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
     """Resolved run configuration; None marks an unset optional value."""
 
     mode: str
-    p: float | None = None
-    field: float | None = None
-    fbar: float = 1.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    gamma_tilde: float = 0.0
-    L: float = 1.0
-    j0: float = 1.0
-    E0: float = 1.0
-    steps: int = 200
-    fmin: float | None = None
-    fmax: float | None = None
-    points: int | None = None
-    log: bool = False
-    out: str | None = None
-    format: str = "csv"
-    tau_max: int = 10
-    unitarity_tol: float = 1e-11
+    p: float | None = _key(None, "tunneling probability (alternative to --field)")
+    field: float | None = _key(None, "electric field F (alternative to --p)")
+    fbar: float = _key(1.0, "threshold field")
+    beta: float = _key(0.0, "bulk diagonal phase")
+    gamma: float = _key(0.0, "bulk off-diagonal phase")
+    gamma_tilde: float = _key(0.0, "boundary phase")
+    L: float = _key(1.0, "system length")
+    j0: float = _key(1.0, "momentum unit")
+    E0: float = _key(1.0, "energy unit")
+    steps: int = _key(200, f"number of walk steps, at most {MAX_EVOLVE_STEPS}, {MAX_TABLE_STEPS} for series")
+    fmin: float | None = _key(None, "sweep start field")
+    fmax: float | None = _key(None, "sweep end field")
+    points: int | None = _key(None, f"sweep grid size, 2 to {MAX_SWEEP_POINTS}")
+    log: bool = _key(False, "logarithmic sweep grid")
+    out: str | None = _key(None, "output path (default stdout)")
+    format: str = _key("csv", "output format, csv or json")
+    tau_max: int = _key(10, f"verify: path enumeration bound, {TAU_MIN} to {TAU_CAP}")
+    unitarity_tol: float = _key(1e-11, "verify: tolerance of the norm-drift check")
 
 
 def _parse_bool(value: str) -> bool:
@@ -162,39 +173,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("mode", choices=MODES, help="what to run")
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--p", type=float, help="tunneling probability (alternative to --field)")
-    parser.add_argument("--field", type=float, help="electric field F (alternative to --p)")
-    parser.add_argument("--fbar", type=float, help="threshold field (default 1)")
-    parser.add_argument("--beta", type=float, help="bulk diagonal phase (default 0)")
-    parser.add_argument("--gamma", type=float, help="bulk off-diagonal phase (default 0)")
-    parser.add_argument("--gamma-tilde", type=float, dest="gamma_tilde", help="boundary phase (default 0)")
-    parser.add_argument(
-        "--theta",
-        type=float,
-        help="shorthand: sets gamma = THETA and gamma-tilde = 0",
-    )
-    parser.add_argument("--L", type=float, help="system length (default 1)")
-    parser.add_argument("--j0", type=float, help="momentum unit (default 1)")
-    parser.add_argument("--E0", type=float, help="energy unit (default 1)")
-    parser.add_argument("--steps", type=int, help="number of walk steps (default 200)")
-    parser.add_argument("--fmin", type=float, help="sweep start field")
-    parser.add_argument("--fmax", type=float, help="sweep end field")
-    parser.add_argument("--points", type=int, help="sweep grid size (>= 2)")
-    parser.add_argument("--log", action="store_true", default=None, help="logarithmic sweep grid")
-    parser.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    parser.add_argument(
-        "--tau-max",
-        type=int,
-        dest="tau_max",
-        help=f"verify: path enumeration bound, {TAU_MIN} to {TAU_CAP} (default 10)",
-    )
-    parser.add_argument(
-        "--unitarity-tol",
-        type=float,
-        dest="unitarity_tol",
-        help="verify: tolerance of the norm-drift check (default 1e-11)",
-    )
+    parser.add_argument("--theta", type=float, help="shorthand: sets gamma = THETA and gamma-tilde = 0")
+    for f in fields(RunConfig)[1:]:  # the fields after mode, the positional argument
+        flag = "--" + f.name.replace("_", "-")
+        text = f.metadata["help"]
+        if f.type == "bool":  # default None: an unset flag keeps the file's value
+            parser.add_argument(flag, action="store_true", default=None, help=text)
+            continue
+        if f.default is not None:
+            shown = f.default if f.type == "str" else format(f.default, "g")
+            text += f" (default {shown})"
+        parser.add_argument(flag, type=_KEY_PARSERS[f.name], help=text)
     return parser
 
 
@@ -243,6 +232,7 @@ def _validate_config(cfg: RunConfig) -> None:
                 )
         if cfg.field is not None and cfg.field <= 0.0:
             raise UsageError(f"--field must be positive, got {cfg.field}")
+    if cfg.mode in ("evolve", "series"):
         cap = MAX_TABLE_STEPS if cfg.mode == "series" else MAX_EVOLVE_STEPS
         if not 0 <= cfg.steps <= cap:
             raise UsageError(f"--steps must lie in [0, {cap}], got {cfg.steps}")

@@ -72,8 +72,11 @@ def decay_ratio(p: float, theta: float) -> float:
     With s = sqrt(1-p) the denominator 2 - p - 2 cos(theta) s equals
     (1 - s)^2 + 4 s sin^2(theta/2), and 1 - s = p / (1 + s).  Both terms are
     divided by p, so r = 1 / (p/(1+s)^2 + 4 s sin^2(theta/2)/p) keeps full
-    relative accuracy for every p in (0, 1), with neither cancellation nor
-    underflow; it is +inf only where p/(1+s)^2 itself underflows at theta = 0.
+    relative accuracy for every p in (0, 1), free of cancellation.  Where
+    the second term overflows (p near or below the smallest normal float),
+    the first is below 1 and r = p / (4 s sin^2(theta/2)) instead; that r
+    can be subnormal, and it underflows to 0 at p = 5e-324, theta = pi.  r
+    is +inf where theta is 0 or nearly so and (1+s)^2/p overflows.
     """
     return _decay_ratio(p, _check_p_theta(p, theta))
 
@@ -82,7 +85,10 @@ def _decay_ratio(p: float, theta: float) -> float:
     """r at a checked p and reduced theta; see ``decay_ratio``."""
     s = math.sqrt(1.0 - p)
     half = math.sin(0.5 * theta)
-    den = p / (1.0 + s) ** 2 + 4.0 * s * half * half / p
+    phase = 4.0 * s * half * half
+    if phase / p == math.inf:  # p/(1+s)^2 < 1 is lost beside it
+        return p / phase
+    den = p / (1.0 + s) ** 2 + phase / p
     return 1.0 / den if den > 0.0 else math.inf
 
 
@@ -132,11 +138,14 @@ def thresholds(theta: float, Fbar: float) -> tuple[float, float]:
 
 
 def localization_length(p: float, theta: float) -> float:
-    """Edge-state size 1/|ln r| on the level axis; infinite at r = 1."""
+    """Edge-state size 1/|ln r| on the level axis; infinite at r = 1 and,
+    its limit, 0 where r underflows to 0."""
     return _localization_length(decay_ratio(p, theta))
 
 
 def _localization_length(r: float) -> float:
+    if r == 0.0:
+        return 0.0
     log_r = math.log(r)
     if log_r == 0.0:
         return math.inf

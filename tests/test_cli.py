@@ -105,6 +105,74 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert max(int(r[0]) for r in rows) == 2  # flag overrode the file value
 
 
+# a value other than the default for each config key, as both a flag and a
+# config line write it
+KEY_VALUES = {
+    "p": "0.3", "field": "2.5", "fbar": "1.5", "beta": "-0.25", "gamma": "0.5",
+    "gamma_tilde": "-1e-3", "L": "2", "j0": "3", "E0": "4", "steps": "7",
+    "fmin": "0.5", "fmax": "6", "points": "12", "log": "true", "out": "x.csv",
+    "format": "json", "tau_max": "12", "unitarity_tol": "1e-9",
+}
+
+
+def _flag_argv(key, value):
+    flag = "--" + key.replace("_", "-")
+    return [flag] if value == "true" else [flag, value]
+
+
+def test_every_key_has_one_flag_and_one_config_line(tmp_path):
+    # verify mode reads no p, field, steps or sweep key, so it takes each alone
+    assert set(KEY_VALUES) == {f.name for f in fields(RunConfig)} - {"mode"}
+    default = RunConfig(mode="verify")
+    path = tmp_path / "run.cfg"
+    for key, value in KEY_VALUES.items():
+        path.write_text(f"{key} = {value}\n")
+        from_flag = cli._resolve_config(["verify", *_flag_argv(key, value)])
+        from_file = cli._resolve_config(["verify", "--config", str(path)])
+        assert from_flag == from_file, key
+        assert getattr(from_flag, key) != getattr(default, key), key
+    path.write_text("".join(f"{key} = {value}\n" for key, value in KEY_VALUES.items()))
+    argv = [arg for key, value in KEY_VALUES.items() for arg in _flag_argv(key, value)]
+    assert cli._resolve_config(["verify", *argv]) == cli._resolve_config(["verify", "--config", str(path)])
+
+
+# the default each help line names; the other keys default to unset
+HELP_DEFAULTS = {
+    "fbar": "1", "beta": "0", "gamma": "0", "gamma_tilde": "0", "L": "1", "j0": "1",
+    "E0": "1", "steps": "200", "out": "stdout", "format": "csv", "tau_max": "10",
+    "unitarity_tol": "1e-11",
+}
+
+
+def test_help_names_each_flag_once_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("\noptions:\n")[1]
+    # one entry per option, from its flag to the next flag, wrapping undone
+    entries = [" ".join(entry.split()) for entry in ("\n" + options).split("\n  -")[1:]]
+    flags = [entry.split()[0] for entry in entries]
+    keys = [f for f in fields(RunConfig) if f.name != "mode"]
+    assert sorted(flags) == sorted(["h,", "-config", "-theta", *("-" + f.name.replace("_", "-") for f in keys)])
+    for f in keys:
+        entry = entries[flags.index("-" + f.name.replace("_", "-"))]
+        assert entry.count(f.metadata["help"]) == 1
+        shown = HELP_DEFAULTS.get(f.name)
+        if shown is None:
+            assert "(default" not in entry, entry
+        else:
+            assert entry.endswith(f"(default {shown})"), entry
+            assert shown == "stdout" or shown == str(f.default) or float(shown) == f.default
+
+
+def test_bad_format_has_one_message_from_flag_and_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("format = xml\n")
+    from_flag = run_cli(capsys, "edge", "--p", "0.2", "--format", "xml")
+    from_file = run_cli(capsys, "edge", "--p", "0.2", "--config", str(path))
+    assert from_flag == from_file == (1, "", "error: format must be csv or json, got 'xml'\n")
+
+
 def test_unreadable_config_text_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"p = 0.2\xff\n")
@@ -910,6 +978,11 @@ def test_steps_beyond_cap_exit_1_at_once(capsys, mode, steps):
     assert str(steps - 1) in err
 
 
+@pytest.mark.parametrize("steps", ["-1", str(MAX_TABLE_STEPS + 1), str(MAX_EVOLVE_STEPS + 1)])
+def test_edge_ignores_steps(capsys, steps):
+    assert run_cli(capsys, "edge", "--p", "0.2", "--steps", steps) == run_cli(capsys, "edge", "--p", "0.2")
+
+
 def test_sweep_points_beyond_cap_exit_1_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -939,6 +1012,28 @@ def test_edge_at_subnormal_p_and_tiny_theta(capsys):
     assert rec["localized"] == "true"
     exact = j_paper_exact(1e-320, 1e-16)
     assert abs(float(rec["J_paper_form"]) - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("edge", "--p", "1e-310", "--theta", "0.5"),
+        ("edge", "--p", "2e-308", "--theta", str(math.pi)),
+        # normal fields, whose p reach down to 8e-311
+        ("sweep", "--theta", str(math.pi), "--fmin", "0.0044", "--fmax", "0.0045", "--points", "3"),
+    ],
+)
+def test_edge_where_r_is_subnormal(capsys, args):
+    # 4 s sin^2(theta/2) / p overflows here, and r = p / (4 s sin^2(theta/2))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    recs = [dict(zip(header, row)) for row in rows]
+    assert float(recs[0]["r"]) < sys.float_info.min
+    for rec in recs:
+        assert rec["localized"] == "true"
+        assert float(rec["r"]) == decay_ratio(float(rec["p"]), float(args[args.index("--theta") + 1]))
+        assert 0.0 < float(rec["xi"]) < math.inf
 
 
 @pytest.mark.parametrize(

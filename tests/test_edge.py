@@ -48,18 +48,27 @@ def test_decay_ratio_zero_phase_never_localizes():
         assert decay_ratio(float(p), 0.0) >= 1.0
 
 
-@pytest.mark.parametrize("theta", [0.0, 1e-4, THETA_REF])
+@pytest.mark.parametrize("theta", [0.0, 1e-4, THETA_REF, math.pi])
 def test_decay_ratio_matches_high_precision(theta):
-    # p log-uniform over [1e-300, 0.5]; 2 - p - 2 cos(theta) sqrt(1-p) cancels
-    # down to about p^2 / 4 at theta = 0, so the reference carries 700 digits
+    # p log-uniform over [1e-300, 0.5], and over the subnormals and the
+    # smallest normals down to 5e-324; 2 - p - 2 cos(theta) sqrt(1-p) cancels
+    # down to about p^2 / 4 at theta = 0, so the reference carries 700 digits.
+    # Where the exact r is subnormal no float carries 1e-13 relative, so there
+    # the bound is one subnormal spacing; where it exceeds the float range
+    # (4/p at theta = 0), r is +inf
     rng = np.random.default_rng(5)
-    ps = [1e-300, 0.5, *(10.0 ** rng.uniform(-300.0, math.log10(0.5), 100))]
+    ps = [5e-324, 1e-300, 0.5, *(10.0 ** rng.uniform(-300.0, math.log10(0.5), 100))]
+    ps += list(10.0 ** rng.uniform(-323.0, -300.0, 40))
     with mpmath.workdps(700):
         t = mpmath.mpf(theta)
         for p in map(float, ps):
             q = mpmath.mpf(p)
             exact = q / (2 - q - 2 * mpmath.cos(t) * mpmath.sqrt(1 - q))
-            assert decay_ratio(p, theta) == pytest.approx(float(exact), rel=1e-13)
+            got = decay_ratio(p, theta)
+            if float(exact) == math.inf:
+                assert got == math.inf, p
+            else:
+                assert abs(mpmath.mpf(got) - exact) <= max(1e-13 * exact, 2.0**-1074), p
 
 
 def test_decay_ratio_tends_to_one_at_threshold():
@@ -156,6 +165,14 @@ def test_localization_length_reference_and_divergence():
     # still finite and positive on the delocalized side (no edge state there;
     # the report suppresses it)
     assert localization_length(0.7, THETA_REF) > 0.0
+
+
+def test_localization_length_where_r_is_subnormal_or_zero():
+    # r = 4.08e-310 here, and xi = 1/|ln r| is small but not 0
+    assert localization_length(1e-310, 0.5) == pytest.approx(1.0 / -math.log(4.0843854251568286e-310), rel=1e-15)
+    # r underflows to 0, whose limit of 1/|ln r| is 0
+    assert decay_ratio(5e-324, math.pi) == 0.0
+    assert localization_length(5e-324, math.pi) == 0.0
 
 
 def test_localization_length_small_field_scaling():
