@@ -64,20 +64,11 @@ from itertools import repeat
 
 from .coin import ModelParams, landau_zener_field, landau_zener_p, make_boundary_coin, make_bulk_coin
 from .edge import edge_point, edge_report
-# decay_ratio, is_localized, localization_length and observables are not
-# called here; they stay importable from this module because
-# benches/spans.py wraps them by name on it.
-from .edge import decay_ratio, is_localized, localization_length, observables  # noqa: F401
-from .errors import MAX_EVOLVE_STEPS, MAX_TABLE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
+from .errors import MAX_EVOLVE_STEPS, MAX_SWEEP_POINTS, MAX_TABLE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
 
 __all__ = ["RunConfig", "main", "app", "parse_config_text"]
 
 MODES = ("evolve", "series", "edge", "sweep", "verify")
-
-# largest sweep grid; cost is linear in the points: at the cap a run takes
-# 0.9-1.2 s and 64 MB peak RSS for CSV, 1.2-1.7 s and 99 MB for JSON
-# (2-core shared VM, in process)
-MAX_SWEEP_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -218,6 +209,13 @@ def _validate_config(cfg: RunConfig) -> None:
     for name, value in vars(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    # edge and sweep take theta = gamma - gamma_tilde, which can overflow
+    theta = cfg.gamma - cfg.gamma_tilde
+    if cfg.mode in ("edge", "sweep") and not math.isfinite(theta):
+        raise UsageError(
+            f"--gamma {cfg.gamma} and --gamma-tilde {cfg.gamma_tilde} give "
+            f"theta = gamma - gamma_tilde = {theta}, which must be finite"
+        )
     if cfg.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg.format!r}")
     needs_point = cfg.mode in ("evolve", "series", "edge")
@@ -365,6 +363,9 @@ def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
+# the J_direct, J_paper_form and E_direct cells of a point with no edge state
+_NO_OBSERVABLES = (None, None, None)
+
 _EDGE_COLUMNS = [
     "F", "p", "theta", "r", "xi", "weight", "z_pole_sq_re", "z_pole_sq_im",
     "quasi_energy", "p_c", "F_c", "J_direct", "J_paper_form", "E_direct",
@@ -379,15 +380,10 @@ def run_edge(cfg: RunConfig) -> tuple[list[str], list[list]]:
         gamma_tilde=cfg.gamma_tilde, L=cfg.L, j0=cfg.j0, E0=cfg.E0,
     )
     report = edge_report(params)
-    obs = report.observables
-    if obs is None:
-        j_direct = j_paper = e_direct = None
-    else:
-        j_direct, j_paper, e_direct = obs.J_direct, obs.J_paper_form, obs.E_direct
     row = [
         field, report.p, report.theta, report.r, report.xi, report.weight,
         report.z_pole_sq.real, report.z_pole_sq.imag, report.quasi_energy,
-        report.p_c, report.F_c, j_direct, j_paper, e_direct,
+        report.p_c, report.F_c, *(report.observables or _NO_OBSERVABLES),
         report.localized, report.critical,
     ]
     return list(_EDGE_COLUMNS), [row]
@@ -438,10 +434,7 @@ def _sweep_rows(cfg: RunConfig, grid: list[float]) -> Iterator[list]:
     for field in grid:
         p = landau_zener_p(field, fbar)
         r, xi, weight, obs = edge_point(p, theta, j0, E0)
-        if obs is None:
-            yield [field, p, r, xi, weight, None, None, None, False]
-        else:
-            yield [field, p, r, xi, weight, obs.J_direct, obs.J_paper_form, obs.E_direct, True]
+        yield [field, p, r, xi, weight, *(obs or _NO_OBSERVABLES), obs is not None]
 
 
 def _cell(value) -> str:
@@ -598,10 +591,13 @@ def app() -> None:
     raise SystemExit(main())
 
 
-# walk.initial_state, walk.step and genfun.bounded_gf_table are not called
-# here; benches/spans.py wraps them by name on this module, so they resolve
-# on first access, and importing this module loads neither engine
-_SPAN_TARGETS = {"initial_state": "walk", "step": "walk", "bounded_gf_table": "genfun"}
+# none of these is called here; benches/spans.py wraps them by name on this
+# module, so they resolve on first access, and importing this module loads
+# no engine
+_SPAN_TARGETS = {
+    "initial_state": "walk", "step": "walk", "bounded_gf_table": "genfun",
+    "decay_ratio": "edge", "is_localized": "edge", "localization_length": "edge", "observables": "edge",
+}
 
 
 def __getattr__(name: str):

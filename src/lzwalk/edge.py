@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .coin import Coin, ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
+from .coin import ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
 from .errors import DelocalizedError
 
 __all__ = [
@@ -103,11 +103,7 @@ def pole(p: float, theta: float) -> complex:
     p/(1+s) + 2 s sin^2(theta/2), written so that it does not cancel at
     small p and small theta.
     """
-    return _pole(p, _check_p_theta(p, theta))
-
-
-def _pole(p: float, theta: float) -> complex:
-    """z_pole^2 at a checked p and reduced theta; see ``pole``."""
+    theta = _check_p_theta(p, theta)
     s = math.sqrt(1.0 - p)
     half = math.sin(0.5 * theta)
     num = complex(p / (1.0 + s) + 2.0 * s * half * half, s * math.sin(theta))
@@ -210,8 +206,7 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     a, b = coin.a, coin.b
     ad, bc = a * coin.d, b * coin.c
 
-    z2 = _pole(p, theta)
-    zp = cmath.sqrt(z2)
+    zp = cmath.sqrt(pole(p, theta))
     eta = eta_eval(coin, zp)
     # implicit derivative of F(eta, z) = z^3 + ((ad + bc) z^2 - 1) eta + ad bc z eta^2
     dF_deta = (ad + bc) * zp * zp - 1.0 + 2.0 * ad * bc * zp * eta
@@ -255,15 +250,10 @@ def quasi_energy(params: ModelParams) -> float:
     p = params.p
     theta = _check_p_theta(p, params.theta)
     _require_localized(p, theta)
-    return _quasi_energy(params, _pole(p, theta))
+    return params.L * params.F / (2.0 * math.pi) * cmath.phase(pole(p, theta))
 
 
-def _quasi_energy(params: ModelParams, z2: complex) -> float:
-    return params.L * params.F / (2.0 * math.pi) * cmath.phase(z2)
-
-
-@dataclass(frozen=True)
-class EdgeObservables:
+class EdgeObservables(NamedTuple):
     """Momentum and energy carried by the normalized edge mode."""
 
     J_direct: float
@@ -332,11 +322,7 @@ def edge_point(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> Edge
     Checks (p, theta) once and computes r once; every value equals the one
     ``decay_ratio``, ``localization_length`` and ``observables`` return.
     """
-    return _edge_point(p, _check_p_theta(p, theta), j0, E0)
-
-
-def _edge_point(p: float, theta: float, j0: float, E0: float) -> EdgePoint:
-    """``edge_point`` at a checked p and reduced theta."""
+    theta = _check_p_theta(p, theta)
     r = _decay_ratio(p, theta)
     if r < 1.0 - CRITICAL_BAND:
         return EdgePoint(r, _localization_length(r), 1.0 - r, _observables(p, theta, r, j0, E0))
@@ -369,10 +355,8 @@ class EdgeReport:
 
 def edge_report(params: ModelParams) -> EdgeReport:
     """Assemble the edge-state report for a parameter set."""
-    p = params.p
-    theta = _check_p_theta(p, params.theta)
-    r, xi, weight, obs = _edge_point(p, theta, params.j0, params.E0)
-    z2 = _pole(p, theta)
+    p, theta = params.p, params.theta  # edge_point checks them
+    r, xi, weight, obs = edge_point(p, theta, params.j0, params.E0)
     p_c, F_c = thresholds(theta, params.Fbar)
     localized = obs is not None
     return EdgeReport(
@@ -381,8 +365,8 @@ def edge_report(params: ModelParams) -> EdgeReport:
         r=r,
         xi=xi,
         weight=weight,
-        z_pole_sq=z2,
-        quasi_energy=_quasi_energy(params, z2) if localized else None,
+        z_pole_sq=pole(p, theta),
+        quasi_energy=quasi_energy(params) if localized else None,
         p_c=p_c,
         F_c=F_c,
         localized=localized,

@@ -994,6 +994,21 @@ def test_sweep_points_beyond_cap_exit_1_at_once(capsys):
     assert str(MAX_SWEEP_POINTS) in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["edge", "--p", "0.2"], ["sweep", "--fmin", "1", "--fmax", "2", "--points", "3"]],
+    ids=["edge", "sweep"],
+)
+def test_overflowing_theta_names_both_phases(capsys, args):
+    # each phase is finite; their difference, theta, is not
+    code, out, err = run_cli(capsys, *args, "--gamma", "1e308", "--gamma-tilde", "-1e308")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --gamma 1e+308 and --gamma-tilde -1e+308 give "
+        "theta = gamma - gamma_tilde = inf, which must be finite\n"
+    )
+
+
 def test_edge_at_vanishing_p_and_zero_theta(capsys):
     # 1 - sqrt(1-p) rounds to 0 here; r = (1 + sqrt(1-p))^2 / p stays finite
     code, out, err = run_cli(capsys, "edge", "--p", "1e-300", "--theta", "0")

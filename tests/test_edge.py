@@ -261,11 +261,10 @@ def test_observables_match_closed_geometric_sums():
     #   J = j0 * 2 r / (1+r)^2,   E = E0 * 4 r (1+r^2) / (1-r^2)^2
     for p, theta in [(0.2, THETA_REF), (0.4, math.pi / 3), (0.05, 1.0), (0.49, THETA_REF)]:
         r = decay_ratio(p, theta)
-        obs = observables(p, theta)
-        assert obs.J_direct == pytest.approx(2 * r / (1 + r) ** 2, rel=1e-12)
-        assert obs.E_direct == pytest.approx(
-            4 * r * (1 + r * r) / (1 - r * r) ** 2, rel=1e-12
-        )
+        J, Jp, E = observables(p, theta)  # a named tuple, in column order
+        assert J == pytest.approx(2 * r / (1 + r) ** 2, rel=1e-12)
+        assert Jp == pytest.approx(J / math.sqrt(1.0 - p), rel=1e-12)
+        assert E == pytest.approx(4 * r * (1 + r * r) / (1 - r * r) ** 2, rel=1e-12)
 
 
 def test_observables_units_scale():
@@ -408,6 +407,16 @@ def test_edge_point_equals_the_per_point_functions(p, theta):
         )
     else:
         assert point == EdgePoint(decay_ratio(p, theta), None, 0.0, None)
+    # edge_report at the same point carries the same values, bit for bit
+    params = ModelParams(F=landau_zener_field(p, 1.0), Fbar=1.0, gamma=theta, L=2.5, j0=3.0, E0=0.5)
+    report = edge_report(params)
+    point = edge_point(params.p, params.theta, 3.0, 0.5)
+    assert (report.r, report.xi, report.weight, report.observables) == point
+    assert report.z_pole_sq == pole(params.p, params.theta)
+    if point.observables is None:
+        assert report.quasi_energy is None
+    else:
+        assert report.quasi_energy == quasi_energy(params)
 
 
 @pytest.mark.parametrize("p, theta", [(1.0, 0.5), (0.0, 0.5), (0.2, math.nan), (math.inf, 0.5)])

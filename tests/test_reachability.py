@@ -52,7 +52,6 @@ UNREACHED = {
     "edge.__getattr__": SPAN_LOOKUP,
     "edge.is_localized": SPANS,
     "edge.localization_length": SPANS,
-    "edge.quasi_energy": SPANS,
     "genfun.Series.__repr__": REPR,
     "genfun.lambda_plus_eval": SPANS,
     "genfun.lambda_plus_series": SPANS,
