@@ -11,12 +11,17 @@ physics parameter cannot pass silently.  Each key is declared once, as a
 ``RunConfig`` field: its name gives the key and the flag (``_`` -> ``-``), its
 annotation the value parser, and its default and metadata the help line.
 ``_validate_config`` checks every value, from a flag or from a file.
+The model's phases enter as one key, ``theta`` = gamma - gamma_tilde: every
+printed number depends on them through theta alone (beta and the common
+part of gamma and gamma_tilde add a path-independent phase to every
+amplitude).  ``evolve`` and ``series`` build their coins in one gauge, in
+``_coins``, so their bytes are a function of p and ``reduce_angle(theta)``.
 
 The ``evolve`` and ``series`` tables are made one amplitude snapshot
 ``(tau, psi_L, psi_R)`` at a time, from ``walk.trajectory`` or a column of
 the series table, in ``_probability_rows``: the snapshot must sum to 1 by
-``walk.total_probability``, then |psi|^2 is formed on its whole arrays, the
-light-cone sites n = tau (mod 2) zip into rows, and each row fills one
+``walk.total_probability``, then |psi|^2 = re^2 + im^2 is formed on its
+light-cone sites n = tau (mod 2), which zip into rows, and each row fills one
 %-template (``%d,%d,%.17g,%.17g`` in CSV, ``%d``/``%r`` cells in JSON).
 The sum check fails on NaN and inf, so these cells are always ints and
 finite floats.  The ``edge`` and ``sweep`` tables, whose cells can be
@@ -62,7 +67,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from .coin import ModelParams, landau_zener_field, landau_zener_p, make_boundary_coin, make_bulk_coin
+from .coin import (
+    Coin, ModelParams, landau_zener_field, landau_zener_p, make_boundary_coin, make_bulk_coin, reduce_angle,
+)
 from .edge import edge_point, edge_report
 from .errors import MAX_EVOLVE_STEPS, MAX_SWEEP_POINTS, MAX_TABLE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
 
@@ -89,9 +96,7 @@ class RunConfig:
     p: float | None = _key(None, "tunneling probability (alternative to --field)")
     field: float | None = _key(None, "electric field F (alternative to --p)")
     fbar: float = _key(1.0, "threshold field")
-    beta: float = _key(0.0, "bulk diagonal phase")
-    gamma: float = _key(0.0, "bulk off-diagonal phase")
-    gamma_tilde: float = _key(0.0, "boundary phase")
+    theta: float = _key(0.0, "phase difference theta = gamma - gamma_tilde of the bulk and boundary coins")
     L: float = _key(1.0, "system length")
     j0: float = _key(1.0, "momentum unit")
     E0: float = _key(1.0, "energy unit")
@@ -158,13 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # a negative float literal after a flag is that flag's value; argparse's
     # own pattern misses the exponent form and inf/nan, so it would read
-    # "--beta -1e-3" as a flag with no value
+    # "--theta -1e-3" as a flag with no value
     parser._negative_number_matcher = re.compile(
         r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
     )
     parser.add_argument("mode", choices=MODES, help="what to run")
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--theta", type=float, help="shorthand: sets gamma = THETA and gamma-tilde = 0")
     for f in fields(RunConfig)[1:]:  # the fields after mode, the positional argument
         flag = "--" + f.name.replace("_", "-")
         text = f.metadata["help"]
@@ -189,11 +193,6 @@ def _resolve_config(argv: list[str]) -> RunConfig:
             raise UsageError(f"cannot read config file: {exc}") from exc
         values.update(parse_config_text(text))
         values.pop("mode", None)  # the positional argument wins
-    if ns.theta is not None:
-        if ns.gamma is not None or ns.gamma_tilde is not None:
-            raise UsageError("--theta conflicts with explicit --gamma/--gamma-tilde")
-        values["gamma"] = ns.theta
-        values["gamma_tilde"] = 0.0
     for key in _KEY_PARSERS:
         if key == "mode":
             continue
@@ -209,13 +208,6 @@ def _validate_config(cfg: RunConfig) -> None:
     for name, value in vars(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    # edge and sweep take theta = gamma - gamma_tilde, which can overflow
-    theta = cfg.gamma - cfg.gamma_tilde
-    if cfg.mode in ("edge", "sweep") and not math.isfinite(theta):
-        raise UsageError(
-            f"--gamma {cfg.gamma} and --gamma-tilde {cfg.gamma_tilde} give "
-            f"theta = gamma - gamma_tilde = {theta}, which must be finite"
-        )
     if cfg.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg.format!r}")
     needs_point = cfg.mode in ("evolve", "series", "edge")
@@ -319,13 +311,10 @@ def _probability_rows(
 
     Each snapshot must sum to 1 within 1e-10 before any of its rows is made;
     the check fails on NaN and inf.  Every printed probability is
-    ``np.abs(psi) ** 2`` on the snapshot's array as given, and only then
-    sliced to the light cone: numpy's array abs can differ from ``abs`` of
-    one element in the last bit, and its loop on a strided slice is not
-    known to match.
+    ``re**2 + im**2`` of its amplitude on the light cone: two squares and a
+    sum, each correctly rounded element by element, so no CPU-specific loop
+    and no stride can move a bit (``np.abs``, a hypot, depends on the CPU).
     """
-    import numpy as np
-
     from .walk import total_probability
 
     for tau, psi_L, psi_R in snapshots:
@@ -333,32 +322,39 @@ def _probability_rows(
         if not abs(total - 1.0) <= 1e-10:  # fails on NaN too
             raise ArithmeticError(f"snapshot at tau={tau} sums to {total!r}, not 1")
         cone = slice(tau % 2, None, 2)
+        cone_L, cone_R = psi_L[cone], psi_R[cone]
         yield from zip(
             repeat(tau),
             range(tau % 2, tau + 1, 2),
-            (np.abs(psi_L) ** 2)[cone].tolist(),
-            (np.abs(psi_R) ** 2)[cone].tolist(),
+            (cone_L.real ** 2 + cone_L.imag ** 2).tolist(),
+            (cone_R.real ** 2 + cone_R.imag ** 2).tolist(),
         )
+
+
+def _coins(cfg: RunConfig) -> tuple[Coin, Coin]:
+    """The coins of ``evolve`` and ``series`` in the one gauge that fixes
+    their bits: beta = gamma = 0, gamma_tilde = -reduce_angle(theta).
+
+    Reducing theta makes theta and theta + 2 pi one input.  The bulk coin is
+    real, so each bulk product of the walk is two real products, rounded
+    once with or without fused multiply-add, and ``evolve`` prints the same
+    bytes at every CPU level.
+    """
+    return make_bulk_coin(_resolve_p(cfg), 0.0, 0.0), make_boundary_coin(-reduce_angle(cfg.theta))
 
 
 def run_evolve(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     from .walk import trajectory
 
-    p = _resolve_p(cfg)
-    u = make_bulk_coin(p, cfg.beta, cfg.gamma)
-    ub = make_boundary_coin(cfg.gamma_tilde)
-    snapshots = list(trajectory(u, ub, _snapshot_times(cfg.steps)))
+    snapshots = list(trajectory(*_coins(cfg), _snapshot_times(cfg.steps)))
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
 def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     from .genfun import bounded_gf_table
 
-    p = _resolve_p(cfg)
-    u = make_bulk_coin(p, cfg.beta, cfg.gamma)
-    ub = make_boundary_coin(cfg.gamma_tilde)
     times = _snapshot_times(cfg.steps)
-    tab_L, tab_R = bounded_gf_table(u, ub, cfg.steps, max(cfg.steps + 1, 2), columns=times)
+    tab_L, tab_R = bounded_gf_table(*_coins(cfg), cfg.steps, max(cfg.steps + 1, 2), columns=times)
     snapshots = [(tau, tab_L[: tau + 1, i], tab_R[: tau + 1, i]) for i, tau in enumerate(times)]
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
@@ -375,10 +371,7 @@ _EDGE_COLUMNS = [
 
 def run_edge(cfg: RunConfig) -> tuple[list[str], list[list]]:
     field = cfg.field if cfg.field is not None else landau_zener_field(cfg.p, cfg.fbar)
-    params = ModelParams(
-        F=field, Fbar=cfg.fbar, beta=cfg.beta, gamma=cfg.gamma,
-        gamma_tilde=cfg.gamma_tilde, L=cfg.L, j0=cfg.j0, E0=cfg.E0,
-    )
+    params = ModelParams(F=field, Fbar=cfg.fbar, gamma=cfg.theta, L=cfg.L, j0=cfg.j0, E0=cfg.E0)
     report = edge_report(params)
     row = [
         field, report.p, report.theta, report.r, report.xi, report.weight,
@@ -429,8 +422,7 @@ def _sweep_rows(cfg: RunConfig, grid: list[float]) -> Iterator[list]:
     A bad grid point raises while the rows are rendered, before anything
     is written.
     """
-    theta = cfg.gamma - cfg.gamma_tilde
-    fbar, j0, E0 = cfg.fbar, cfg.j0, cfg.E0
+    theta, fbar, j0, E0 = cfg.theta, cfg.fbar, cfg.j0, cfg.E0
     for field in grid:
         p = landau_zener_p(field, fbar)
         r, xi, weight, obs = edge_point(p, theta, j0, E0)

@@ -28,10 +28,10 @@ follow without a division either, with h = 1 - c~ A:
 The one division left is the formal seed 1/d of Bq.  So the forms stay
 exact where a coin entry vanishes: b and c as p -> 1, a and d as p -> 0.
 bc is always formed as the product b * c; ad - Delta would cancel to
-round-off as p -> 1.  In the gauge beta = 0, which every ``--theta`` run
-uses, a, d, Delta and bc are exactly real, so eta and t carry no imaginary
-round-off; a variable that absorbed the phase of b or c would leave it to
-cancel in t.
+round-off as p -> 1.  In the gauge beta = 0, which includes the real bulk
+coin (beta = gamma = 0) of every CLI run, a, d, Delta and bc are exactly
+real, so eta and t carry no imaginary round-off; a variable that absorbed
+the phase of b or c would leave it to cancel in t.
 
 eta comes in a pointwise flavor (``eta_eval``, which solves the quadratic
 with the stable root formula) and a series flavor (``eta_series``, truncated

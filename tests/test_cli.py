@@ -33,7 +33,7 @@ from lzwalk import (
 )
 from lzwalk import cli
 from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, main, parse_config_text
-from lzwalk.coin import landau_zener_p, make_boundary_coin, make_bulk_coin
+from lzwalk.coin import landau_zener_p, make_boundary_coin, make_bulk_coin, reduce_angle
 from lzwalk.edge import CRITICAL_BAND
 from lzwalk.genfun import MAX_TABLE_STEPS
 from lzwalk.pathsum import TAU_CAP
@@ -60,9 +60,7 @@ def test_config_round_trip():
     text = """\
 mode = sweep
 fbar = 1
-beta = 0
-gamma = 0.78539816339744828
-gamma_tilde = 0
+theta = 0.78539816339744828
 L = 1
 j0 = 1
 E0 = 1
@@ -77,7 +75,7 @@ tau_max = 10
 unitarity_tol = 9.9999999999999994e-12
 """
     cfg = RunConfig(
-        mode="sweep", fbar=1.0, gamma=THETA, fmin=0.5, fmax=6.0, points=12,
+        mode="sweep", fbar=1.0, theta=THETA, fmin=0.5, fmax=6.0, points=12,
         log=True, format="json", out="x.csv",
     )
     parsed = parse_config_text(text)
@@ -97,7 +95,7 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path, capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 0.2\ngamma = 0.5\nsteps = 4\n")
+    cfg.write_text("p = 0.2\ntheta = 0.5\nsteps = 4\n")
     code, out, _ = run_cli(capsys, "evolve", "--config", str(cfg), "--steps", "2")
     assert code == 0
     header, rows = parse_csv(out)
@@ -108,10 +106,9 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 # a value other than the default for each config key, as both a flag and a
 # config line write it
 KEY_VALUES = {
-    "p": "0.3", "field": "2.5", "fbar": "1.5", "beta": "-0.25", "gamma": "0.5",
-    "gamma_tilde": "-1e-3", "L": "2", "j0": "3", "E0": "4", "steps": "7",
-    "fmin": "0.5", "fmax": "6", "points": "12", "log": "true", "out": "x.csv",
-    "format": "json", "tau_max": "12", "unitarity_tol": "1e-9",
+    "p": "0.3", "field": "2.5", "fbar": "1.5", "theta": "-1e-3", "L": "2", "j0": "3",
+    "E0": "4", "steps": "7", "fmin": "0.5", "fmax": "6", "points": "12", "log": "true",
+    "out": "x.csv", "format": "json", "tau_max": "12", "unitarity_tol": "1e-9",
 }
 
 
@@ -138,9 +135,8 @@ def test_every_key_has_one_flag_and_one_config_line(tmp_path):
 
 # the default each help line names; the other keys default to unset
 HELP_DEFAULTS = {
-    "fbar": "1", "beta": "0", "gamma": "0", "gamma_tilde": "0", "L": "1", "j0": "1",
-    "E0": "1", "steps": "200", "out": "stdout", "format": "csv", "tau_max": "10",
-    "unitarity_tol": "1e-11",
+    "fbar": "1", "theta": "0", "L": "1", "j0": "1", "E0": "1", "steps": "200",
+    "out": "stdout", "format": "csv", "tau_max": "10", "unitarity_tol": "1e-11",
 }
 
 
@@ -153,7 +149,7 @@ def test_help_names_each_flag_once_with_its_default(capsys):
     entries = [" ".join(entry.split()) for entry in ("\n" + options).split("\n  -")[1:]]
     flags = [entry.split()[0] for entry in entries]
     keys = [f for f in fields(RunConfig) if f.name != "mode"]
-    assert sorted(flags) == sorted(["h,", "-config", "-theta", *("-" + f.name.replace("_", "-") for f in keys)])
+    assert sorted(flags) == sorted(["h,", "-config", *("-" + f.name.replace("_", "-") for f in keys)])
     for f in keys:
         entry = entries[flags.index("-" + f.name.replace("_", "-"))]
         assert entry.count(f.metadata["help"]) == 1
@@ -343,7 +339,8 @@ def test_distribution_equals_the_evolve_rows_bit_for_bit(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     printed = [(int(n), float(pl).hex(), float(pr).hex()) for tau, n, pl, pr in rows if tau == str(steps)]
-    state = lzwalk.walk.evolve(make_bulk_coin(0.3, 0.0, THETA), make_boundary_coin(0.0), steps)
+    # the CLI's gauge: a real bulk coin, all of theta in the boundary phase
+    state = lzwalk.walk.evolve(make_bulk_coin(0.3, 0.0, 0.0), make_boundary_coin(-THETA), steps)
     rows = cli._probability_rows([(steps, state.psi_L, state.psi_R)])
     assert [(n, pl.hex(), pr.hex()) for _, n, pl, pr in rows] == printed
 
@@ -416,16 +413,16 @@ def test_sweep_columns_and_delocalized_rows(capsys):
     assert all(a >= b - 1e-12 for a, b in zip(weights, weights[1:]))
 
 
-# fixed before running: theta unreduced, negative, obtuse, 0 and pi/2, from
-# two phases, a log grid, another Fbar, other units, and a grid of one
-# field at F_c, inside CRITICAL_BAND
+# fixed before running: theta unreduced, negative, obtuse, 0 and pi/2, the
+# difference of two phases, a log grid, another Fbar, other units, and a
+# grid of one field at F_c, inside CRITICAL_BAND
 SWEEP_GRIDS = [
     ("--theta", repr(THETA + 4 * math.pi)),
     ("--theta", "-0.6"),
     ("--theta", "2.3"),
     ("--theta", "0"),
     ("--theta", repr(math.pi / 2)),
-    ("--gamma", "1.3", "--gamma-tilde", "0.5"),
+    ("--theta", repr(1.3 - 0.5)),
     ("--theta", str(THETA), "--log"),
     ("--theta", "0.9", "--fbar", "2"),
     ("--theta", str(THETA), "--j0", "3", "--E0", "0.5"),
@@ -444,7 +441,7 @@ def test_sweep_rows_equal_the_per_point_functions(capsys, flags):
     cfg = cli._resolve_config(argv)
     header, rows = cli.run_sweep(cfg)
     rows = list(rows)
-    theta = cfg.gamma - cfg.gamma_tilde
+    theta = cfg.theta
     assert len(rows) == cfg.points
     for row in rows:
         field, p, r = row[:3]
@@ -480,7 +477,7 @@ EDGE_POINTS = [
     ("--p", "0.8", "--theta", str(THETA)),
     ("--p", "0.8", "--theta", "2.3"),
     ("--p", "0.3", "--theta", "-8.5", "--j0", "3", "--E0", "0.5", "--L", "2"),
-    ("--field", "2", "--fbar", "2", "--gamma", "1.3", "--gamma-tilde", "0.5"),
+    ("--field", "2", "--fbar", "2", "--theta", repr(1.3 - 0.5)),
 ]
 
 
@@ -493,12 +490,9 @@ def test_edge_row_equals_the_per_point_functions(flags):
     header, rows = cli.run_edge(cfg)
     (row,) = rows
     rec = dict(zip(header, row))
-    params = ModelParams(
-        F=rec["F"], Fbar=cfg.fbar, beta=cfg.beta, gamma=cfg.gamma,
-        gamma_tilde=cfg.gamma_tilde, L=cfg.L, j0=cfg.j0, E0=cfg.E0,
-    )
+    params = ModelParams(F=rec["F"], Fbar=cfg.fbar, gamma=cfg.theta, L=cfg.L, j0=cfg.j0, E0=cfg.E0)
     report = edge_report(params)
-    theta = cfg.gamma - cfg.gamma_tilde
+    theta = cfg.theta
     p = rec["p"]
     assert p == params.p
     assert rec["r"] == report.r == decay_ratio(p, theta)
@@ -662,9 +656,60 @@ def test_mode_needs_exactly_one_of_p_or_field(capsys):
     assert code == 1
 
 
-def test_theta_conflicts_with_explicit_phases(capsys):
-    code, _, err = run_cli(capsys, "evolve", "--p", "0.2", "--theta", "0.7", "--gamma", "0.7")
-    assert code == 1 and "theta" in err
+@pytest.mark.parametrize("key", ["beta", "gamma", "gamma_tilde"])
+def test_phase_keys_other_than_theta_exit_1(tmp_path, capsys, key):
+    # theta is the one phase input, as a flag and as a config key
+    flag = "--" + key.replace("_", "-")
+    code, out, err = run_cli(capsys, "evolve", "--p", "0.2", flag, "0.5")
+    assert (code, out, err) == (1, "", f"error: unrecognized arguments: {flag} 0.5\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = 0.5\n")
+    code, out, err = run_cli(capsys, "evolve", "--p", "0.2", "--config", str(path))
+    assert (code, out, err) == (1, "", f"error: config line 1: unknown key {key!r}\n")
+
+
+# theta values fixed before running: unreduced, obtuse and unreduced,
+# negative and unreduced, and pi, which -pi reduces to; verify reads no
+# theta, so it takes one
+PHASES = {"unreduced": THETA + 2 * math.pi, "obtuse": 2.3 + 4 * math.pi, "negative": -8.5, "pi": math.pi}
+PHASE_CASES = [
+    pytest.param(args, theta, id=f"{args[0]}-{name}")
+    for args in [
+        ("evolve", "--p", "0.3", "--steps", "200"),
+        ("series", "--p", "0.3", "--steps", "100"),
+        ("edge", "--p", "0.3"),
+        ("sweep", "--fmin", "0.5", "--fmax", "6", "--points", "9"),
+    ]
+    for name, theta in PHASES.items()
+] + [pytest.param(("verify", "--tau-max", "4"), PHASES["unreduced"], id="verify")]
+
+
+def _json_parts(text):
+    """(the config echo, None for verify, and the text of the rows)."""
+    return json.loads(text).get("config"), text.partition('"rows": ')[2]
+
+
+@pytest.mark.parametrize("args, theta", PHASE_CASES)
+def test_theta_prints_bytes_that_depend_on_reduce_angle_alone(capsys, args, theta):
+    # theta + 2 pi k is one input; evolve and series also print the same
+    # bytes for -theta, the complex conjugate walk
+    same = [theta, reduce_angle(theta)]
+    if args[0] in ("evolve", "series"):
+        same.append(-theta)
+    for fmt in ("csv", "json"):
+        outs = []
+        for value in same:
+            code, out, err = run_cli(capsys, *args, "--theta", repr(value), "--format", fmt)
+            assert (code, err) == (0, ""), value
+            outs.append(out)
+        if fmt == "csv":
+            assert all(out == outs[0] for out in outs), fmt
+            continue
+        for value, out in zip(same, outs):
+            config, rows = _json_parts(out)
+            assert rows == _json_parts(outs[0])[1]
+            if config is not None:  # verify echoes no config
+                assert config["theta"] == value  # the value as given
 
 
 def test_float_formatting_17_digits(capsys):
@@ -819,8 +864,8 @@ def test_bad_float_flags_exit_1_up_front(monkeypatch, capsys, args, flag):
 
 def test_negative_exponent_value_is_a_value(capsys):
     # "-1e-3" after a flag is its value, not a flag of its own
-    spaced = run_cli(capsys, "evolve", "--p", "0.2", "--beta", "-1e-3", "--steps", "2")
-    joined = run_cli(capsys, "evolve", "--p", "0.2", "--beta=-1e-3", "--steps", "2")
+    spaced = run_cli(capsys, "evolve", "--p", "0.2", "--theta", "-1e-3", "--steps", "2")
+    joined = run_cli(capsys, "evolve", "--p", "0.2", "--theta=-1e-3", "--steps", "2")
     assert spaced[0] == 0 and spaced[2] == ""
     assert spaced == joined
 
@@ -831,7 +876,7 @@ def test_negative_exponent_value_is_a_value(capsys):
         (("sweep", "--fmin", "-1e-3", "--fmax", "2", "--points", "3"), "need 0 < fmin <= fmax"),
         (("verify", "--unitarity-tol", "-1e-11"), "--unitarity-tol must be positive"),
         (("sweep", "--fmin", "-inf", "--fmax", "2", "--points", "3"), "--fmin must be finite"),
-        (("evolve", "--p", "0.2", "--gamma", "-2E+5", "--L", "-1E-3"), "--L must be positive"),
+        (("evolve", "--p", "0.2", "--theta", "-2E+5", "--L", "-1E-3"), "--L must be positive"),
     ],
     ids=["fmin", "tol", "fmin-inf", "L"],
 )
@@ -994,21 +1039,6 @@ def test_sweep_points_beyond_cap_exit_1_at_once(capsys):
     assert str(MAX_SWEEP_POINTS) in err
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["edge", "--p", "0.2"], ["sweep", "--fmin", "1", "--fmax", "2", "--points", "3"]],
-    ids=["edge", "sweep"],
-)
-def test_overflowing_theta_names_both_phases(capsys, args):
-    # each phase is finite; their difference, theta, is not
-    code, out, err = run_cli(capsys, *args, "--gamma", "1e308", "--gamma-tilde", "-1e308")
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: --gamma 1e+308 and --gamma-tilde -1e+308 give "
-        "theta = gamma - gamma_tilde = inf, which must be finite\n"
-    )
-
-
 def test_edge_at_vanishing_p_and_zero_theta(capsys):
     # 1 - sqrt(1-p) rounds to 0 here; r = (1 + sqrt(1-p))^2 / p stays finite
     code, out, err = run_cli(capsys, "edge", "--p", "1e-300", "--theta", "0")
@@ -1088,7 +1118,7 @@ TAU_MAXES = [str(TAU_MIN - 1), str(TAU_MIN), str(TAU_MIN + 1), str(TAU_CAP + 1)]
 # float flags other than --p and --field; evolve, series and edge get one of
 # those two
 FLOAT_FLAGS = [
-    "--fbar", "--beta", "--gamma", "--gamma-tilde", "--theta", "--L", "--j0", "--E0",
+    "--fbar", "--theta", "--L", "--j0", "--E0",
     "--fmin", "--fmax", "--unitarity-tol",
 ]
 OUT_PATHS = ["out.txt", "missing/out.txt"]

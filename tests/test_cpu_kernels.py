@@ -6,11 +6,15 @@ two forced for that process alone, and reports the kernel and CPU level it
 ran with, so a setting that did not take effect fails the test instead of
 passing it untested.  Against the child with neither setting:
 
-* ``evolve`` makes no BLAS call, so its bytes do not change with the
-  OpenBLAS kernel;
-* every printed probability of ``evolve`` and ``series`` stays within the
-  long-horizon bounds that ``series`` and ``evolve`` keep against each
-  other: 1e-10 relative where it exceeds 1e-250, 1e-10 absolute elsewhere;
+* ``evolve`` prints the same bytes under both settings: it makes no BLAS
+  call, and its real bulk coin and re**2 + im**2 round the same at every
+  CPU level;
+* ``series`` prints the same bytes at every CPU level;
+* under the other OpenBLAS kernel, every printed probability of ``series``
+  stays within the long-horizon bounds that ``series`` and ``evolve`` keep
+  against each other, 1e-10 relative where it exceeds 1e-250 and 1e-10
+  absolute elsewhere: the BLAS ``zdotu`` of its products moves its last
+  bits;
 * ``verify`` passes.
 """
 
@@ -102,8 +106,9 @@ def test_outputs_across_blas_kernels_and_cpu_levels(tmp_path):
             if argv[0] == "verify":
                 assert out.endswith("ALL CHECKS PASS\n"), (name, out)
                 continue
-            if argv[0] == "evolve" and name == "haswell":
-                assert out == out_want, argv
+            if argv[0] == "evolve" or name == "below_x86_v3":
+                assert out == out_want, (name, argv)
+                continue
             rows, rows_want = _rows(out), _rows(out_want)
             assert len(rows) == len(rows_want) > 0, (name, argv)
             for row, row_want in zip(rows, rows_want):
