@@ -38,7 +38,6 @@ from .edge import (
 from .errors import (
     MAX_EVOLVE_STEPS,
     TAU_CAP,
-    BranchAmbiguityError,
     DelocalizedError,
     ResourceLimitError,
     SingularityError,
@@ -71,7 +70,6 @@ _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names
 _LAZY_MODULES = (*_LAZY, "verify")
 
 __all__ = [
-    "BranchAmbiguityError",
     "Coin",
     "DelocalizedError",
     "EdgeObservables",

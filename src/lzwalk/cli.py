@@ -157,9 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
         def error(self, message):  # exit 1, not argparse's default 2
             raise UsageError(message)
 
+    # no prefix matching: "--ste" is a typo, as "ste = 2" is in a config file
     parser = Parser(
         prog="lzwalk",
         description="Bounded quantum walk model of field-driven level dynamics.",
+        allow_abbrev=False,
     )
     # a negative float literal after a flag is that flag's value; argparse's
     # own pattern misses the exponent form and inf/nan, so it would read

@@ -103,12 +103,16 @@ def pole(p: float, theta: float) -> complex:
     p/(1+s) + 2 s sin^2(theta/2), written so that it does not cancel at
     small p and small theta.
     """
-    theta = _check_p_theta(p, theta)
-    s = math.sqrt(1.0 - p)
-    half = math.sin(0.5 * theta)
-    num = complex(p / (1.0 + s) + 2.0 * s * half * half, s * math.sin(theta))
+    num = _pole_numerator(p, _check_p_theta(p, theta))
     # num vanishes only at theta = 0 once p/(1+s) underflows; z_pole^2 = 1 there
     return num / num.conjugate() if num else 1.0 + 0.0j
+
+
+def _pole_numerator(p: float, theta: float) -> complex:
+    """1 - e^{-i theta} sqrt(1-p) at a checked p and reduced theta; see ``pole``."""
+    s = math.sqrt(1.0 - p)
+    half = math.sin(0.5 * theta)
+    return complex(p / (1.0 + s) + 2.0 * s * half * half, s * math.sin(theta))
 
 
 def thresholds(theta: float, Fbar: float) -> tuple[float, float]:
@@ -188,14 +192,22 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     Evaluates the closed forms at z_pole on the physical branch and takes
     the simple-pole limit psi(z) (1 - z^2/z_pole^2).  Phases are reported in
     the gauge beta = 0, gamma = theta, gamma_tilde = 0; squared magnitudes
-    are gauge independent and satisfy the geometric law exactly:
+    are gauge independent and satisfy the geometric law
     |phi_L(n)|^2 = r^n (1-r)^2 and |phi_R(n)|^2 = r^{n-1} (1-r)^2 with
-    phi_R(0) = 0.  Raises ArithmeticError when the denominator h at z_pole
-    is not zero to within 1e-12 |h'|, i.e. the pole is displaced.
+    phi_R(0) = 0, to a relative error of about n u / (1 - r), u = 2^-53: the
+    conditioning of the input as the pole nears a branch point of eta.  The
+    discriminant D of the eta equation, which cancels there, is taken in
+    closed form: with s = sqrt(1-p), alpha = atan2(sqrt p, s) and num the
+    numerator of ``pole``, sqrt(D) = 4 z_pole s sin((theta-alpha)/2)
+    sin((theta+alpha)/2) / |num|, z_pole / |num| = 1 / conj(num).  The sines
+    multiply to (s - cos theta)/2 > 0 wherever r < 1, so this is the root
+    continued from inside the disk.  No localized point raises, up to
+    CRITICAL_BAND; ArithmeticError flags a pole that sits farther than
+    1e-12 |h'| from the zero of the denominator h.
     """
     import numpy as np
 
-    from .genfun import bounded_denominator, bounded_numerators, eta_eval, site_factor
+    from .genfun import _eta_coefficients, _eta_root, bounded_denominator, bounded_numerators, site_factor
 
     theta = _check_p_theta(p, theta)
     if n_max < 0:
@@ -204,18 +216,21 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     coin = make_bulk_coin(p, 0.0, theta)
     boundary = make_boundary_coin(0.0)
     a, b = coin.a, coin.b
-    ad, bc = a * coin.d, b * coin.c
-
-    zp = cmath.sqrt(pole(p, theta))
-    eta = eta_eval(coin, zp)
-    # implicit derivative of F(eta, z) = z^3 + ((ad + bc) z^2 - 1) eta + ad bc z eta^2
-    dF_deta = (ad + bc) * zp * zp - 1.0 + 2.0 * ad * bc * zp * eta
-    dF_dz = 3.0 * zp * zp + 2.0 * (ad + bc) * zp * eta + ad * bc * eta * eta
-    eta_prime = -dF_dz / dF_deta
+    s_eta, q_eta = _eta_coefficients(coin)
+    s = math.sqrt(1.0 - p)
+    alpha = math.atan2(math.sqrt(p), s)
+    num = _pole_numerator(p, theta)
+    zp = cmath.sqrt(num / num.conjugate())  # num / |num|
+    sqrt_disc = 4.0 * s * math.sin(0.5 * (theta - alpha)) * math.sin(0.5 * (theta + alpha)) / num.conjugate()
+    eta = _eta_root(s_eta, zp, sqrt_disc)
+    # implicit derivative of F(eta, z) = z^3 + (s_eta z^2 - 1) eta + q_eta z eta^2,
+    # where dF/deta = s_eta z^2 - 1 + 2 q_eta z eta = -sqrt(D)
+    dF_dz = 3.0 * zp * zp + 2.0 * s_eta * zp * eta + q_eta * eta * eta
+    eta_prime = dF_dz / sqrt_disc
     # h = 1 - c~ A(z), A = b (z + ad eta) z, vanishes at the pole by
     # construction; h/h' is how far the computed pole sits from its zero
     h = bounded_denominator(coin, boundary, eta, zp)
-    h_prime = -boundary.c * b * (2.0 * zp + ad * (eta_prime * zp + eta))
+    h_prime = -boundary.c * b * (2.0 * zp + a * coin.d * (eta_prime * zp + eta))
     if not abs(h) <= 1e-12 * abs(h_prime):
         raise ArithmeticError(
             f"pole location inconsistent: |h| = {abs(h):.3e}, |h'| = {abs(h_prime):.3e}"
@@ -229,15 +244,8 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
         return pref * g_L * rho, pref * g_R * rho
 
     sites = np.arange(0, n_max + 1, 2, dtype=np.int64)
-    phi_L = np.zeros(len(sites), dtype=np.complex128)
-    phi_R = np.zeros(len(sites), dtype=np.complex128)
     l1, r1 = residues(1)
-    for i, n in enumerate(sites):
-        if n == 0:
-            phi_L[i] = zp * (a * l1 + b * r1)
-            phi_R[i] = 0.0
-        else:
-            phi_L[i], phi_R[i] = residues(int(n))
+    phi_L, phi_R = zip((zp * (a * l1 + b * r1), 0.0), *map(residues, sites[1:].tolist()))
     return FloquetMode(sites, phi_L, phi_R)
 
 

@@ -33,14 +33,14 @@ coin (beta = gamma = 0) of every CLI run, a, d, Delta and bc are exactly
 real, so eta and t carry no imaginary round-off; a variable that absorbed
 the phase of b or c would leave it to cancel in t.
 
-eta comes in a pointwise flavor (``eta_eval``, which solves the quadratic
-with the stable root formula) and a series flavor (``eta_series``, truncated
-to a fixed order).  Each closed form is coded once, as a function of eta and z that are either
-two complex numbers or two ``Series`` of one order: lam, A(z), the site
-factor ``site_factor``, the denominator h in ``bounded_denominator``, the
-site-1 numerators h PsiL, h PsiR in ``bounded_numerators`` and the site-0
-form.  Both flavors call them, and so do the residues in
-``edge.floquet_mode`` and the pole check in ``verify``.
+eta comes in a pointwise flavor (``eta_eval``, the branch by construction
+on the closed unit disk) and a series flavor (``eta_series``, truncated to a
+fixed order).  Each closed form is coded once, as a function of eta and z
+that are either two complex numbers or two ``Series`` of one order: lam,
+A(z), the site factor ``site_factor``, the denominator h in
+``bounded_denominator``, the site-1 numerators h PsiL, h PsiR in
+``bounded_numerators`` and the site-0 form.  Both flavors call them, and so
+do the residues in ``edge.floquet_mode`` and the pole check in ``verify``.
 
 eta, t and both site-1 kernels (numerator / h) are odd series, so
 ``bounded_gf_table`` works on their odd-coefficient sublattice x = z^2 and
@@ -76,7 +76,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coin import Coin
-from .errors import MAX_TABLE_STEPS, BranchAmbiguityError, ResourceLimitError, SingularityError
+from .errors import MAX_TABLE_STEPS, ResourceLimitError, SingularityError
 
 __all__ = [
     "MAX_TABLE_STEPS",
@@ -92,10 +92,6 @@ __all__ = [
     "b_gf_closed_series",
     "bounded_gf_table",
 ]
-
-# relative gap below which the two root moduli of the quadratic count as tied
-_MODULUS_TIE_TOL = 1e-9
-
 
 class Series:
     """Truncated formal power series with complex128 coefficients.
@@ -334,36 +330,30 @@ def eta_series(coin: Coin, order: int) -> Series:
     return Series(eta, order)
 
 
-def eta_eval(coin: Coin, z: complex) -> complex:
-    """Value of eta on the physical branch at a point.
+def _eta_root(s: complex, z: complex, sqrt_disc: complex) -> complex:
+    """eta = 2 z^3 / (1 - s z^2 + sqrt(D)) from a square root of the discriminant:
+    the root (1 - s z^2 - sqrt(D)) / (2 q z) rationalized, free of cancellation
+    and of a division by q = a d bc, which vanishes at p = 1."""
+    return 2.0 * z * z * z / (1.0 - s * z * z + sqrt_disc)
 
-    Of the two roots of the quadratic, the branch connected to the z = 0
-    germ is the one with the smaller |lam|.  For a unitary coin the two lam
-    moduli multiply to |a/d| = 1, and inside the unit disk the branch maps
-    the disk into itself with lam(0) = 0, so |lam(z)| <= |z| (Schwarz lemma)
-    and the relative gap between the moduli, 1 - |lam|^2, is at least
-    1 - |z|^2.  A tie within 1e-9 therefore needs |z| >= 1 - 5e-10, next to
-    or on the unit circle, where no pointwise branch choice exists: it
-    raises BranchAmbiguityError.  Where the leading coefficient a d bc z
-    vanishes (p = 1) the equation is linear and its one root is taken.
+
+def eta_eval(coin: Coin, z: complex) -> complex:
+    """Value of eta on the physical branch at a point of the closed unit disk.
+
+    With (s, q) = (2ad - Delta, a d bc) and x = z^2 the discriminant of the
+    eta equation factors as D = (1 - x (s + 2 sqrt q)) (1 - x (s - 2 sqrt q)).
+    For a unitary coin |s +/- 2 sqrt q| = 1, so each factor has a positive
+    real part for |x| < 1, and the product of their principal square roots
+    is the sqrt(D) that is 1 at z = 0: the root is chosen by construction,
+    with no comparison.  On the unit circle the factors keep a nonnegative
+    real part, where the principal root is continuous, so eta there is the
+    limit from inside (the outgoing wave on the band).  eta(0) = 0.  Outside
+    the disk the value is still a root of the quadratic.
     """
     z = complex(z)
-    if z == 0:
-        raise ValueError("z = 0 is excluded (the quadratic degenerates); the limit is 0")
     s, q = _eta_coefficients(coin)
-    lead, mid, const = q * z, s * z * z - 1.0, z * z * z
-    if lead == 0:
-        return -const / mid
-    sq = cmath.sqrt(mid * mid - 4.0 * lead * const)
-    # the larger of |mid -/+ sq| avoids cancellation; it never vanishes here
-    w = -0.5 * (mid + sq if abs(mid + sq) >= abs(mid - sq) else mid - sq)
-    roots = (w / lead, const / w)
-    m1, m2 = (abs(_lam(coin, root, z)) for root in roots)
-    if abs(m1 - m2) <= _MODULUS_TIE_TOL * max(m1, m2, 1e-300):
-        raise BranchAmbiguityError(
-            f"root moduli coincide at z = {z}; no pointwise branch choice exists there"
-        )
-    return roots[0] if m1 < m2 else roots[1]
+    x, w = z * z, 2.0 * cmath.sqrt(q)
+    return _eta_root(s, z, cmath.sqrt(1.0 - x * (s + w)) * cmath.sqrt(1.0 - x * (s - w)))
 
 
 def lambda_plus_series(coin: Coin, order: int) -> Series:

@@ -269,22 +269,33 @@ def check_pole_zero(
 
 
 def check_edge_mode(
-    p: float = 0.2, theta: float = math.pi / 4, n_max: int = 20, tol: float = 1e-10
+    points=(
+        (0.2, math.pi / 4),  # 1 - r = 0.63
+        (0.4995, math.pi / 4),  # 1 - r = 1.0e-3 (p_c = 1/2)
+        (0.499995, math.pi / 4),  # 1.0e-5
+        (0.49999995, math.pi / 4),  # 1.0e-7
+        (0.999, 2.5),  # obtuse: 0.050
+        (0.86868817, -1.2),  # negative: 1.0e-5
+    ),
+    n_max: int = 20,
+    tol: float = 1.0,
 ) -> CheckResult:
-    """Residue-extracted mode magnitudes against the geometric law."""
-    r = edge.decay_ratio(p, theta)
-    w = (1.0 - r) ** 2
-    mode = edge.floquet_mode(p, theta, n_max)
+    """Residue-extracted mode magnitudes against the geometric law.
+
+    The residual is the worst ratio of the relative error of |phi_L(n)|^2
+    and |phi_R(n)|^2 to 64 (n + 1) u / (1 - r), u = 2^-53: the conditioning
+    of the input next to the critical band, through n site powers.
+    """
     worst = 0.0
-    for i, n in enumerate(mode.sites):
-        expect_L = w * r ** int(n)
-        expect_R = 0.0 if n == 0 else w * r ** int(n - 1)
-        worst = _worst(
-            worst,
-            abs(abs(mode.phi_L[i]) ** 2 - expect_L),
-            abs(abs(mode.phi_R[i]) ** 2 - expect_R),
-        )
-    return _result("edge_mode_geometric", worst, tol, f"even n <= {n_max}")
+    for p, theta in points:
+        r = edge.decay_ratio(p, theta)
+        mode = edge.floquet_mode(p, theta, n_max)
+        for n, phi_L, phi_R in zip(mode.sites.tolist(), mode.phi_L, mode.phi_R):
+            law, w = 64.0 * (n + 1) * 2.0**-53 / (1.0 - r), (1.0 - r) ** 2 * r**n
+            # phi_R(0) = 0 is set, not computed
+            rel_R = abs(abs(phi_R) ** 2 * r / w - 1.0) if n else 0.0
+            worst = _worst(worst, abs(abs(phi_L) ** 2 / w - 1.0) / law, rel_R / law)
+    return _result("edge_mode_geometric", worst, tol, f"{len(points)} points, even n <= {n_max}")
 
 
 def check_weight_identity(

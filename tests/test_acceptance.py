@@ -91,7 +91,7 @@ def test_criterion_3_expansion_structure_and_recursion():
 
 
 def test_criterion_4_geometric_mode_from_residues():
-    mode = check_edge_mode(0.2, THETA, 20, tol=1e-10)
+    mode = check_edge_mode()
     r = decay_ratio(0.2, THETA)
     big = floquet_mode(0.2, THETA, 120)
     weight_err = abs(float(np.sum(big.probabilities())) - (1.0 - r))
@@ -99,7 +99,8 @@ def test_criterion_4_geometric_mode_from_residues():
     report(
         4,
         ok,
-        f"mode residual {mode.residual:.2e}, weight error {weight_err:.2e} (tol 1e-10)",
+        f"mode error {mode.residual:.2e} of its law over {mode.detail}, weight error "
+        f"{weight_err:.2e} (tol 1e-10)",
     )
 
 

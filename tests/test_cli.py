@@ -668,6 +668,12 @@ def test_phase_keys_other_than_theta_exit_1(tmp_path, capsys, key):
     assert (code, out, err) == (1, "", f"error: config line 1: unknown key {key!r}\n")
 
 
+def test_a_flag_prefix_is_not_the_flag(capsys):
+    # a typo such as --ste for --steps is an error, as "ste = 2" is in a file
+    code, out, err = run_cli(capsys, "evolve", "--p", "0.2", "--ste", "2")
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --ste 2\n")
+
+
 # theta values fixed before running: unreduced, obtuse and unreduced,
 # negative and unreduced, and pi, which -pi reduces to; verify reads no
 # theta, so it takes one

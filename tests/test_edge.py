@@ -21,6 +21,7 @@ from lzwalk import (
     thresholds,
 )
 from lzwalk.coin import landau_zener_field
+from lzwalk.edge import CRITICAL_BAND
 from lzwalk.verify import check_edge_mode
 from conftest import P_REF, THETA_REF, j_paper_exact
 
@@ -209,11 +210,37 @@ def test_floquet_mode_geometric_law(ref_coins):
     # weight (1 - r)^2 of site 0 falls to 1e-15, so it is gated relatively too
     for p in (1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15):
         for theta in (2.0, 2.8):
-            res = check_edge_mode(p, theta, 20, 1e-10)
+            res = check_edge_mode(((p, theta),), 20)
             assert res.passed, res.line()
             r = decay_ratio(p, theta)
             site0 = floquet_mode(p, theta, 0).phi_L[0]
             assert abs(site0) ** 2 == pytest.approx((1.0 - r) ** 2, rel=1e-6)
+
+
+def test_floquet_mode_up_to_the_critical_band():
+    # 60 theta x 21 p from 1e-12 to 1e-2 relative below p_c: only the points
+    # inside the critical band raise, and the magnitudes of sites 0 and 2
+    # stay within 1e-6 relative of 60-digit arithmetic; u / (1 - r), the
+    # conditioning of the input, reaches 1.1e-7 on this grid
+    worst, critical = 0.0, 0
+    for theta in np.linspace(0.01, math.pi / 2 - 0.01, 60).tolist():
+        for delta in np.geomspace(1e-12, 1e-2, 21).tolist():
+            p = math.sin(theta) ** 2 * (1.0 - delta)
+            try:
+                mode = floquet_mode(p, theta, 2)
+            except DelocalizedError:
+                assert decay_ratio(p, theta) >= 1.0 - CRITICAL_BAND
+                critical += 1
+                continue
+            with mpmath.workdps(60):
+                q = mpmath.mpf(p)
+                r = q / (2 - q - 2 * mpmath.cos(theta) * mpmath.sqrt(1 - q))
+                w = (1 - r) ** 2
+                got = (mode.phi_L[0], mode.phi_L[1], mode.phi_R[1])
+                for phi, expect in zip(got, (w, r * r * w, r * w)):
+                    worst = max(worst, float(abs(abs(phi) ** 2 / expect - 1)))
+    assert critical == 392
+    assert worst <= 1e-6
 
 
 def test_floquet_mode_ratios():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lzwalk import (
-    BranchAmbiguityError,
     Series,
     SingularityError,
     absorbing_gf_series,
@@ -139,18 +138,18 @@ def test_lambda_small_z_slope(ref_coins):
         assert lambda_plus_eval(u, z) / z == pytest.approx(u.a, rel=1e-6)
 
 
-def test_lambda_eval_rejects_origin(ref_coins):
+def test_lambda_eval_at_origin_is_zero(ref_coins):
     u, _ = ref_coins
-    with pytest.raises(ValueError):
-        lambda_plus_eval(u, 0.0)
+    assert lambda_plus_eval(u, 0.0) == 0
 
 
-def test_lambda_branch_tie_on_unit_circle(ref_coins):
-    # on the arc where the radicand is negative both roots have unit
-    # modulus: no pointwise branch choice exists there
+def test_lambda_on_the_band_is_the_limit_from_inside(ref_coins):
+    # z = i lies on the band, where both roots have unit modulus; the root
+    # taken there is the one continued from inside the disk
     u, _ = ref_coins
-    with pytest.raises(BranchAmbiguityError):
-        lambda_plus_eval(u, 1j)
+    lam = lambda_plus_eval(u, 1j)
+    assert abs(abs(lam) - 1.0) < 1e-14
+    assert abs(lam - lambda_plus_eval(u, 1j * (1.0 - 1e-12))) < 1e-10
 
 
 # -- absorbing boundary -------------------------------------------------

@@ -58,7 +58,7 @@ EXPORTED = {
         "edge_point", "edge_report", "floquet_mode", "is_localized",
         "localization_length", "observables", "pole", "quasi_energy", "thresholds",
     ),
-    "errors": ("BranchAmbiguityError", "DelocalizedError", "ResourceLimitError", "SingularityError"),
+    "errors": ("DelocalizedError", "ResourceLimitError", "SingularityError"),
     "genfun": (
         "Series", "absorbing_gf_series", "b_gf_closed_series", "bounded_gf_table",
         "lambda_plus_eval", "lambda_plus_series",

@@ -12,11 +12,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lzwalk import (
     ModelParams,
     edge_report,
+    is_localized,
     lambda_plus_eval,
     make_boundary_coin,
     make_bulk_coin,
@@ -26,11 +27,11 @@ from lzwalk import (
 )
 from lzwalk.coin import landau_zener_field
 from lzwalk.walk import total_probability
-from lzwalk.verify import three_way_residual
+from lzwalk.verify import check_edge_mode, three_way_residual
 
 PHASES = st.floats(-math.pi, math.pi)
-# |z| <= 1 - 1e-6
-RADII = st.floats(1e-6, 1.0 - 1e-6) | st.floats(1e-6, 1e-3).map(lambda gap: 1.0 - gap)
+# 1e-6 <= |z| <= 1, the rim included
+RADII = st.floats(1e-6, 1.0) | st.floats(0.0, 1e-3).map(lambda gap: 1.0 - gap)
 
 
 @st.composite
@@ -105,16 +106,45 @@ def test_edge_quantities_are_even_in_theta(point):
         assert obs_minus.E_direct == pytest.approx(obs_plus.E_direct, rel=1e-13)
 
 
-# lambda_plus_eval treats a relative gap of 1e-9 between the root moduli as a
-# branch cut.  Inside the unit disk |lam(z)| <= |z| (Schwarz lemma) and the
-# moduli multiply to 1, so the gap 1 - |lam|^2 is at least 1 - |z|^2 and a
-# tie needs |z| >= 1 - 5e-10.  The roots here come from numpy, not genfun.
+# lambda_plus_eval takes its root by construction, with no comparison of the
+# two.  Inside the unit disk the branch maps the disk into itself with
+# lam(0) = 0, so |lam(z)| <= |z| (Schwarz lemma); on the rim it is the limit
+# from inside, and on the band both roots have unit modulus.  The moduli
+# multiply to 1, so the gap 1 - |lam|^2 between them is at least 1 - |z|^2.
+# The roots here come from numpy, not genfun.
 @given(points(min_gap=1e-12), RADII, PHASES)
+@example((0.2, 0.0, math.pi / 4, 0.0), 1.0, math.pi / 2)
 def test_branch_root_stays_inside_the_disk(point, radius, phase):
     p, beta, gamma, _ = point
     u = make_bulk_coin(p, beta, gamma)
     z = cmath.rect(radius, phase)
-    assert abs(lambda_plus_eval(u, z)) <= abs(z) * (1.0 + 1e-12)
+    lam = lambda_plus_eval(u, z)
+    assert abs(lam) <= abs(z) * (1.0 + 1e-12)
     quadratic = [u.d * u.d * z, -u.d * (u.det * z * z + 1.0), u.det * abs(u.a) ** 2 * z]
+    assert abs(np.polyval(quadratic, lam)) <= 1e-12
     small, large = sorted(abs(np.roots(quadratic)))
     assert (large - small) / large >= (1.0 - abs(z) ** 2) * (1.0 - 1e-9)
+
+
+@st.composite
+def edge_points(draw):
+    """(p, theta), theta in (-pi, pi] and 1 - r from 1e-9 to 0.9, with p
+    clipped to [1e-6, 1 - 1e-12]: next to p_c for acute theta and next to
+    p = 1 for obtuse theta."""
+    theta = draw(st.floats(-math.pi, math.pi, exclude_min=True))
+    r = 1.0 - 10.0 ** draw(st.floats(-9.0, math.log10(0.9)))
+    # s = sqrt(1 - p) at which the decay ratio is r solves
+    # (1 + r) s^2 - 2 r cos(theta) s + r - 1 = 0
+    s = (r * math.cos(theta) + math.sqrt(1.0 - (r * math.sin(theta)) ** 2)) / (1.0 + r)
+    return min(max((1.0 - s) * (1.0 + s), 1e-6), 1.0 - 1e-12), theta
+
+
+# the relative error of |phi_L(0)|^2 against (1 - r)^2, and of the sites
+# n = 2, stays within check_edge_mode's law 64 (n + 1) u / (1 - r) up to
+# the critical band
+@settings(max_examples=200)
+@given(edge_points())
+def test_edge_mode_is_exact_to_the_conditioning_of_its_input(point):
+    assume(is_localized(*point))
+    res = check_edge_mode((point,), 2)
+    assert res.passed, res.line()

@@ -8,8 +8,8 @@ delocalized ``edge``, one ``verify`` and the usage and I/O errors.  The
 definitions (``def`` statements, read with ``ast``) it never enters must be
 exactly the keys of ``UNREACHED``, each kept for a stated reason: the
 benchmark looks it up by name, builds a value of its class or resolves a
-name through it, it is the console entry point, or pytest or ``dir()``
-calls it.  A newly dead definition fails the test, and so does a listed
+name through it, only functions the benchmark wraps call it, it is the
+console entry point, or pytest or ``dir()`` calls it.  A newly dead definition fails the test, and so does a listed
 one that becomes reached.
 """
 
@@ -35,6 +35,8 @@ SPAN_LOOKUP = "benches/spans.py resolves a name it wraps through it"
 # evidence: ladders.py calls the class; walk.step, evolve and initial_state,
 # which benches/spans.py wraps, return its instances
 DENSE_STATE = "benches/ladders.py builds a WalkState, the value of the dense single-step API"
+# evidence: test_helpers_are_called_only_by_wrapped_functions
+WRAPPED_CALLERS = "only functions that benches/spans.py wraps call it"
 
 # reason -> (file, text the file holds for a function of that name)
 EVIDENCE = {
@@ -53,6 +55,7 @@ UNREACHED = {
     "edge.is_localized": SPANS,
     "edge.localization_length": SPANS,
     "genfun.Series.__repr__": REPR,
+    "genfun._lam": WRAPPED_CALLERS,
     "genfun.lambda_plus_eval": SPANS,
     "genfun.lambda_plus_series": SPANS,
     "pathsum.enumerate_paths": LADDERS,
@@ -182,8 +185,8 @@ def test_each_listed_reason_holds():
         if reason in (REPR, DIR):
             assert name.endswith(".__repr__" if reason == REPR else ".__dir__")
             continue
-        if reason == SPAN_LOOKUP:
-            continue  # test_span_lookups_enter_the_listed_hooks
+        if reason in (SPAN_LOOKUP, WRAPPED_CALLERS):
+            continue  # the two tests below
         path, pattern = EVIDENCE[reason]
         func = name.split(".<locals>.")[0].rsplit(".", 1)[1]
         assert pattern.format(func) in (ROOT / path).read_text(encoding="utf-8"), (name, reason)
@@ -196,3 +199,19 @@ def test_span_lookups_enter_the_listed_hooks(tmp_path):
     names = {name for key, name in _definitions().items() if key in entered}
     listed = {name for name, reason in UNREACHED.items() if reason == SPAN_LOOKUP}
     assert sorted(listed - names) == []
+
+
+def test_helpers_are_called_only_by_wrapped_functions():
+    for name, reason in UNREACHED.items():
+        if reason != WRAPPED_CALLERS:
+            continue
+        module, func = name.split(".")
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        callers = {
+            f"{module}.{caller.name}"
+            for caller in ast.walk(tree)
+            if isinstance(caller, ast.FunctionDef)
+            for node in ast.walk(caller)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == func
+        }
+        assert callers and all(UNREACHED.get(c) == SPANS for c in callers), (name, callers)
