@@ -15,7 +15,8 @@ The model's phases enter as one key, ``theta`` = gamma - gamma_tilde: every
 printed number depends on them through theta alone (beta and the common
 part of gamma and gamma_tilde add a path-independent phase to every
 amplitude).  ``evolve`` and ``series`` build their coins in one gauge, in
-``_coins``, so their bytes are a function of p and ``reduce_angle(theta)``.
+``_coins``, so their bytes are a function of p and ``reduce_angle(theta)``;
+``verify`` and ``edge.floquet_mode`` check these same coins.
 
 The ``evolve`` and ``series`` tables are made one amplitude snapshot
 ``(tau, psi_L, psi_R)`` at a time, from ``walk.trajectory`` or a column of
@@ -213,15 +214,15 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg.format!r}")
     needs_point = cfg.mode in ("evolve", "series", "edge")
+    # evolve and series take p = 1, the ballistic walk; edge needs 0 < p < 1
+    closed = cfg.mode in ("evolve", "series")
     if needs_point:
         if (cfg.p is None) == (cfg.field is None):
             raise UsageError(f"mode {cfg.mode!r} needs exactly one of --p or --field")
-        if cfg.p is not None:
-            hi = 1.0 if cfg.mode in ("evolve", "series") else 1.0 - 1e-15
-            if not 0.0 < cfg.p <= hi:
-                raise UsageError(
-                    f"--p must lie in (0, 1{']' if hi == 1.0 else ')'} for mode {cfg.mode!r}, got {cfg.p}"
-                )
+        if cfg.p is not None and not (0.0 < cfg.p < 1.0 or (closed and cfg.p == 1.0)):
+            raise UsageError(
+                f"--p must lie in (0, 1{']' if closed else ')'} for mode {cfg.mode!r}, got {cfg.p}"
+            )
         if cfg.field is not None and cfg.field <= 0.0:
             raise UsageError(f"--field must be positive, got {cfg.field}")
     if cfg.mode in ("evolve", "series"):
@@ -252,7 +253,6 @@ def _validate_config(cfg: RunConfig) -> None:
         ends = ("fmin", "fmax")
     else:
         ends = ("field",) if needs_point and cfg.field is not None else ()
-    closed = cfg.mode in ("evolve", "series")
     for flag in ends:
         field = getattr(cfg, flag)
         p = landau_zener_p(field, cfg.fbar)

@@ -150,7 +150,6 @@ class ModelParams:
 
     F: float
     Fbar: float
-    beta: float = 0.0
     gamma: float = 0.0
     gamma_tilde: float = 0.0
     L: float = 1.0
@@ -160,7 +159,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         _require_finite("F", self.F)
         _require_finite("Fbar", self.Fbar)
-        _require_finite("phases", self.beta, self.gamma, self.gamma_tilde)
+        _require_finite("phases", self.gamma, self.gamma_tilde)
         _require_finite("L", self.L)
         _require_finite("units", self.j0, self.E0)
         if self.F <= 0.0:

@@ -191,8 +191,8 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
 
     Evaluates the closed forms at z_pole on the physical branch and takes
     the simple-pole limit psi(z) (1 - z^2/z_pole^2).  Phases are reported in
-    the gauge beta = 0, gamma = theta, gamma_tilde = 0; squared magnitudes
-    are gauge independent and satisfy the geometric law
+    the gauge of ``cli._coins``, beta = gamma = 0, gamma_tilde = -theta;
+    squared magnitudes are gauge independent and satisfy the geometric law
     |phi_L(n)|^2 = r^n (1-r)^2 and |phi_R(n)|^2 = r^{n-1} (1-r)^2 with
     phi_R(0) = 0, to a relative error of about n u / (1 - r), u = 2^-53: the
     conditioning of the input as the pole nears a branch point of eta.  The
@@ -213,8 +213,8 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     _require_localized(p, theta)
-    coin = make_bulk_coin(p, 0.0, theta)
-    boundary = make_boundary_coin(0.0)
+    coin = make_bulk_coin(p, 0.0, 0.0)
+    boundary = make_boundary_coin(-theta)
     a, b = coin.a, coin.b
     s_eta, q_eta = _eta_coefficients(coin)
     s = math.sqrt(1.0 - p)

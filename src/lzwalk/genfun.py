@@ -50,16 +50,17 @@ giant-step split of Paterson and Stockmeyer (SIAM J. Comput. 2 (1973)
 60-66): S = isqrt(2 order / 3) baby rows hold the bare powers t^r, r < S,
 and each block of S rows one giant row t^(qS) K per kernel K, which one
 product with t^S carries to the next block.  That is S + 2 n_max / S
-series products where a running power took one per row.  A ``Series``
-product sums the products of the parity blocks of its operands, each
-trimmed of its trailing zeros, and skips an all-zero block, so z times a
-series is a shift and a kernel, odd numerator times even 1/h, one
-half-length product.  1/h is solved on x = z^2 by a blocked
+series products where a running power took one per row.  The table alone
+works on x = z^2: h is even, so 1/h is solved on x by a blocked
 back-substitution in the manner of van der Hoeven's relaxed scheme
 (J. Symbolic Comput. 34 (2002) 479-542), in blocks of isqrt(order / 2)
-coefficients.  Each entry it is asked for is still one
-direct sum of products, not an FFT product, which would lose the relative
-accuracy of the tiny coefficients near the light cone.
+coefficients, and each kernel is one half-length product of the odd
+coefficients of its numerator with that inverse.  Each entry it is asked
+for is still one direct sum of products, not an FFT product, which would
+lose the relative accuracy of the tiny coefficients near the light cone.
+``Series`` is plain truncated arithmetic on all of z: a product is one
+product of its operands, each trimmed of its trailing zeros, so z times a
+series is a shift, and a quotient one back-substitution.
 
 Every series product of the table, of ``Series`` and of the baby and giant
 steps goes through ``_truncated_product``, the engine's one ``np.convolve``
@@ -97,9 +98,9 @@ class Series:
     """Truncated formal power series with complex128 coefficients.
 
     Coefficient k is the z^k term; arithmetic follows truncated
-    Cauchy-product semantics and never reads beyond the order.  Binary
-    operations between different orders re-truncate to the smaller one.
-    Instances are immutable.
+    Cauchy-product semantics on all of z, with no parity split, and never
+    reads beyond the order.  Binary operations between different orders
+    re-truncate to the smaller one.  Instances are immutable.
     """
 
     __slots__ = ("_c",)
@@ -179,7 +180,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             m = min(self.order, other.order)
-            return Series(_product(self._c[:m], other._c[:m]))
+            return Series(_product(self._c[:m], other._c[:m], m))
         return Series(self._c * complex(other))
 
     __rmul__ = __mul__
@@ -193,17 +194,7 @@ class Series:
             raise SingularityError(
                 "division by a series with (numerically) vanishing constant term"
             )
-        # an even divisor keeps the two parity classes of the dividend apart,
-        # so each is solved on the sublattice x = z^2
-        s = 1 if b[1::2].any() else 2
-        b = b[::s]
-        block = math.isqrt(len(b))
-        q = np.zeros(m, dtype=np.complex128)
-        for r in range(s):
-            a = self._c[r:m:s]
-            if a.any():
-                q[r::s] = _back_substitute(a, b, block)
-        return Series(q)
+        return Series(_back_substitute(self._c[:m], b, math.isqrt(m)))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -236,26 +227,17 @@ def _truncated_product(a: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
     return np.convolve(a[:w], b[:w])[:w]
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated Cauchy product of two coefficient arrays of one length.
+def _product(a: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
+    """The first w coefficients of the product of a and b, zero-padded.
 
-    The parity blocks a[pa::2] and b[pb::2] multiply into the slots pa + pb,
-    pa + pb + 2, ...: the even slots sum the even-even product and then the
-    odd-odd one, the odd slots the even-odd product and then the odd-even
-    one.  Each block is trimmed of its trailing zeros and an all-zero block
-    is skipped, so z times a series is a shift and an odd series times an
-    even one is one half-length product.
+    Each operand is trimmed of its trailing zeros first, so z times a series
+    is a shift, and a product with an all-zero operand is exactly zero.
     """
-    m = len(a)
-    out = np.zeros(m, dtype=np.complex128)
-    blocks_b = [_trimmed(b[pb::2]) for pb in (0, 1)]
-    for pa in (0, 1):
-        fa = _trimmed(a[pa::2])
-        for pb, fb in enumerate(blocks_b):
-            w = (m - pa - pb + 1) // 2  # slots pa + pb + 2i below m
-            if w > 0 and fa.size and fb.size:
-                prod = _truncated_product(fa, fb, w)
-                out[pa + pb : pa + pb + 2 * len(prod) : 2] += prod
+    out = np.zeros(w, dtype=np.complex128)
+    a, b = _trimmed(a), _trimmed(b)
+    if a.size and b.size:
+        prod = _truncated_product(a, b, w)
+        out[: len(prod)] = prod
     return out
 
 
@@ -479,6 +461,24 @@ def _giant_rows(kernels: np.ndarray, power: np.ndarray, order: int, rows: int):
         yield n0, giant
 
 
+def _odd_kernels(coin: Coin, boundary_coin: Coin, eta: Series, zs: Series) -> tuple[np.ndarray, np.ndarray]:
+    """(1/H, kernels): the site-1 kernels on the sublattice x = z^2.
+
+    h(z) = H(x) is even and both numerators are odd, so 1/H is solved on x
+    by ``_back_substitute`` in blocks of isqrt(len(H)) coefficients, and
+    kernel K_side, with numerator_side / h = z K_side(x), is one product of
+    the odd coefficients of the numerator with 1/H, to order // 2 terms.
+    """
+    den = bounded_denominator(coin, boundary_coin, eta, zs)
+    assert den.coefficient(0) == 1.0 + 0.0j  # A(z) carries no constant term
+    h = den.coeffs[::2]
+    unit = np.zeros(len(h), dtype=np.complex128)
+    unit[0] = 1.0
+    inv_h = _back_substitute(unit, h, math.isqrt(len(h)))
+    nums = bounded_numerators(coin, boundary_coin, eta, zs)
+    return inv_h, np.stack([_product(num.coeffs[1::2], inv_h, den.order // 2) for num in nums])
+
+
 def bounded_gf_table(
     coin: Coin, boundary_coin: Coin, n_max: int, order: int, columns=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +488,9 @@ def bounded_gf_table(
     columns[i]; ``columns``, a sorted list of distinct tau in [0, order),
     defaults to all of range(order).  Shares the branch series and the
     denominator inversion across sites, so it is the cheap way to tabulate
-    many sites at once.  Site 0 follows from row 1.  The powers of t cost
+    many sites at once.  It works on the odd-coefficient sublattice x = z^2
+    of t and of the kernels, which ``_odd_kernels`` forms there.  Site 0
+    follows from row 1.  The powers of t cost
     O(order^2.5), S = isqrt(2 order / 3) baby products and two giant ones
     per block of S rows, and each asked entry one dot of length at most
     order/2; the extra memory is the S baby rows of order/2 coefficients,
@@ -508,11 +510,7 @@ def bounded_gf_table(
     columns = _checked_columns(range(order) if columns is None else columns, order)
     eta = eta_series(coin, order)
     zs = Series.monomial(1, order)
-    den = bounded_denominator(coin, boundary_coin, eta, zs)
-    assert den.coefficient(0) == 1.0 + 0.0j  # A(z) carries no constant term
-    inv_den = Series.constant(1.0, order) / den
-    num_L, num_R = bounded_numerators(coin, boundary_coin, eta, zs)
-    kernel_L, kernel_R = num_L * inv_den, num_R * inv_den
+    _, kernels = _odd_kernels(coin, boundary_coin, eta, zs)
     t = site_factor(coin, eta, zs)
     # t and both kernels are odd: on x = z^2 they are z T(x) and z K(x),
     # and row n >= 1 is z^n T^(n-1) K, so its entry at tau = n + 2c is
@@ -524,7 +522,6 @@ def bounded_gf_table(
     # order, n, tau)
     baby, power = _baby_rows(t.coeffs[1::2], order)
     step = len(baby)
-    kernels = np.stack([kernel_L.coeffs[1::2], kernel_R.coeffs[1::2]])
     rows = max(n_max, 1) + 1
     psi = np.zeros((2, rows, len(columns)), dtype=np.complex128)
     for n0, giant in _giant_rows(kernels, power, order, rows):
@@ -542,9 +539,8 @@ def bounded_gf_table(
                 psi[:, n0 + par : end : 2, i] += (blk @ giant[:, c0::-1, None])[..., 0]
     psi_L, psi_R = psi
     # row 1 in full, since site 0 needs it
-    row1_L = np.zeros(order, dtype=np.complex128)
-    row1_R = np.zeros(order, dtype=np.complex128)
-    row1_L[1::2], row1_R[1::2] = kernels
-    psi_L[1], psi_R[1] = row1_L[columns], row1_R[columns]
-    psi_L[0] = _site0(coin, zs, Series(row1_L), Series(row1_R)).coeffs[columns]
+    row1 = np.zeros((2, order), dtype=np.complex128)
+    row1[:, 1::2] = kernels
+    psi_L[1], psi_R[1] = row1[:, columns]
+    psi_L[0] = _site0(coin, zs, *map(Series, row1)).coeffs[columns]
     return psi_L[: n_max + 1], psi_R[: n_max + 1]

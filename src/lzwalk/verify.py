@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import edge, genfun, pathsum, walk
-from .coin import Coin, make_boundary_coin, make_bulk_coin
+from .coin import Coin, make_boundary_coin, make_bulk_coin, reduce_angle
 from .errors import TAU_MIN
 
 __all__ = ["TAU_MIN", "CheckResult", "run_all"]
@@ -54,8 +54,8 @@ def _worst(*residuals: float) -> float:
 
 
 def _coin_pair(p: float, theta: float, beta: float = 0.0) -> tuple[Coin, Coin]:
-    # gauge: all of theta in the bulk phase, boundary phase zero
-    return make_bulk_coin(p, beta, theta), make_boundary_coin(0.0)
+    # the gauge of cli._coins, beta aside: gamma = 0, gamma_tilde = -reduce_angle(theta)
+    return make_bulk_coin(p, beta, 0.0), make_boundary_coin(-reduce_angle(theta))
 
 
 def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = 1e-12) -> CheckResult:

@@ -388,6 +388,16 @@ def test_edge_mode_rejects_p_one(capsys):
     assert code == 1 and "--p" in err
 
 
+@pytest.mark.parametrize("theta", [THETA, 2.5])
+def test_edge_takes_the_largest_p_below_one(capsys, theta):
+    # --p takes all of (0, 1), as --field does
+    p = math.nextafter(1.0, 0.0)
+    code, out, err = run_cli(capsys, "edge", "--p", repr(p), "--theta", repr(theta))
+    assert (code, err) == (0, "")
+    header, (row,) = parse_csv(out)
+    assert math.isfinite(float(dict(zip(header, row))["F"]))
+
+
 def test_sweep_columns_and_delocalized_rows(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--theta", str(THETA), "--fbar", "1",

@@ -26,6 +26,7 @@ from lzwalk.genfun import (
     _baby_steps,
     _eta_coefficients,
     _giant_rows,
+    _odd_kernels,
     _site0,
     bounded_denominator,
     bounded_numerators,
@@ -505,8 +506,7 @@ def test_table_entries_are_inorder_sums(phased_coins, order):
     u, ub = phased_coins
     tab = bounded_gf_table(u, ub, order - 1, order)
     eta, zs = eta_series(u, order), Series.monomial(1, order)
-    inv_den = Series.constant(1.0, order) / bounded_denominator(u, ub, eta, zs)
-    kernels = np.stack([(num * inv_den).coeffs[1::2] for num in bounded_numerators(u, ub, eta, zs)])
+    _, kernels = _odd_kernels(u, ub, eta, zs)
     baby, power = _baby_rows(site_factor(u, eta, zs).coeffs[1::2], order)
     checked = 0
     for n0, giant in _giant_rows(kernels, power, order, order):
@@ -541,20 +541,21 @@ def _inorder_back_substitute(a, b, block):
 
 @pytest.mark.parametrize("order", range(2, 42))
 def test_blocked_inverse_is_inorder_sums(phased_coins, order):
-    # 1/h on the even sublattice, and a quotient by a divisor of both
-    # parities on all of z; both in blocks of isqrt(length) coefficients
+    # the table's 1/h on the even sublattice x = z^2, and Series quotients
+    # by a divisor of both parities and by an even one, both on all of z;
+    # each in blocks of isqrt(length) coefficients
     u, ub = phased_coins
-    den = bounded_denominator(u, ub, eta_series(u, order), Series.monomial(1, order))
-    inv = (Series.constant(1.0, order) / den).coeffs
-    even = den.coeffs[::2]
+    eta, zs = eta_series(u, order), Series.monomial(1, order)
+    inv_h, _ = _odd_kernels(u, ub, eta, zs)
+    even = bounded_denominator(u, ub, eta, zs).coeffs[::2]
     ref = _inorder_back_substitute([1.0] + [0.0] * (len(even) - 1), even, math.isqrt(len(even)))
-    assert _bits(inv[::2]) == _bits(ref)
-    assert not inv[1::2].any()
+    assert _bits(inv_h) == _bits(ref)
     rng = np.random.default_rng(order)
     a, b = rng.normal(size=(2, order, 2)) @ [1.0, 1j]
     b[0] = 1.0
-    quotient = (Series(a) / Series(b)).coeffs
-    assert _bits(quotient) == _bits(_inorder_back_substitute(a, b, math.isqrt(order)))
+    for divisor in (b, np.where(np.arange(order) % 2, 0.0, b)):
+        quotient = (Series(a) / Series(divisor)).coeffs
+        assert _bits(quotient) == _bits(_inorder_back_substitute(a, divisor, math.isqrt(order)))
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 17, 40, 41])

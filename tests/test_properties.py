@@ -84,11 +84,11 @@ def test_walk_paths_and_series_agree(point):
 
 @given(points(min_gap=1e-12))
 def test_edge_quantities_are_even_in_theta(point):
-    p, beta, gamma, gamma_tilde = point
+    p, _, gamma, gamma_tilde = point
     plus, minus = (
         edge_report(
             ModelParams(
-                F=landau_zener_field(p, 1.0), Fbar=1.0, beta=beta,
+                F=landau_zener_field(p, 1.0), Fbar=1.0,
                 gamma=sign * gamma, gamma_tilde=sign * gamma_tilde,
             )
         )
