@@ -21,7 +21,7 @@ amplitude).  ``evolve`` and ``series`` build their coins in one gauge, in
 The ``evolve`` and ``series`` tables are made one amplitude snapshot
 ``(tau, psi_L, psi_R)`` at a time, from ``walk.trajectory`` or a column of
 the series table, in ``_probability_rows``: the snapshot must sum to 1 by
-``walk.total_probability``, then |psi|^2 = re^2 + im^2 is formed on its
+``walk.total_probability``, then ``walk.probability`` forms |psi|^2 on its
 light-cone sites n = tau (mod 2), which zip into rows, and each row fills one
 %-template (``%d,%d,%.17g,%.17g`` in CSV, ``%d``/``%r`` cells in JSON).
 The sum check fails on NaN and inf, so these cells are always ints and
@@ -311,25 +311,23 @@ def _probability_rows(
 ) -> Iterator[tuple[int, int, float, float]]:
     """(tau, n, prob_L, prob_R) rows from amplitude snapshots on [0, tau].
 
-    Each snapshot must sum to 1 within 1e-10 before any of its rows is made;
-    the check fails on NaN and inf.  Every printed probability is
-    ``re**2 + im**2`` of its amplitude on the light cone: two squares and a
-    sum, each correctly rounded element by element, so no CPU-specific loop
-    and no stride can move a bit (``np.abs``, a hypot, depends on the CPU).
+    Each whole snapshot, off-cone sites included, must sum to 1 within 1e-10
+    before any of its rows is made; the check fails on NaN and inf.  Every
+    printed probability is ``walk.probability`` of its amplitude on the
+    light cone.
     """
-    from .walk import total_probability
+    from .walk import probability, total_probability
 
     for tau, psi_L, psi_R in snapshots:
         total = total_probability(psi_L, psi_R)
         if not abs(total - 1.0) <= 1e-10:  # fails on NaN too
             raise ArithmeticError(f"snapshot at tau={tau} sums to {total!r}, not 1")
         cone = slice(tau % 2, None, 2)
-        cone_L, cone_R = psi_L[cone], psi_R[cone]
         yield from zip(
             repeat(tau),
             range(tau % 2, tau + 1, 2),
-            (cone_L.real ** 2 + cone_L.imag ** 2).tolist(),
-            (cone_R.real ** 2 + cone_R.imag ** 2).tolist(),
+            probability(psi_L[cone]).tolist(),
+            probability(psi_R[cone]).tolist(),
         )
 
 

@@ -169,10 +169,10 @@ class FloquetMode:
             object.__setattr__(self, name, arr)
 
     def probabilities(self) -> np.ndarray:
-        """|phi_L|^2 + |phi_R|^2 per listed site."""
-        import numpy as np
+        """|phi_L|^2 + |phi_R|^2 per listed site, each by ``walk.probability``."""
+        from .walk import probability
 
-        return np.abs(self.phi_L) ** 2 + np.abs(self.phi_R) ** 2
+        return probability(self.phi_L) + probability(self.phi_R)
 
 
 def _require_localized(p: float, theta: float) -> float:

@@ -290,11 +290,12 @@ def check_edge_mode(
     for p, theta in points:
         r = edge.decay_ratio(p, theta)
         mode = edge.floquet_mode(p, theta, n_max)
-        for n, phi_L, phi_R in zip(mode.sites.tolist(), mode.phi_L, mode.phi_R):
+        sq_L, sq_R = walk.probability(mode.phi_L), walk.probability(mode.phi_R)
+        for n, prob_L, prob_R in zip(mode.sites.tolist(), sq_L.tolist(), sq_R.tolist()):
             law, w = 64.0 * (n + 1) * 2.0**-53 / (1.0 - r), (1.0 - r) ** 2 * r**n
             # phi_R(0) = 0 is set, not computed
-            rel_R = abs(abs(phi_R) ** 2 * r / w - 1.0) if n else 0.0
-            worst = _worst(worst, abs(abs(phi_L) ** 2 / w - 1.0) / law, rel_R / law)
+            rel_R = abs(prob_R * r / w - 1.0) if n else 0.0
+            worst = _worst(worst, abs(prob_L / w - 1.0) / law, rel_R / law)
     return _result("edge_mode_geometric", worst, tol, f"{len(points)} points, even n <= {n_max}")
 
 
@@ -305,7 +306,7 @@ def check_weight_identity(
     r = edge.decay_ratio(p, theta)
     n_max = max(40, int(math.ceil(-30.0 * math.log(10.0) / math.log(r))))
     mode = edge.floquet_mode(p, theta, n_max)
-    total = float(np.sum(mode.probabilities()))
+    total = walk.total_probability(mode.phi_L, mode.phi_R)
     return _result("edge_weight", abs(total - (1.0 - r)), tol, f"summed to n = {n_max}")
 
 
@@ -336,7 +337,7 @@ def check_edge_vs_simulation(
     u, ub = _coin_pair(p, theta)
     times = [tau for tau in range(max(avg_start, 1), steps + 1) if tau % 2 == 0]
     samples = [
-        np.abs(psi_L[: n_max + 1]) ** 2 + np.abs(psi_R[: n_max + 1]) ** 2
+        walk.probability(psi_L[: n_max + 1]) + walk.probability(psi_R[: n_max + 1])
         for _, psi_L, psi_R in walk.trajectory(u, ub, times)
     ]
     averaged = np.mean(samples, axis=0)

@@ -36,13 +36,13 @@ working layout differs from the dense one in three ways:
   in the last bit, so this order is part of the result: both layouts give
   bit-identical amplitudes.
 
-``norm``, ``norms``, the CLI's snapshot check and ``verify``'s Parseval
-check share one sum, ``total_probability``: abs, square, then
-``np.add.reduce`` per component, in numpy alone.  A BLAS ``np.dot`` is
-faster, but the BLAS build and the CPU pick its summation order, so the
-printed norm residuals would no longer be fixed by this code.  The compact
-sum still groups its terms differently from the dense one, which also holds
-the parity zeros, so the two can differ in the last bits.
+Every |psi|^2 of the package is ``probability``, and ``norm``, ``norms``,
+the CLI's snapshot check, ``verify``'s Parseval check and the edge weight
+share one sum, ``total_probability``: ``np.add.reduce`` per component, in
+numpy alone.  A BLAS ``np.dot`` is faster, but the BLAS build and the CPU
+pick its summation order, so the printed norm residuals would no longer be
+fixed by this code.  The compact sum groups its terms differently from the
+dense one, which also holds the parity zeros: the last bits can differ.
 
 Two constants bound the work.  ``MAX_EVOLVE_STEPS`` (defined in ``errors``)
 caps every walk; larger requests raise ResourceLimitError before anything
@@ -76,6 +76,7 @@ __all__ = [
     "evolve",
     "norm",
     "norms",
+    "probability",
     "total_probability",
 ]
 
@@ -256,18 +257,17 @@ def trajectory(
             yield _snapshot(tau, live_L, live_R)
 
 
-def total_probability(psi_L: np.ndarray, psi_R: np.ndarray) -> float:
-    """|psi_L|^2 + |psi_R|^2 summed over two 1-D amplitude arrays.
+def probability(psi: np.ndarray) -> np.ndarray:
+    """|psi|^2 element by element as re^2 + im^2: two squares and a sum,
+    each correctly rounded, so no CPU-specific loop and no stride can move a
+    bit (``np.abs``, a hypot, depends on the CPU)."""
+    return psi.real ** 2 + psi.imag ** 2
 
-    abs then square, each component summed on its own: the same roundings
-    as (abs(psi) ** 2).sum(), in one reused buffer.
-    """
-    sq = np.abs(psi_L)
-    np.square(sq, out=sq)
-    total = np.add.reduce(sq)
-    np.abs(psi_R, out=sq)
-    np.square(sq, out=sq)
-    return float(total + np.add.reduce(sq))
+
+def total_probability(psi_L: np.ndarray, psi_R: np.ndarray) -> float:
+    """|psi_L|^2 + |psi_R|^2 summed over two 1-D amplitude arrays, each
+    component reduced on its own."""
+    return float(np.add.reduce(probability(psi_L)) + np.add.reduce(probability(psi_R)))
 
 
 def norm(state: WalkState) -> float:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -16,6 +18,28 @@ settings.load_profile("lzwalk")
 # reference parameter point used throughout: p = 0.2, theta = pi/4
 P_REF = 0.2
 THETA_REF = math.pi / 4
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lzwalk"
+
+
+def package_sites(matches):
+    """Qualified names of the package definitions that hold a node for which
+    ``matches(node)`` is true: ``module.function``, ``module.Class.method``,
+    or ``module`` for module-level code."""
+    sites = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if matches(node):
+            sites.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
 
 
 def j_paper_exact(p, theta):

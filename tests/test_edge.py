@@ -257,6 +257,18 @@ def test_floquet_mode_total_weight():
     assert float(np.sum(mode.probabilities())) == pytest.approx(1.0 - r, abs=1e-10)
 
 
+def test_floquet_mode_probabilities_are_bitwise_re2_plus_im2():
+    mode = floquet_mode(P_REF, THETA_REF, 20)
+    expected = [
+        (l.real**2 + l.imag**2) + (r.real**2 + r.imag**2)
+        for l, r in zip(mode.phi_L.tolist(), mode.phi_R.tolist())
+    ]
+    # a hypot rounds once more than re^2 + im^2, so the two forms tell apart
+    hypot = np.abs(mode.phi_L) ** 2 + np.abs(mode.phi_R) ** 2
+    assert hypot.tolist() != expected
+    assert [v.hex() for v in mode.probabilities().tolist()] == [v.hex() for v in expected]
+
+
 def test_floquet_mode_rejects_delocalized():
     with pytest.raises(DelocalizedError):
         floquet_mode(0.7, THETA_REF, 10)

@@ -1,6 +1,5 @@
 import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from lzwalk.verify import (
     check_pole_zero,
     three_way_residual,
 )
-from conftest import P_REF, THETA_REF
+from conftest import P_REF, THETA_REF, package_sites
 
 
 # -- series engine ------------------------------------------------------
@@ -455,29 +454,13 @@ def test_table_matches_walk_for_every_baby_step(S):
             assert three_way_residual(u, ub, 0, order - 1, order - 1) < 1e-12, (p, order)
 
 
-def _convolve_sites(path):
-    """Qualified names of the definitions in ``path`` that name ``convolve``."""
-    sites = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = f"{owner}.{node.name}"
-        if (isinstance(node, ast.Attribute) and node.attr == "convolve") or (
-            isinstance(node, ast.alias) and node.name == "convolve"
-        ):
-            sites.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return sites
-
-
 def test_np_convolve_has_one_site_in_the_series_engine():
     # every series product goes through _truncated_product, so its order of
     # summation is chosen in one place; verify's recursion check keeps its own
-    package = Path(__file__).resolve().parents[1] / "src" / "lzwalk"
-    sites = set().union(*map(_convolve_sites, package.glob("*.py")))
+    sites = package_sites(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "convolve")
+        or (isinstance(node, ast.alias) and node.name == "convolve")
+    )
     assert sites == {"genfun._truncated_product", "verify.check_recursion_relation"}
 
 

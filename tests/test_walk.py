@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import time
@@ -23,7 +24,7 @@ from lzwalk import (
     transition_amplitude,
 )
 from lzwalk.walk import WalkState, total_probability
-from conftest import P_REF, THETA_REF
+from conftest import P_REF, THETA_REF, package_sites
 
 
 def _distribution(s):
@@ -398,8 +399,47 @@ def test_norm_is_bitwise_the_sum_of_squared_moduli(length):
     scale = 10.0 ** rng.uniform(-160, 0, size=(2, length))
     psi = scale * (rng.standard_normal((2, length)) + 1j * rng.standard_normal((2, length)))
     state = WalkState(length - 1, psi[0], psi[1])
-    expected = float((abs(psi[0]) ** 2).sum() + (abs(psi[1]) ** 2).sum())
+    expected = float(
+        np.add.reduce(psi[0].real ** 2 + psi[0].imag ** 2)
+        + np.add.reduce(psi[1].real ** 2 + psi[1].imag ** 2)
+    )
     assert norm(state).hex() == expected.hex()
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _squares_a_modulus(node):
+    """``abs(x) ** 2``, ``np.abs(x) ** 2``, ``x.real ** 2``, ``x.imag ** 2`` or ``np.square``."""
+    if isinstance(node, ast.Attribute) and node.attr == "square":
+        return True
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+        return False
+    if not (isinstance(node.right, ast.Constant) and node.right.value == 2):
+        return False
+    left = node.left
+    if isinstance(left, ast.Call):
+        return _name(left.func) == "abs"
+    return isinstance(left, ast.Attribute) and left.attr in ("real", "imag")
+
+
+def _sums_a_probability(node):
+    """``sum``, ``np.sum``, ``.sum()`` or ``np.add.reduce`` of a probability call."""
+    if not (isinstance(node, ast.Call) and _name(node.func) in ("sum", "reduce")):
+        return False
+    operands = [*node.args, getattr(node.func, "value", None)]
+    return any(
+        isinstance(arg, ast.Call) and _name(arg.func) in ("probability", "probabilities")
+        for arg in operands
+    )
+
+
+def test_probability_and_its_total_are_each_coded_once():
+    # every |psi|^2 is re^2 + im^2 in one place, so no CPU-specific hypot
+    # reaches a printed probability, a norm or a verify residual
+    assert package_sites(_squares_a_modulus) == {"walk.probability"}
+    assert package_sites(_sums_a_probability) == {"walk.total_probability"}
 
 
 def test_evolve_rejects_a_nan_norm(monkeypatch, ref_coins):
