@@ -24,17 +24,26 @@ working layout differs from the dense one in three ways:
   only n = tau (mod 2) is stored, at compact index k = (n - tau mod 2) / 2.
   Two preallocated buffer pairs alternate as source and destination, and
   every product and sum is written in place.
-* Exact-zero trimming.  A live length ``hi`` covers the compact entries
-  that can be nonzero; it shrinks only while the trailing entry is exactly 0
-  in both components.  Exact zeros step to exact zeros, so the trimmed sites
-  are the ones the dense rule would have left at 0 (for small p the edge of
-  the light cone underflows after roughly a thousand steps).  Subnormal
-  amplitudes are kept: flushing them to zero would change printed digits.
+* Trimming of the subnormal tail.  A live length ``hi`` covers the compact
+  entries that are kept; it shrinks while both components of the trailing
+  entry have modulus below the smallest normal double, 2^-1022.  Near the
+  critical point the light-cone tail decays slowly and would hold thousands
+  of subnormal amplitudes, whose arithmetic is slow.  Only the end of the
+  range is trimmed, so interior subnormals stay.  Each dropped amplitude is
+  below 2^-1022 and the coins are unitary, so in exact arithmetic no
+  amplitude moves by more than about tau * 2^-1022.  Rounding flips carry
+  the difference upward by only about 0.01 decades per step: at theta = pi/4
+  it grew from about 1e-307 to the 1e-16 rounding level of the largest
+  amplitudes in 28 000-30 000 steps.  A printed probability needs an
+  amplitude above about 2^-537, so the printed bytes are those of the
+  untrimmed walk up to about 20 000 steps (24 000 measured at theta = pi/4).
+  Beyond, a printed probability can move in its last digits, within the
+  walk's own rounding error.
 * Coefficient-first operands.  Every product is ``coefficient * amplitude``
   and every sum adds the L-source term to the R-source term.  With fused
   multiply-add in numpy's complex loops, ``x * b`` and ``b * x`` can differ
   in the last bit, so this order is part of the result: both layouts give
-  bit-identical amplitudes.
+  bit-identical amplitudes above the trimmed tail.
 
 Every |psi|^2 of the package is ``probability``, and ``norm``, ``norms``,
 the CLI's snapshot check, ``verify``'s Parseval check and the edge weight
@@ -46,10 +55,15 @@ dense one, which also holds the parity zeros: the last bits can differ.
 
 Two constants bound the work.  ``MAX_EVOLVE_STEPS`` (defined in ``errors``)
 caps every walk; larger requests raise ResourceLimitError before anything
-is allocated.  The kernel does about steps^2 / 4 site updates: on a 2-core
-VM, 100 000 steps at
-theta = pi/4 extrapolate from 32 000 to 15-35 s, and to about 2 min near the
-critical point, where subnormal amplitudes slow the arithmetic.
+is allocated.  The kernel does about steps^2 / 4 site updates.  On a 2-core
+VM, a walk at theta = pi/4 took (median of 5):
+
+    steps     p = 0.2   p = 0.49   p = 0.8
+    8 000     0.09 s    0.12 s     0.10 s
+    16 000    0.23 s    0.28 s     0.33 s
+    32 000    0.69 s    0.86 s     1.08 s
+
+which extrapolates to at most about 11 s at 100 000 steps.
 ``NORM_TOL_PER_STEP`` is the norm drift per step that ``evolve`` tolerates
 before it raises ArithmeticError; the CLI checks each printed snapshot's
 sum against 1e-10 instead.
@@ -58,6 +72,7 @@ sum against 1e-10 instead.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -157,7 +172,9 @@ def step(state: WalkState, coin: Coin, boundary_coin: Coin) -> WalkState:
     """Advance one time step; pure function, out-of-place update.
 
     Works on any valid state, including one with both parities populated.
-    Results are bit-identical to those of ``trajectory``.
+    Results are bit-identical to those of ``trajectory`` until it trims a
+    subnormal tail; after that, up to about 20 000 steps, they differ only
+    in amplitudes too small to print (see the module docstring).
     """
     tau = state.tau
     new_L = np.zeros(tau + 2, dtype=np.complex128)
@@ -208,6 +225,7 @@ def _walk(
     tmp = np.empty(size, dtype=np.complex128)
     cur_L[0] = 1.0
     hi = 1
+    tiny = sys.float_info.min  # 2^-1022, the smallest normal double
     for tau in range(steps + 1):
         live_L, live_R = cur_L[:hi], cur_R[:hi]
         yield tau, live_L, live_R
@@ -230,7 +248,9 @@ def _walk(
             hi += 1
         cur_L, nxt_L = nxt_L, cur_L
         cur_R, nxt_R = nxt_R, cur_R
-        while hi > 1 and cur_L[hi - 1] == 0.0 and cur_R[hi - 1] == 0.0:
+        # the front entry's R component is normal on almost every step, so
+        # it is tested first and the test stops there
+        while hi > 1 and abs(cur_R[hi - 1]) < tiny and abs(cur_L[hi - 1]) < tiny:
             hi -= 1
 
 

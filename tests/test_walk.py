@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import sys
 import time
 import tracemalloc
 
@@ -23,7 +24,7 @@ from lzwalk import (
     trajectory,
     transition_amplitude,
 )
-from lzwalk.walk import WalkState, total_probability
+from lzwalk.walk import WalkState, probability, total_probability
 from conftest import P_REF, THETA_REF, package_sites
 
 
@@ -198,12 +199,31 @@ def reference_step(psi_L, psi_R, u, ub):
 
 
 def reference_walk(u, ub, steps):
+    """(psi_L, psi_R) at tau = 0 .. steps of the dense reference stepper."""
     psi_L, psi_R = np.array([1.0 + 0.0j]), np.array([0.0 + 0.0j])
-    states = [(psi_L, psi_R)]
+    yield psi_L, psi_R
     for _ in range(steps):
         psi_L, psi_R = reference_step(psi_L, psi_R, u, ub)
-        states.append((psi_L, psi_R))
-    return states
+        yield psi_L, psi_R
+
+
+def assert_matches_reference(states, ref):
+    """The amplitude contract of ``trajectory`` against the dense stepper.
+
+    The stepping loop drops trailing entries whose two components both have
+    modulus below 2^-1022, where the dense stepper keeps them, so the walks
+    differ only far below anything printed: (i) every |psi|^2 is
+    bit-identical, (ii) so is every amplitude where the reference modulus
+    is at least 2^-800, and (iii) every other amplitude is within 2^-900 of
+    the reference in modulus.
+    """
+    for (tau, psi_L, psi_R), (ref_L, ref_R) in zip(states, ref, strict=True):
+        for psi, ref_psi in ((psi_L, ref_L), (psi_R, ref_R)):
+            differ = psi != ref_psi
+            psi, ref_psi = psi[differ], ref_psi[differ]
+            assert np.array_equal(probability(psi), probability(ref_psi)), tau
+            assert np.all(np.abs(ref_psi) < 2.0**-800), tau
+            assert np.all(np.abs(psi - ref_psi) <= 2.0**-900), tau
 
 
 @pytest.mark.parametrize("p", [0.2, 0.49, 0.8])
@@ -211,19 +231,37 @@ def test_trajectory_bit_identical_to_reference_stepper(p):
     u = make_bulk_coin(p, 0.0, THETA_REF)
     ub = make_boundary_coin(0.0)
     steps = 1200
-    ref = reference_walk(u, ub, steps)
     states = list(trajectory(u, ub, range(steps + 1)))
     assert [tau for tau, _, _ in states] == list(range(steps + 1))
-    for (tau, psi_L, psi_R), (ref_L, ref_R) in zip(states, ref):
-        assert np.array_equal(psi_L, ref_L) and np.array_equal(psi_R, ref_R), tau
+    assert_matches_reference(states, reference_walk(u, ub, steps))
     _, final_L, final_R = states[-1]
     assert np.array_equal(evolve(u, ub, steps).psi_L, final_L)
     if p == 0.2:
-        # the light-cone edge has underflowed to exact zeros (the last
-        # occupied site is about 1120), so the comparison above covered
-        # the kernel's trimming of trailing zeros
+        # the light-cone front has fallen below 2^-1022 (the reference's
+        # last nonzero site is about 1120, its last normal one about 1106),
+        # so the comparison above covered the trimming of the tail
         occupied = np.flatnonzero((final_L != 0.0) | (final_R != 0.0))
         assert occupied[-1] < steps - 50
+
+
+def test_near_critical_tail_is_trimmed_below_the_smallest_normal():
+    # near p_c the tail decays slowly and holds thousands of subnormal
+    # amplitudes; the loop trims them from the end of the light cone
+    u = make_bulk_coin(0.49, 0.0, THETA_REF)
+    ub = make_boundary_coin(0.0)
+    steps = 3000
+    fronts = []
+
+    def snapshots():
+        for tau, psi_L, psi_R in trajectory(u, ub, range(steps + 1)):
+            last = np.flatnonzero((psi_L != 0.0) | (psi_R != 0.0))[-1]
+            fronts.append(max(abs(psi_L[last]), abs(psi_R[last])))
+            yield tau, psi_L, psi_R
+
+    assert_matches_reference(snapshots(), reference_walk(u, ub, steps))
+    # with trimming of exact zeros only, the last nonzero site would hold a
+    # subnormal from about tau = 1990 on
+    assert min(fronts) >= sys.float_info.min
 
 
 def test_step_on_states_with_both_parities(phased_coins):
@@ -252,7 +290,7 @@ def test_trajectory_zero_steps(ref_coins):
 
 def test_trajectory_snapshot_times(phased_coins):
     u, ub = phased_coins
-    ref = reference_walk(u, ub, 9)
+    ref = list(reference_walk(u, ub, 9))
     states = list(trajectory(u, ub, [9, 0, 4, 4, 5]))
     assert [tau for tau, _, _ in states] == [0, 4, 5, 9]
     for tau, psi_L, psi_R in states:
