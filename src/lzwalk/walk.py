@@ -29,12 +29,14 @@ working layout differs from the dense one in three ways:
   entry have modulus below the smallest normal double, 2^-1022.  Near the
   critical point the light-cone tail decays slowly and would hold thousands
   of subnormal amplitudes, whose arithmetic is slow.  Only the end of the
-  range is trimmed, so interior subnormals stay.  Each dropped amplitude is
-  below 2^-1022 and the coins are unitary, so in exact arithmetic no
-  amplitude moves by more than about tau * 2^-1022.  Rounding flips carry
-  the difference upward by only about 0.01 decades per step: at theta = pi/4
-  it grew from about 1e-307 to the 1e-16 rounding level of the largest
-  amplitudes in 28 000-30 000 steps.  A printed probability needs an
+  range is trimmed, so interior subnormals stay.  The modulus is a scalar
+  hypot; where its rounding could tip the choice, the entry lies within an
+  ulp of 2^-1022, and the argument below holds for either choice.  Each
+  dropped amplitude is below 2^-1022 and the coins are unitary, so in exact
+  arithmetic no amplitude moves by more than about tau * 2^-1022.  Rounding
+  flips carry the difference upward by only about 0.01 decades per step: at
+  theta = pi/4 it grew from about 1e-307 to the 1e-16 rounding level of the
+  largest amplitudes in 28 000-30 000 steps.  A printed probability needs an
   amplitude above about 2^-537, so the printed bytes are those of the
   untrimmed walk up to about 20 000 steps (24 000 measured at theta = pi/4).
   Beyond, a printed probability can move in its last digits, within the
@@ -56,10 +58,10 @@ dense one, which also holds the parity zeros: the last bits can differ.
 Two constants bound the work.  ``MAX_EVOLVE_STEPS`` (defined in ``errors``)
 caps every walk; larger requests raise ResourceLimitError before anything
 is allocated.  The kernel does about steps^2 / 4 site updates.  On a 2-core
-VM, a walk at theta = pi/4 took (median of 5):
+VM, a walk at theta = pi/4 took (median over three processes):
 
     steps     p = 0.2   p = 0.49   p = 0.8
-    8 000     0.09 s    0.12 s     0.10 s
+    8 000     0.09 s    0.12 s     0.11 s
     16 000    0.23 s    0.28 s     0.33 s
     32 000    0.69 s    0.86 s     1.08 s
 
