@@ -160,6 +160,11 @@ class ModelParams:
         _require_finite("F", self.F)
         _require_finite("Fbar", self.Fbar)
         _require_finite("phases", self.gamma, self.gamma_tilde)
+        if not math.isfinite(float(self.gamma) - float(self.gamma_tilde)):
+            raise ValueError(
+                f"theta = gamma - gamma_tilde overflows for gamma = {self.gamma!r}, "
+                f"gamma_tilde = {self.gamma_tilde!r}"
+            )
         _require_finite("L", self.L)
         _require_finite("units", self.j0, self.E0)
         if self.F <= 0.0:

@@ -51,20 +51,21 @@ giant-step split of Paterson and Stockmeyer (SIAM J. Comput. 2 (1973)
 and each block of S rows one giant row t^(qS) K per kernel K, which one
 product with t^S carries to the next block.  That is S + 2 n_max / S
 series products where a running power took one per row.  The table alone
-works on x = z^2: h is even, so 1/h is solved on x by a blocked
-back-substitution in the manner of van der Hoeven's relaxed scheme
-(J. Symbolic Comput. 34 (2002) 479-542), in blocks of isqrt(order / 2)
-coefficients, and each kernel is one half-length product of the odd
-coefficients of its numerator with that inverse.  Each entry it is asked
-for is still one direct sum of products, not an FFT product, which would
-lose the relative accuracy of the tiny coefficients near the light cone.
-``Series`` is plain truncated arithmetic on all of z: a product is one
-product of its operands, each trimmed of its trailing zeros, so z times a
-series is a shift, and a quotient one back-substitution.
+works on x = z^2: h is even, so 1/h is one ``Series`` quotient on x, and
+each kernel one half-length ``Series`` product of the odd coefficients of
+its numerator with that inverse.  Each entry it is asked for is still one
+direct sum of products, not an FFT product, which would lose the relative
+accuracy of the tiny coefficients near the light cone.
 
-Every series product of the table, of ``Series`` and of the baby and giant
-steps goes through ``_truncated_product``, the engine's one ``np.convolve``
-and so its one BLAS call, where the CPU can move the printed bits.
+``Series`` is plain truncated arithmetic on all of z, with no parity split:
+a product is one product of its operands, each trimmed of its trailing
+zeros, so z times a series is a shift, and a quotient one blocked
+back-substitution in the manner of van der Hoeven's relaxed scheme
+(J. Symbolic Comput. 34 (2002) 479-542), in blocks of isqrt(order)
+coefficients.  Every series product, of ``Series`` and of the baby and
+giant steps, goes through ``_truncated_product``, the engine's one
+``np.convolve`` and so its one BLAS call, where the CPU can move the
+printed bits.
 """
 
 from __future__ import annotations
@@ -178,10 +179,17 @@ class Series:
         return (-self) + complex(other)
 
     def __mul__(self, other):
-        if isinstance(other, Series):
-            m = min(self.order, other.order)
-            return Series(_product(self._c[:m], other._c[:m], m))
-        return Series(self._c * complex(other))
+        if not isinstance(other, Series):
+            return Series(self._c * complex(other))
+        # each operand trimmed of its trailing zeros, so z times a series is
+        # a shift, and a product with an all-zero operand is exactly zero
+        m = min(self.order, other.order)
+        out = np.zeros(m, dtype=np.complex128)
+        a, b = _trimmed(self._c[:m]), _trimmed(other._c[:m])
+        if a.size and b.size:
+            prod = _truncated_product(a, b, m)
+            out[: len(prod)] = prod
+        return Series(out)
 
     __rmul__ = __mul__
 
@@ -225,20 +233,6 @@ def _truncated_product(a: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
     bits of the ``series`` output, can move from one CPU to another.
     """
     return np.convolve(a[:w], b[:w])[:w]
-
-
-def _product(a: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
-    """The first w coefficients of the product of a and b, zero-padded.
-
-    Each operand is trimmed of its trailing zeros first, so z times a series
-    is a shift, and a product with an all-zero operand is exactly zero.
-    """
-    out = np.zeros(w, dtype=np.complex128)
-    a, b = _trimmed(a), _trimmed(b)
-    if a.size and b.size:
-        prod = _truncated_product(a, b, w)
-        out[: len(prod)] = prod
-    return out
 
 
 def _toeplitz(v: np.ndarray) -> np.ndarray:
@@ -464,19 +458,16 @@ def _giant_rows(kernels: np.ndarray, power: np.ndarray, order: int, rows: int):
 def _odd_kernels(coin: Coin, boundary_coin: Coin, eta: Series, zs: Series) -> tuple[np.ndarray, np.ndarray]:
     """(1/H, kernels): the site-1 kernels on the sublattice x = z^2.
 
-    h(z) = H(x) is even and both numerators are odd, so 1/H is solved on x
-    by ``_back_substitute`` in blocks of isqrt(len(H)) coefficients, and
-    kernel K_side, with numerator_side / h = z K_side(x), is one product of
-    the odd coefficients of the numerator with 1/H, to order // 2 terms.
+    h(z) = H(x) is even and both numerators are odd, so 1/H is one ``Series``
+    quotient on x, to (order + 1) // 2 terms, and kernel K_side, with
+    numerator_side / h = z K_side(x), one ``Series`` product of the odd
+    coefficients of the numerator with 1/H, to order // 2 terms.
     """
     den = bounded_denominator(coin, boundary_coin, eta, zs)
     assert den.coefficient(0) == 1.0 + 0.0j  # A(z) carries no constant term
-    h = den.coeffs[::2]
-    unit = np.zeros(len(h), dtype=np.complex128)
-    unit[0] = 1.0
-    inv_h = _back_substitute(unit, h, math.isqrt(len(h)))
+    inv_h = Series.monomial(0, (den.order + 1) // 2) / Series(den.coeffs[::2])
     nums = bounded_numerators(coin, boundary_coin, eta, zs)
-    return inv_h, np.stack([_product(num.coeffs[1::2], inv_h, den.order // 2) for num in nums])
+    return inv_h.coeffs, np.stack([(Series(num.coeffs[1::2]) * inv_h).coeffs for num in nums])
 
 
 def bounded_gf_table(

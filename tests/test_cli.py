@@ -83,6 +83,16 @@ unitarity_tol = 9.9999999999999994e-12
     assert RunConfig(mode=mode, **parsed) == cfg
 
 
+def test_config_skips_comment_and_blank_lines():
+    assert parse_config_text("# a comment\n\n   \n  # indented\nsteps = 4\n") == {"steps": 4}
+
+
+def test_config_bool_takes_only_true_and_false():
+    assert parse_config_text("log = false") == {"log": False}
+    with pytest.raises(cli.UsageError, match="config line 2: bad value for 'log': 'yes'"):
+        parse_config_text("steps = 4\nlog = yes\n")
+
+
 def test_config_rejects_unknown_and_duplicate_keys(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("stepz = 10\n")

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from lzwalk import (
     reduce_angle,
     thresholds,
 )
+from lzwalk import cli, edge, verify
 from lzwalk.coin import landau_zener_field, landau_zener_p
 
 SQ2 = math.sqrt(0.5)
@@ -230,3 +232,36 @@ def test_params_validation():
         ModelParams(F=1.0, Fbar=0.0)
     with pytest.raises(ValueError):
         ModelParams(F=1.0, Fbar=1.0, L=0.0)
+    for F in (1e-3, 1e-300):
+        with pytest.raises(ValueError, match=r"derived p = exp\(-pi\*Fbar/F\) = 0.0 falls outside"):
+            ModelParams(F=F, Fbar=1.0)
+
+
+def test_params_reject_phases_whose_difference_overflows():
+    with pytest.raises(ValueError, match=r"gamma = 1.7e\+308, gamma_tilde = -1.7e\+308"):
+        ModelParams(F=2.0, Fbar=1.0, gamma=1.7e308, gamma_tilde=-1.7e308)
+    # a difference near the largest double still reduces
+    largest = ModelParams(F=2.0, Fbar=1.0, gamma=8.9e307, gamma_tilde=-8.9e307)
+    assert -math.pi < largest.theta <= math.pi
+
+
+def _entries(coin):
+    return coin.a, coin.b, coin.c, coin.d
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4 + 2 * math.pi, -1.2, 2.5, -2.5])
+def test_cli_verify_and_edge_build_coins_in_one_gauge(monkeypatch, theta):
+    # beta = gamma = 0, gamma_tilde = -reduce_angle(theta), coded in cli,
+    # verify and edge alike
+    built = {}
+    for name in ("make_bulk_coin", "make_boundary_coin"):
+        make = getattr(edge, name)
+        monkeypatch.setattr(edge, name, lambda *args, make=make, name=name: built.setdefault(name, make(*args)))
+    edge.floquet_mode(0.2, theta, 2)
+    from_edge = built["make_bulk_coin"], built["make_boundary_coin"]
+    from_cli = cli._coins(cli.RunConfig(mode="evolve", p=0.2, theta=theta))
+    from_verify = verify._coin_pair(0.2, theta)
+    assert [_entries(c) for c in from_cli] == [_entries(c) for c in from_verify]
+    assert [_entries(c) for c in from_cli] == [_entries(c) for c in from_edge]
+    assert all(v.imag == 0.0 for v in _entries(from_cli[0]))
+    assert from_cli[1].b == cmath.exp(1j * -reduce_angle(theta))

@@ -159,6 +159,23 @@ def test_thresholds_values():
     assert thresholds(THETA_REF, 2.5)[1] == pytest.approx(2.5 * F_C_REF, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta, Fbar", [(math.nan, 1.0), (math.inf, 1.0), (THETA_REF, math.inf)])
+def test_thresholds_reject_nonfinite_inputs(theta, Fbar):
+    with pytest.raises(ValueError, match="theta and Fbar must be finite"):
+        thresholds(theta, Fbar)
+
+
+@pytest.mark.parametrize("Fbar", [0.0, -1.0])
+def test_thresholds_reject_nonpositive_fbar(Fbar):
+    with pytest.raises(ValueError, match=f"Fbar must be positive, got {Fbar}"):
+        thresholds(THETA_REF, Fbar)
+
+
+def test_floquet_mode_rejects_negative_n_max():
+    with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+        floquet_mode(P_REF, THETA_REF, -1)
+
+
 def test_localization_length_reference_and_divergence():
     assert localization_length(P_REF, THETA_REF) == pytest.approx(XI_REF, rel=1e-13)
     # 1/|ln r| explodes approaching the threshold from below

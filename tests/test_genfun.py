@@ -1,11 +1,13 @@
 import ast
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lzwalk import (
+    ResourceLimitError,
     Series,
     SingularityError,
     absorbing_gf_series,
@@ -20,6 +22,7 @@ from lzwalk import (
 )
 from lzwalk.cli import _snapshot_times
 from lzwalk.genfun import (
+    MAX_TABLE_STEPS,
     _absorbing,
     _baby_rows,
     _baby_steps,
@@ -65,6 +68,29 @@ def test_series_self_division_is_identity():
 def test_series_division_requires_unit_constant_term():
     with pytest.raises(SingularityError):
         Series([1.0], order=4) / Series([0.0, 1.0], order=4)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Series(np.zeros((2, 2))), "one-dimensional, got shape \\(2, 2\\)"),
+        (lambda: Series([1.0], order=0), "order must be >= 1, got 0"),
+        (lambda: Series([]), "at least the constant term"),
+        (lambda: Series.monomial(4, 4), "monomial degree 4 outside order 4"),
+        (lambda: Series.monomial(-1, 4), "monomial degree -1 outside order 4"),
+        (lambda: Series([1.0, 2.0]) ** -1, "nonnegative integers, got -1"),
+        (lambda: Series([1.0, 2.0]) ** 1.5, "nonnegative integers, got 1.5"),
+    ],
+)
+def test_series_rejects_bad_shapes_orders_and_powers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_series_coefficient_outside_the_order_raises(k):
+    with pytest.raises(IndexError, match=f"coefficient {k} outside truncation order 2"):
+        Series([1.0, 2.0]).coefficient(k)
 
 
 def test_series_mixed_orders_truncate_to_min():
@@ -367,6 +393,29 @@ def test_table_rejects_bad_columns(ref_coins, cols):
     with pytest.raises(ValueError, match="columns"):
         bounded_gf_table(*ref_coins, 4, 9, columns=cols)
 
+
+def test_series_builders_reject_bad_sizes(ref_coins):
+    u, ub = ref_coins
+    with pytest.raises(ValueError, match="order must be >= 2, got 1"):
+        eta_series(u, 1)
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        b_gf_closed_series(u, -1, 8)
+    with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+        bounded_gf_table(u, ub, -1, 8)
+
+
+@pytest.mark.parametrize("n_max, order", [(10**9, 8), (4, MAX_TABLE_STEPS + 2)])
+def test_table_beyond_the_cap_raises_before_allocating(ref_coins, n_max, order):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"cap of {MAX_TABLE_STEPS} steps"):
+            bounded_gf_table(*ref_coins, n_max, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def _site1_pointwise(u, ub, z):
     """(PsiL(0->1; z), PsiR(0->1; z)) from the shared closed forms at a point."""
     eta = eta_eval(u, z)
@@ -462,6 +511,26 @@ def test_np_convolve_has_one_site_in_the_series_engine():
         or (isinstance(node, ast.alias) and node.name == "convolve")
     )
     assert sites == {"genfun._truncated_product", "verify.check_recursion_relation"}
+
+
+def _names(name):
+    return lambda node: (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.alias) and node.name == name
+    )
+
+
+def test_quotient_and_product_have_their_own_sites():
+    # the table's 1/h and kernels are Series arithmetic: no other caller
+    # re-codes a quotient or a product
+    assert package_sites(_names("_back_substitute")) == {
+        "genfun.Series.__truediv__",
+        "genfun._back_substitute",
+    }
+    assert package_sites(_names("_truncated_product")) == {
+        "genfun.Series.__mul__",
+        "genfun._baby_rows",
+        "genfun._giant_rows",
+    }
 
 
 # np.convolve, which makes the baby, giant and Series products in

@@ -13,6 +13,7 @@ from lzwalk import (
     pqrs_coefficient_series,
     pqrs_coefficients,
     pqrs_residual,
+    pqrs_row,
     transition_amplitude,
     transition_table,
 )
@@ -218,3 +219,10 @@ def test_table_limits(phased_coins):
         transition_table(4, u, ub, "open")
     with pytest.raises(ValueError):
         transition_table(-1, u, ub)
+
+
+@pytest.mark.parametrize("n", [-1, 5])
+def test_pqrs_row_rejects_sites_outside_the_table(phased_coins, n):
+    u, ub = phased_coins
+    with pytest.raises(ValueError, match=f"need 0 <= n <= tau_max, got n={n}, tau_max=4"):
+        pqrs_row(transition_table(4, u, ub), n, ub)

@@ -58,3 +58,20 @@ def test_norm_drift_builds_no_state(monkeypatch, ref_coins):
     walk.norms(u, ub, 40)
     assert verify.check_norm_drift().passed
     assert built == []
+
+
+def test_planted_off_cone_amplitude_fails_three_way(monkeypatch):
+    # n = 8 at tau = 9 has the wrong parity, and lies beyond the series
+    # table's n <= 6: only a whole-snapshot comparison sees it
+    trajectory = walk.trajectory
+
+    def planted(*args):
+        for tau, psi_L, psi_R in trajectory(*args):
+            if tau == 9:
+                psi_L[8] += 1e-3
+            yield tau, psi_L, psi_R
+
+    monkeypatch.setattr(walk, "trajectory", planted)
+    result = verify.check_three_way()
+    assert not result.passed
+    assert result.residual == 1e-3
