@@ -14,9 +14,10 @@ annotation the value parser, and its default and metadata the help line.
 The model's phases enter as one key, ``theta`` = gamma - gamma_tilde: every
 printed number depends on them through theta alone (beta and the common
 part of gamma and gamma_tilde add a path-independent phase to every
-amplitude).  ``evolve`` and ``series`` build their coins in one gauge, in
-``_coins``, so their bytes are a function of p and ``reduce_angle(theta)``;
-``verify`` and ``edge.floquet_mode`` check these same coins.
+amplitude).  ``evolve`` and ``series`` take their coins from
+``edge.coin_pair``, in one gauge, so their bytes are a function of p and
+``reduce_angle(theta)``; ``verify`` and ``edge.floquet_mode`` check these
+same coins.
 
 The ``evolve`` and ``series`` tables are made one amplitude snapshot
 ``(tau, psi_L, psi_R)`` at a time, from ``walk.trajectory`` or a column of
@@ -68,10 +69,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from .coin import (
-    Coin, ModelParams, landau_zener_field, landau_zener_p, make_boundary_coin, make_bulk_coin, reduce_angle,
-)
-from .edge import edge_point, edge_report
+from .coin import ModelParams, landau_zener_field, landau_zener_p
+from .edge import coin_pair, edge_point, edge_report
 from .errors import MAX_EVOLVE_STEPS, MAX_SWEEP_POINTS, MAX_TABLE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
 
 __all__ = ["RunConfig", "main", "app", "parse_config_text"]
@@ -331,22 +330,10 @@ def _probability_rows(
         )
 
 
-def _coins(cfg: RunConfig) -> tuple[Coin, Coin]:
-    """The coins of ``evolve`` and ``series`` in the one gauge that fixes
-    their bits: beta = gamma = 0, gamma_tilde = -reduce_angle(theta).
-
-    Reducing theta makes theta and theta + 2 pi one input.  The bulk coin is
-    real, so each bulk product of the walk is two real products, rounded
-    once with or without fused multiply-add, and ``evolve`` prints the same
-    bytes at every CPU level.
-    """
-    return make_bulk_coin(_resolve_p(cfg), 0.0, 0.0), make_boundary_coin(-reduce_angle(cfg.theta))
-
-
 def run_evolve(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     from .walk import trajectory
 
-    snapshots = list(trajectory(*_coins(cfg), _snapshot_times(cfg.steps)))
+    snapshots = list(trajectory(*coin_pair(_resolve_p(cfg), cfg.theta), _snapshot_times(cfg.steps)))
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
@@ -354,7 +341,8 @@ def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     from .genfun import bounded_gf_table
 
     times = _snapshot_times(cfg.steps)
-    tab_L, tab_R = bounded_gf_table(*_coins(cfg), cfg.steps, max(cfg.steps + 1, 2), columns=times)
+    coins = coin_pair(_resolve_p(cfg), cfg.theta)
+    tab_L, tab_R = bounded_gf_table(*coins, cfg.steps, max(cfg.steps + 1, 2), columns=times)
     snapshots = [(tau, tab_L[: tau + 1, i], tab_R[: tau + 1, i]) for i, tau in enumerate(times)]
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
@@ -588,6 +576,7 @@ def app() -> None:
 # no engine
 _SPAN_TARGETS = {
     "initial_state": "walk", "step": "walk", "bounded_gf_table": "genfun",
+    "make_bulk_coin": "coin", "make_boundary_coin": "coin",
     "decay_ratio": "edge", "is_localized": "edge", "localization_length": "edge", "observables": "edge",
 }
 

@@ -51,12 +51,11 @@ def reduce_angle(x: float) -> float:
 class Coin:
     """2x2 unitary transfer matrix ``[[a, b], [c, d]]``.
 
-    Construction validates unitarity and |det| = 1 to ``UNITARITY_TOL``
-    and keeps the measured unitarity defect.  The defect, the largest
-    modulus among the four entries of U^dag U - I, is computed in scalar
-    complex arithmetic, without building a matrix; a NaN defect or
-    determinant fails validation.  Instances are immutable and safe to
-    share between threads.
+    Construction validates unitarity to ``UNITARITY_TOL`` and keeps the
+    measured unitarity defect.  The defect, the largest modulus among the
+    four entries of U^dag U - I, is computed in scalar complex arithmetic,
+    without building a matrix; a NaN defect fails validation.  Instances
+    are immutable and safe to share between threads.
     """
 
     a: complex
@@ -83,15 +82,10 @@ class Coin:
         # them is; max() alone would skip a NaN that follows a number
         defect = math.nan if math.isnan(sum(moduli)) else max(moduli)
         object.__setattr__(self, "_defect", defect)
+        # no |det| gate: |det|^2 = det(U^dag U) lies within 2 delta + 2 delta^2
+        # of 1 for a defect delta, so ||det| - 1| <= delta + O(delta^2)
         if not defect <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-        det = self.det
-        if not abs(abs(det) - 1.0) <= UNITARITY_TOL:
-            raise ValueError(f"|det| differs from 1 by {abs(det) - 1.0:.3e}")
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
 
     def unitarity_defect(self) -> float:
         """Max entrywise deviation of U^dag U from the identity."""

@@ -19,8 +19,12 @@ Conventions: arguments of complex numbers are principal values in (-pi, pi];
 quasi-energy uses hbar = 1, h = 2 pi; theta enters through cos/sin only, so
 all reported magnitudes are even in theta while arg(z_pole^2) is odd.
 
+The coin pair of the package's one gauge is built here, by ``coin_pair``;
+``cli``, ``verify`` and ``floquet_mode`` take their coins from it.
+
 Imports: everything here except ``FloquetMode`` and ``floquet_mode`` is
-scalar closed-form arithmetic on ``math`` and ``cmath``.  Those two import
+scalar closed-form arithmetic on ``math`` and ``cmath``, or builds coins
+with ``coin``, which imports neither numpy nor an engine.  Those two import
 numpy and the ``genfun`` closed forms when they run, so loading this module
 (as the ``edge`` and ``sweep`` CLI modes do) loads neither.
 """
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .coin import ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
+from .coin import Coin, ModelParams, make_boundary_coin, make_bulk_coin, reduce_angle
 from .errors import DelocalizedError
 
 __all__ = [
@@ -41,6 +45,7 @@ __all__ = [
     "EdgePoint",
     "EdgeReport",
     "FloquetMode",
+    "coin_pair",
     "decay_ratio",
     "pole",
     "thresholds",
@@ -56,6 +61,19 @@ __all__ = [
 # r this close to 1 counts as critical: divergent quantities are suppressed
 # instead of reported as huge floats.
 CRITICAL_BAND = 1e-9
+
+
+def coin_pair(p: float, theta: float, beta: float = 0.0) -> tuple[Coin, Coin]:
+    """The package's bulk and boundary coins at (p, theta), in the one gauge
+    that fixes their bits: gamma = 0, gamma_tilde = -reduce_angle(theta).
+
+    Reducing theta makes theta and theta + 2 pi one input.  At beta = 0, the
+    gauge of ``evolve``, ``series`` and ``floquet_mode``, the bulk coin is
+    real, so each bulk product of the walk is two real products, rounded
+    once with or without fused multiply-add, and ``evolve`` prints the same
+    bytes at every CPU level.  ``verify`` varies beta.
+    """
+    return make_bulk_coin(p, beta, 0.0), make_boundary_coin(-reduce_angle(theta))
 
 
 def _check_p_theta(p: float, theta: float) -> float:
@@ -191,7 +209,7 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
 
     Evaluates the closed forms at z_pole on the physical branch and takes
     the simple-pole limit psi(z) (1 - z^2/z_pole^2).  Phases are reported in
-    the gauge of ``cli._coins``, beta = gamma = 0, gamma_tilde = -theta;
+    the gauge of ``coin_pair``, beta = gamma = 0, gamma_tilde = -theta;
     squared magnitudes are gauge independent and satisfy the geometric law
     |phi_L(n)|^2 = r^n (1-r)^2 and |phi_R(n)|^2 = r^{n-1} (1-r)^2 with
     phi_R(0) = 0, to a relative error of about n u / (1 - r), u = 2^-53: the
@@ -213,8 +231,7 @@ def floquet_mode(p: float, theta: float, n_max: int) -> FloquetMode:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     _require_localized(p, theta)
-    coin = make_bulk_coin(p, 0.0, 0.0)
-    boundary = make_boundary_coin(-theta)
+    coin, boundary = coin_pair(p, theta)
     a, b = coin.a, coin.b
     s_eta, q_eta = _eta_coefficients(coin)
     s = math.sqrt(1.0 - p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import edge, genfun, pathsum, walk
-from .coin import Coin, make_boundary_coin, make_bulk_coin, reduce_angle
+from .coin import UNITARITY_TOL, Coin, make_boundary_coin, make_bulk_coin
 from .errors import TAU_MIN
 
 __all__ = ["TAU_MIN", "CheckResult", "run_all"]
@@ -53,13 +53,8 @@ def _worst(*residuals: float) -> float:
     return max(residuals)
 
 
-def _coin_pair(p: float, theta: float, beta: float = 0.0) -> tuple[Coin, Coin]:
-    # the gauge of cli._coins, beta aside: gamma = 0, gamma_tilde = -reduce_angle(theta)
-    return make_bulk_coin(p, beta, 0.0), make_boundary_coin(-reduce_angle(theta))
-
-
-def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = 1e-12) -> CheckResult:
-    """Unitarity defect and |det|-1 over random bulk and boundary coins."""
+def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = UNITARITY_TOL) -> CheckResult:
+    """Unitarity defect over random bulk and boundary coins."""
     rng = np.random.default_rng(seed)
     # one draw of the same doubles, in the same order, as a (p, beta, gamma,
     # gamma~) draw per sample
@@ -70,13 +65,7 @@ def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = 1e-12)
     for p, beta, gamma, gt in draws.tolist():
         u = make_bulk_coin(p, beta, gamma)
         ub = make_boundary_coin(gt)
-        worst = _worst(
-            worst,
-            u.unitarity_defect(),
-            ub.unitarity_defect(),
-            abs(abs(u.det) - 1.0),
-            abs(abs(ub.det) - 1.0),
-        )
+        worst = _worst(worst, u.unitarity_defect(), ub.unitarity_defect())
     return _result("coin_unitarity", worst, tol, f"{samples} random parameter sets")
 
 
@@ -133,7 +122,7 @@ def check_three_way(
     """Walk amplitudes against path enumeration and series coefficients."""
     worst = _worst(
         *(
-            three_way_residual(*_coin_pair(p, theta, beta), tau_pathsum, tau_series, n_series)
+            three_way_residual(*edge.coin_pair(p, theta, beta), tau_pathsum, tau_series, n_series)
             for p in p_values
             for theta in theta_values
             for beta in beta_values
@@ -151,7 +140,7 @@ def check_pqrs_structure(
     tol: float = 1e-12,
 ) -> CheckResult:
     """Path sums stay inside the Q~/R~ span for every site and step count."""
-    u, ub = _coin_pair(p, theta, beta)
+    u, ub = edge.coin_pair(p, theta, beta)
     table = pathsum.transition_table(tau_max, u, ub)
     worst = 0.0
     for tau in range(1, tau_max + 1):
@@ -173,7 +162,7 @@ def check_recursion_relation(
     tilded(0->n) = [1 + c~ Br(0->0)] * d z * untilded(0->n-1) in both
     channels; the n = 1 up-move channel uses the formal seed 1/d.
     """
-    u, ub = _coin_pair(p, theta, beta)
+    u, ub = edge.coin_pair(p, theta, beta)
     d, ct = u.d, ub.c
     m = order + 1
     table_ub = pathsum.transition_table(order, u, ub)
@@ -205,7 +194,7 @@ def check_absorbing_gf(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Absorbing-boundary return series against its path enumeration."""
-    u, _ = _coin_pair(p, theta, beta)
+    u, _ = edge.coin_pair(p, theta, beta)
     series = genfun.absorbing_gf_series(u, tau_max + 1)
     _, a_r = pathsum.pqrs_coefficient_series(0, tau_max, u, u, "absorbing")
     worst = float(np.max(np.abs(series.coeffs[1:] - a_r[1:])))
@@ -221,7 +210,7 @@ def check_closed_forms(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Closed-form coefficient functions against untilded path sums."""
-    u, _ = _coin_pair(p, theta, beta)
+    u, _ = edge.coin_pair(p, theta, beta)
     table = pathsum.transition_table(tau_max, u, u)
     worst = 0.0
     for n in range(n_max + 1):
@@ -244,7 +233,7 @@ def check_parseval(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Series coefficients at fixed tau carry unit total probability."""
-    u, ub = _coin_pair(p, theta, beta)
+    u, ub = edge.coin_pair(p, theta, beta)
     col_L, col_R = genfun.bounded_gf_table(u, ub, tau, tau + 1, columns=[tau])
     total = walk.total_probability(col_L[:, 0], col_R[:, 0])
     return _result("series_parseval", abs(total - 1.0), tol, f"tau = {tau}")
@@ -254,7 +243,7 @@ def check_pole_zero(
     p: float = 0.2, theta: float = math.pi / 4, tol: float = 1e-10
 ) -> CheckResult:
     """The reported pole is a zero of the denominator on the physical branch."""
-    u, ub = _coin_pair(p, theta)
+    u, ub = edge.coin_pair(p, theta)
     zp = cmath.sqrt(edge.pole(p, theta))
     h = genfun.bounded_denominator(u, ub, genfun.eta_eval(u, zp), zp)
     return _result("pole_denominator_zero", abs(h), tol)
@@ -326,7 +315,7 @@ def check_edge_vs_simulation(
     tol: float = 0.03,
 ) -> CheckResult:
     """Residue-extracted mode weights against time-averaged site probabilities."""
-    u, ub = _coin_pair(p, theta)
+    u, ub = edge.coin_pair(p, theta)
     times = [tau for tau in range(max(avg_start, 1), steps + 1) if tau % 2 == 0]
     samples = [
         walk.probability(psi_L[: n_max + 1]) + walk.probability(psi_R[: n_max + 1])
@@ -353,7 +342,7 @@ def check_quasi_energy_slope(
     tol: float = 1e-3,
 ) -> CheckResult:
     """Phase slope of the simulated return amplitude against arg(z_pole^2)/2."""
-    u, ub = _coin_pair(p, theta)
+    u, ub = edge.coin_pair(p, theta)
     taus = np.arange(fit_start, steps + 1, 2)
     amps = [complex(psi_L[0]) for _, psi_L, _ in walk.trajectory(u, ub, taus)]
     phase = np.unwrap(np.angle(np.array(amps)))
@@ -367,12 +356,13 @@ def check_quasi_energy_slope(
     )
 
 
-def run_all(tau_max: int = 10, unitarity_tol: float = 1e-11) -> list[CheckResult]:
+def run_all(tau_max: int, unitarity_tol: float) -> list[CheckResult]:
     """Run the full suite; path enumeration is bounded by tau_max.
 
     tau_max must lie in [TAU_MIN, pathsum.TAU_CAP]: below TAU_MIN the
     recursion check has fewer orders than sites, above the cap the path
-    enumeration refuses.
+    enumeration refuses.  unitarity_tol is the tolerance of the norm-drift
+    check.  ``cli.RunConfig`` holds the defaults of both.
     """
     return [
         check_coin_unitarity(),

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import warnings
@@ -15,7 +16,9 @@ from lzwalk import (
     thresholds,
 )
 from lzwalk import cli, edge, verify
-from lzwalk.coin import landau_zener_field, landau_zener_p
+from lzwalk.coin import UNITARITY_TOL, landau_zener_field, landau_zener_p
+
+from conftest import package_sites
 
 SQ2 = math.sqrt(0.5)
 
@@ -113,7 +116,8 @@ def test_random_coins_unitary_with_unit_determinant():
         beta, gamma = rng.uniform(-math.pi, math.pi, size=2)
         u = make_bulk_coin(p, float(beta), float(gamma))
         assert u.unitarity_defect() < 1e-12
-        assert abs(u.det - 1.0) < 1e-12  # det is exactly 1, not just |det|
+        # det is exactly 1, not just |det|
+        assert abs(u.a * u.d - u.b * u.c - 1.0) < 1e-12
 
 
 def _exact_defect(coin):
@@ -245,23 +249,87 @@ def test_params_reject_phases_whose_difference_overflows():
     assert -math.pi < largest.theta <= math.pi
 
 
+def _passes_the_gate(*entries):
+    try:
+        Coin(*entries)
+    except ValueError:
+        return False
+    return True
+
+
+def _scale_at_the_gate(start):
+    """The scale x farthest from 1, on the side of ``start``, for which x I
+    passes the unitarity gate."""
+    away = 2.0 if start > 1.0 else 0.0
+    x = start
+    while not _passes_the_gate(x, 0.0, 0.0, x):
+        x = math.nextafter(x, 1.0)
+    while _passes_the_gate(y := math.nextafter(x, away), 0.0, 0.0, y):
+        x = y
+    return x
+
+
+def test_the_defect_gate_bounds_the_determinant():
+    # |det U|^2 = det(U^dag U) lies within 2 delta + 2 delta^2 of 1 for a
+    # defect delta, so ||det| - 1| <= delta + O(delta^2): a coin that passes
+    # the defect gate has |det| within UNITARITY_TOL of 1, up to the rounding
+    # of a d - b c and of the defect itself, and Coin needs no |det| gate
+    coins = []
+    for start in (math.sqrt(1.0 + UNITARITY_TOL), math.sqrt(1.0 - UNITARITY_TOL)):
+        x = _scale_at_the_gate(start)
+        coins.append(Coin(x, 0.0, 0.0, x))
+    # U diag(s1, s2) with U unitary and |s_i^2 - 1| just under the gate
+    rng = np.random.default_rng(5)
+    just_under = (1.0 - 1e-3) * UNITARITY_TOL
+    draws = rng.uniform([1e-6, -math.pi, -math.pi, -math.pi], [1.0, math.pi, math.pi, math.pi], size=(250, 4))
+    for p, beta, gamma, phase in draws.tolist():
+        u = make_bulk_coin(p, beta, gamma)
+        g = cmath.exp(1j * phase)
+        for t1, t2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            s1, s2 = math.sqrt(1.0 + t1 * just_under), math.sqrt(1.0 + t2 * just_under)
+            coins.append(Coin(g * u.a * s1, g * u.b * s2, g * u.c * s1, g * u.d * s2))
+    gaps = [abs(abs(u.a * u.d - u.b * u.c) - 1.0) for u in coins]
+    assert max(gaps) <= UNITARITY_TOL + 4 * 2.0**-53
+    assert max(gaps) > 0.99 * UNITARITY_TOL  # the bound is reached, not idle
+
+
 def _entries(coin):
     return coin.a, coin.b, coin.c, coin.d
 
 
+def _recording(make, built):
+    def build(*args):
+        coin = make(*args)
+        built.append(coin)
+        return coin
+
+    return build
+
+
 @pytest.mark.parametrize("theta", [math.pi / 4 + 2 * math.pi, -1.2, 2.5, -2.5])
 def test_cli_verify_and_edge_build_coins_in_one_gauge(monkeypatch, theta):
-    # beta = gamma = 0, gamma_tilde = -reduce_angle(theta), coded in cli,
-    # verify and edge alike
-    built = {}
+    # beta = gamma = 0, gamma_tilde = -reduce_angle(theta): each of them
+    # takes its coins from edge.coin_pair
+    built = []
     for name in ("make_bulk_coin", "make_boundary_coin"):
-        make = getattr(edge, name)
-        monkeypatch.setattr(edge, name, lambda *args, make=make, name=name: built.setdefault(name, make(*args)))
+        monkeypatch.setattr(edge, name, _recording(getattr(edge, name), built))
     edge.floquet_mode(0.2, theta, 2)
-    from_edge = built["make_bulk_coin"], built["make_boundary_coin"]
-    from_cli = cli._coins(cli.RunConfig(mode="evolve", p=0.2, theta=theta))
-    from_verify = verify._coin_pair(0.2, theta)
+    cli.run_evolve(cli.RunConfig(mode="evolve", p=0.2, theta=theta, steps=2))
+    verify.check_parseval(0.2, theta, tau=2)
+    assert len(built) == 6
+    from_edge, from_cli, from_verify = built[0:2], built[2:4], built[4:6]
     assert [_entries(c) for c in from_cli] == [_entries(c) for c in from_verify]
     assert [_entries(c) for c in from_cli] == [_entries(c) for c in from_edge]
     assert all(v.imag == 0.0 for v in _entries(from_cli[0]))
     assert from_cli[1].b == cmath.exp(1j * -reduce_angle(theta))
+
+
+def test_coins_are_built_in_the_gauge_builder_and_the_random_phase_checks():
+    # the one gauge is coded once; only the checks that draw every phase at
+    # random build coins outside it
+    builders = ("make_bulk_coin", "make_boundary_coin")
+    sites = package_sites(
+        lambda node: (isinstance(node, ast.Name) and node.id in builders)
+        or (isinstance(node, ast.Attribute) and node.attr in builders)
+    )
+    assert sites == {"edge.coin_pair", "verify.check_coin_unitarity", "verify.check_norm_drift"}

@@ -131,10 +131,11 @@ def test_lambda_satisfies_its_quadratic(phased_coins):
     order = 200
     lam = lambda_plus_series(u, order)
     z = Series.monomial(1, order)
+    det = u.a * u.d - u.b * u.c
     residual = (
         (u.d * u.d) * z * lam * lam
-        + -u.d * (u.det * z * z + 1.0) * lam
-        + u.det * abs(u.a) ** 2 * z
+        + -u.d * (det * z * z + 1.0) * lam
+        + det * abs(u.a) ** 2 * z
     )
     assert np.max(np.abs(residual.coeffs)) < 1e-12
 
@@ -148,12 +149,13 @@ def test_lambda_eval_matches_series_sum(ref_coins):
 
 def test_lambda_eval_satisfies_quadratic_pointwise(phased_coins):
     u, _ = phased_coins
+    det = u.a * u.d - u.b * u.c
     for z in (0.7, 0.9j, 1.5, 0.2 + 0.6j):
         lam = lambda_plus_eval(u, z)
         res = (
             u.d * u.d * z * lam * lam
-            - u.d * (u.det * z * z + 1.0) * lam
-            + u.det * abs(u.a) ** 2 * z
+            - u.d * (det * z * z + 1.0) * lam
+            + det * abs(u.a) ** 2 * z
         )
         assert abs(res) < 1e-12
 

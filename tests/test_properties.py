@@ -120,7 +120,8 @@ def test_branch_root_stays_inside_the_disk(point, radius, phase):
     z = cmath.rect(radius, phase)
     lam = lambda_plus_eval(u, z)
     assert abs(lam) <= abs(z) * (1.0 + 1e-12)
-    quadratic = [u.d * u.d * z, -u.d * (u.det * z * z + 1.0), u.det * abs(u.a) ** 2 * z]
+    det = u.a * u.d - u.b * u.c
+    quadratic = [u.d * u.d * z, -u.d * (det * z * z + 1.0), det * abs(u.a) ** 2 * z]
     assert abs(np.polyval(quadratic, lam)) <= 1e-12
     small, large = sorted(abs(np.roots(quadratic)))
     assert (large - small) / large >= (1.0 - abs(z) ** 2) * (1.0 - 1e-9)
