@@ -12,18 +12,31 @@ the light cone n <= tau with n = tau (mod 2).  A ``WalkState`` stores both
 components densely over [0, tau]; the bound is exact, so there is no
 truncation error by construction.
 
-The rule is coded once, in ``_advance``.  ``step`` applies it to a dense
-state.  A whole walk from the initial state runs in one stepping loop, the
-generator ``_walk``, which yields the live compact entries at each time.
-Two consumers read it: ``trajectory`` yields dense ``(tau, psi_L, psi_R)``
-snapshots in fresh arrays, only at the requested times, and ``norms`` sums
-the compact entries of every step without building a snapshot.  The loop's
-working layout differs from the dense one in three ways:
+The rule is coded once: the bulk rows in ``_advance``, six numpy calls on
+operands cut to size by the caller, and the boundary row in ``_reflect``.
+``step`` applies them to a dense state.  A whole walk from the initial
+state runs in one stepping loop, the generator ``_walk``, which yields the
+live compact entries only at the times its consumer asks for.  Two
+consumers read it: ``trajectory`` asks for its snapshot times and yields
+dense ``(tau, psi_L, psi_R)`` snapshots in fresh arrays, and ``norms`` asks
+for every step and sums the compact entries without building a snapshot.
+The loop's working layout differs from the dense one in four ways:
 
 * Compact parity sublattice.  Sites of the wrong parity are exactly zero, so
   only n = tau (mod 2) is stored, at compact index k = (n - tau mod 2) / 2.
-  Two preallocated buffer pairs alternate as source and destination, and
-  every product and sum is written in place.
+  Two preallocated buffer pairs, one per parity, alternate as source and
+  destination, and every product and sum is written in place.  One pass of
+  the loop makes the step from even tau and the one from odd tau, so no
+  parity test or buffer swap is made per step.
+* Fixed cost per step.  Every numpy call pays a dispatch of about half a
+  microsecond besides its arithmetic, which is most of a step while the
+  light cone is short.  The loop converts the four bulk coefficients once
+  per walk into 0-d complex arrays, which numpy dispatches faster than a
+  Python complex or a numpy scalar (0.44 against 0.65 and 0.62 us per
+  product of ten entries on a 2-core VM), slices each operand of a step
+  once, and resumes its consumer only at the requested times.  Each call
+  is the same product or sum, on the same operands in the same order, as
+  the rule with Python complex coefficients, so no bit moves.
 * Trimming of the subnormal tail.  A live length ``hi`` covers the compact
   entries that are kept; it shrinks while both components of the trailing
   entry have modulus below the smallest normal double, 2^-1022.  Near the
@@ -58,14 +71,14 @@ dense one, which also holds the parity zeros: the last bits can differ.
 Two constants bound the work.  ``MAX_EVOLVE_STEPS`` (defined in ``errors``)
 caps every walk; larger requests raise ResourceLimitError before anything
 is allocated.  The kernel does about steps^2 / 4 site updates.  On a 2-core
-VM, a walk at theta = pi/4 took (median over three processes):
+VM, a walk at theta = pi/4 took (best of three):
 
     steps     p = 0.2   p = 0.49   p = 0.8
-    8 000     0.09 s    0.12 s     0.11 s
-    16 000    0.23 s    0.28 s     0.33 s
-    32 000    0.69 s    0.86 s     1.08 s
+    8 000     0.07 s    0.08 s     0.08 s
+    16 000    0.19 s    0.24 s     0.28 s
+    32 000    0.61 s    0.79 s     0.96 s
 
-which extrapolates to at most about 11 s at 100 000 steps.
+which extrapolates, as steps^2, to at most about 9 s at 100 000 steps.
 ``NORM_TOL_PER_STEP`` is the norm drift per step that ``evolve`` tolerates
 before it raises ArithmeticError; the CLI checks each printed snapshot's
 sum against 1e-10 instead.
@@ -75,7 +88,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,35 +152,38 @@ def initial_state() -> WalkState:
 
 
 def _advance(
-    coin: Coin,
-    boundary_coin: Coin,
+    a: complex,
+    b: complex,
+    c: complex,
+    d: complex,
     src_L: np.ndarray,
     src_R: np.ndarray,
     down_L: np.ndarray,
     up_R: np.ndarray,
     tmp: np.ndarray,
-    boundary: bool,
 ) -> None:
-    """The update rule, written in place into ``down_L`` and ``up_R``.
+    """The bulk update rule, written in place into ``down_L`` and ``up_R``.
 
     P moves amplitude down one site and leaves an L component:
     down_L = a src_L + b src_R.  Q moves it up one site and leaves an R
-    component: up_R = c src_L + d src_R.  With ``boundary``, entry 0 of the
-    sources is site 0: it departs through the boundary row instead,
-    up_R[0] = c~ src_L[0] + d~ src_R[0], and the bulk acts on the sources
-    from entry 1 on, aligned with down_L and up_R[1:].  ``tmp`` is scratch
-    space at least as long as the bulk sources.
+    component: up_R = c src_L + d src_R.  The caller passes the exact bulk
+    views, all of one length, with ``tmp`` as scratch space.  a, b, c, d are
+    the bulk coin's entries in the form the caller multiplies with: 0-d
+    arrays in ``_walk``, the coin's own numbers in ``step``; the bits are the
+    same.
     """
-    if boundary:
-        up_R[0] = boundary_coin.c * src_L[0] + boundary_coin.d * src_R[0]
-        src_L, src_R, up_R = src_L[1:], src_R[1:], up_R[1:]
-    tmp = tmp[: len(src_L)]
-    np.multiply(coin.a, src_L, out=tmp)
-    np.multiply(coin.b, src_R, out=down_L)
-    np.add(tmp, down_L, out=down_L)
-    np.multiply(coin.c, src_L, out=tmp)
-    np.multiply(coin.d, src_R, out=up_R)
-    np.add(tmp, up_R, out=up_R)
+    np.multiply(a, src_L, tmp)
+    np.multiply(b, src_R, down_L)
+    np.add(tmp, down_L, down_L)
+    np.multiply(c, src_L, tmp)
+    np.multiply(d, src_R, up_R)
+    np.add(tmp, up_R, up_R)
+
+
+def _reflect(boundary_coin: Coin, src_L: np.ndarray, src_R: np.ndarray) -> complex:
+    """The boundary row: the R amplitude that site 0 sends to site 1,
+    c~ src_L[0] + d~ src_R[0]."""
+    return boundary_coin.c * src_L[0] + boundary_coin.d * src_R[0]
 
 
 def step(state: WalkState, coin: Coin, boundary_coin: Coin) -> WalkState:
@@ -178,12 +194,13 @@ def step(state: WalkState, coin: Coin, boundary_coin: Coin) -> WalkState:
     subnormal tail; after that, up to about 20 000 steps, they differ only
     in amplitudes too small to print (see the module docstring).
     """
-    tau = state.tau
+    tau, psi_L, psi_R = state.tau, state.psi_L, state.psi_R
     new_L = np.zeros(tau + 2, dtype=np.complex128)
     new_R = np.zeros(tau + 2, dtype=np.complex128)
-    tmp = np.empty(tau, dtype=np.complex128)
+    new_R[1] = _reflect(boundary_coin, psi_L, psi_R)
     _advance(
-        coin, boundary_coin, state.psi_L, state.psi_R, new_L[:tau], new_R[1:], tmp, True
+        coin.a, coin.b, coin.c, coin.d,
+        psi_L[1:], psi_R[1:], new_L[:tau], new_R[2:], np.empty(tau, dtype=np.complex128),
     )
     return WalkState(tau + 1, new_L, new_R)
 
@@ -210,50 +227,68 @@ def _check_steps(steps: int) -> None:
         )
 
 
-def _walk(
-    coin: Coin, boundary_coin: Coin, steps: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The stepping loop: (tau, live_L, live_R) for tau = 0 .. steps.
+_TINY = sys.float_info.min  # 2^-1022, the smallest normal double
 
-    live_L and live_R view the live compact entries [0, hi) of the state at
-    time tau.  The next step overwrites them, so a consumer must use them
-    before it resumes the generator and must not keep them.
+
+def _trimmed(live_L: np.ndarray, live_R: np.ndarray, hi: int) -> int:
+    """The live length once trailing entries with both components below
+    2^-1022 in modulus are dropped, keeping at least one entry.  The front
+    entry's R component is normal on almost every step, so it is tested
+    first and the test stops there."""
+    while hi > 1 and abs(live_R[hi - 1]) < _TINY and abs(live_L[hi - 1]) < _TINY:
+        hi -= 1
+    return hi
+
+
+def _walk(
+    coin: Coin, boundary_coin: Coin, steps: int, times: Container[int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The stepping loop: (tau, live_L, live_R) for tau = 0 .. steps, at the
+    times in ``times`` only.
+
+    ``times`` needs only ``in``: ``trajectory`` passes its set of snapshot
+    times, ``norms`` the range of every step.  live_L and live_R view the
+    live compact entries [0, hi) of the state at time tau.  The next step
+    overwrites them, so a consumer must use them before it resumes the
+    generator and must not keep them.  The walk stops at ``steps`` whatever
+    later times ``times`` holds.
     """
     size = steps // 2 + 1
-    cur_L = np.zeros(size, dtype=np.complex128)
-    cur_R = np.zeros(size, dtype=np.complex128)
-    nxt_L = np.zeros(size, dtype=np.complex128)
-    nxt_R = np.zeros(size, dtype=np.complex128)
+    even_L = np.zeros(size, dtype=np.complex128)
+    even_R = np.zeros(size, dtype=np.complex128)
+    odd_L = np.zeros(size, dtype=np.complex128)
+    odd_R = np.zeros(size, dtype=np.complex128)
     tmp = np.empty(size, dtype=np.complex128)
-    cur_L[0] = 1.0
+    a, b, c, d = (np.array(x, dtype=np.complex128) for x in (coin.a, coin.b, coin.c, coin.d))
+    even_L[0] = 1.0
     hi = 1
-    tiny = sys.float_info.min  # 2^-1022, the smallest normal double
-    for tau in range(steps + 1):
-        live_L, live_R = cur_L[:hi], cur_R[:hi]
-        yield tau, live_L, live_R
+    if 0 in times:
+        yield 0, even_L[:hi], even_R[:hi]
+    # each pass makes the step from even tau - 1 and the one from odd tau
+    for tau in range(1, steps + 1, 2):
+        # even sites n = 2k feed odd sites 2k -/+ 1 at compact k - 1 / k;
+        # site 0 reflects into site 1 (compact 0)
+        odd_R[0] = _reflect(boundary_coin, even_L, even_R)
+        _advance(
+            a, b, c, d,
+            even_L[1:hi], even_R[1:hi], odd_L[: hi - 1], odd_R[1:hi], tmp[: hi - 1],
+        )
+        odd_L[hi - 1] = 0.0
+        hi = _trimmed(odd_L, odd_R, hi)
+        if tau in times:
+            yield tau, odd_L[:hi], odd_R[:hi]
         if tau == steps:
             return
-        if tau % 2 == 0:
-            # even sites n = 2k feed odd sites 2k -/+ 1 at compact k - 1 / k;
-            # site 0 reflects into site 1 (compact 0)
-            _advance(
-                coin, boundary_coin, live_L, live_R, nxt_L[: hi - 1], nxt_R[:hi], tmp, True
-            )
-            nxt_L[hi - 1] = 0.0
-        else:
-            # odd sites n = 2k + 1 feed even sites 2k / 2k + 2 at compact k / k + 1
-            _advance(
-                coin, boundary_coin, live_L, live_R, nxt_L[:hi], nxt_R[1 : hi + 1], tmp, False
-            )
-            nxt_L[hi] = 0.0
-            nxt_R[0] = 0.0
-            hi += 1
-        cur_L, nxt_L = nxt_L, cur_L
-        cur_R, nxt_R = nxt_R, cur_R
-        # the front entry's R component is normal on almost every step, so
-        # it is tested first and the test stops there
-        while hi > 1 and abs(cur_R[hi - 1]) < tiny and abs(cur_L[hi - 1]) < tiny:
-            hi -= 1
+        # odd sites n = 2k + 1 feed even sites 2k / 2k + 2 at compact k / k + 1;
+        # no step writes even_R[0], the R component of site 0, so it stays 0
+        _advance(
+            a, b, c, d,
+            odd_L[:hi], odd_R[:hi], even_L[:hi], even_R[1 : hi + 1], tmp[:hi],
+        )
+        even_L[hi] = 0.0
+        hi = _trimmed(even_L, even_R, hi + 1)
+        if tau + 1 in times:
+            yield tau + 1, even_L[:hi], even_R[:hi]
 
 
 def trajectory(
@@ -263,7 +298,8 @@ def trajectory(
 
     One snapshot per distinct time, in increasing order, as fresh dense
     arrays on [0, tau] that the caller owns.  The walk runs in the compact
-    in-place layout of the module docstring and stops at the last time.  On
+    in-place layout of the module docstring, hands over its live entries
+    only at ``times``, and stops at the last time.  On
     the first ``next()``, before the walk starts, a time that is not an
     integer raises TypeError, a negative one ValueError, and one beyond
     ``MAX_EVOLVE_STEPS`` ResourceLimitError.
@@ -274,9 +310,8 @@ def trajectory(
     if min(wanted) < 0:
         raise ValueError(f"snapshot times must be nonnegative, got {min(wanted)}")
     _check_steps(max(wanted))
-    for tau, live_L, live_R in _walk(coin, boundary_coin, max(wanted)):
-        if tau in wanted:
-            yield _snapshot(tau, live_L, live_R)
+    for tau, live_L, live_R in _walk(coin, boundary_coin, max(wanted), wanted):
+        yield _snapshot(tau, live_L, live_R)
 
 
 def probability(psi: np.ndarray) -> np.ndarray:
@@ -306,9 +341,10 @@ def norms(coin: Coin, boundary_coin: Coin, steps: int) -> list[float]:
     bits.  Raises ResourceLimitError beyond ``MAX_EVOLVE_STEPS``.
     """
     _check_steps(steps)
-    states = _walk(coin, boundary_coin, steps)
-    next(states)  # tau = 0, the initial state
-    return [total_probability(live_L, live_R) for _, live_L, live_R in states]
+    return [
+        total_probability(live_L, live_R)
+        for _, live_L, live_R in _walk(coin, boundary_coin, steps, range(1, steps + 1))
+    ]
 
 
 def evolve(coin: Coin, boundary_coin: Coin, steps: int) -> WalkState:

@@ -31,6 +31,8 @@ THETA = "0.7853981633974483"
 
 CORPUS = [
     *(["evolve", "--p", p, "--theta", THETA, "--steps", "2000"] for p in ("0.2", "0.49", "0.8")),
+    # near p_c the loop trims the subnormal end of the light cone at this length
+    ["evolve", "--p", "0.49", "--theta", THETA, "--steps", "8000"],
     ["series", "--p", "0.2", "--theta", THETA, "--steps", "800"],
     ["series", "--p", "0.49", "--theta", THETA, "--steps", "2000"],
     ["verify", "--tau-max", "12"],

@@ -24,6 +24,7 @@ from lzwalk import (
     trajectory,
     transition_amplitude,
 )
+from lzwalk.edge import coin_pair
 from lzwalk.walk import WalkState, probability, total_probability
 from conftest import P_REF, THETA_REF, package_sites
 
@@ -299,6 +300,57 @@ def test_trajectory_snapshot_times(phased_coins):
     # a consumer that keeps only a sum per snapshot sees the same snapshots
     sums = [total_probability(*s[1:]) for s in trajectory(u, ub, [9, 0, 4, 4, 5])]
     assert sums == [total_probability(*s[1:]) for s in states]
+
+
+def _gauge_coins(p, gauge):
+    """The CLI's real gauge at (p, pi/4), or the phases of ``phased_coins``."""
+    if gauge == "real":
+        return coin_pair(p, THETA_REF)
+    return make_bulk_coin(p, 0.3, THETA_REF + 0.1), make_boundary_coin(0.1)
+
+
+@pytest.mark.parametrize("gauge", ["real", "phased"])
+@pytest.mark.parametrize("p", [0.2, 0.49, 0.8])
+def test_sparse_snapshots_keep_every_bit_and_the_loop_yields_only_them(monkeypatch, p, gauge):
+    u, ub = _gauge_coins(p, gauge)
+    steps = 3000
+    times = lzwalk.cli._snapshot_times(steps)
+    full = {tau: (psi_L, psi_R) for tau, psi_L, psi_R in trajectory(u, ub, range(steps + 1)) if tau in times}
+    walk, resumed = lzwalk.walk._walk, []
+
+    def counted(*args):
+        for live in walk(*args):
+            resumed.append(live[0])
+            yield live
+
+    monkeypatch.setattr(lzwalk.walk, "_walk", counted)
+    sparse = list(trajectory(u, ub, times[::-1] + times))
+    # the stepping loop resumes trajectory once per distinct time, not per step
+    assert resumed == [tau for tau, _, _ in sparse] == times
+    for tau, psi_L, psi_R in sparse:
+        ref_L, ref_R = full[tau]
+        # integer views, so a zero of the other sign or a NaN payload counts
+        assert np.array_equal(psi_L.view(np.uint64), ref_L.view(np.uint64)), tau
+        assert np.array_equal(psi_R.view(np.uint64), ref_R.view(np.uint64)), tau
+
+
+def _calls_numpy_ufunc(node):
+    # a call of np.multiply or np.add itself; np.add.reduce calls the ufunc's
+    # reduce method, not the elementwise rule
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("multiply", "add")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    )
+
+
+def test_the_update_rule_is_coded_once():
+    # every bulk product and sum of every walk is made in _advance, so a faster
+    # copy of the rule in one stepping path cannot drift from the others
+    sites = {site for site in package_sites(_calls_numpy_ufunc) if site.split(".")[0] == "walk"}
+    assert sites == {"walk._advance"}
 
 
 def test_trajectory_rejects_bad_times_and_caps(monkeypatch, ref_coins):
