@@ -444,12 +444,11 @@ def _json_value(value):
 
 
 def _json_cell(value) -> str:
-    """``json.dumps(_json_value(value))``; finite floats, ints, None and
-    booleans are written without the encoder."""
+    """``json.dumps(_json_value(value))``; finite floats, None and booleans,
+    the cells of ``edge`` and ``sweep`` rows, are written without the
+    encoder."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    if type(value) is int:
-        return int.__repr__(value)
     if value is None:
         return "null"
     if value is True:

@@ -4,7 +4,9 @@ A walker on sites n >= 0 carries a two-component amplitude (psi_L, psi_R).
 Every anticrossing applies the same 2x2 unitary ``U = [[a, b], [c, d]]``
 except at the boundary site, which reflects completely through
 ``U~ = [[0, e^{i*gamma_tilde}], [-e^{-i*gamma_tilde}, 0]]``.  Amplitudes are
-plain Python complex numbers (64-bit real and imaginary parts).
+plain Python complex numbers (64-bit real and imaginary parts).  Every
+probability depends on the phases only through theta = gamma - gamma_tilde,
+the one phase that ``ModelParams`` holds.
 
 The tunneling probability derives from the driving field as
 ``p = exp(-pi * Fbar / F)``, with Fbar the threshold field of the avoided
@@ -137,7 +139,9 @@ class ModelParams:
 
     F and Fbar (threshold field) share arbitrary units; the tunneling
     probability ``p = exp(-pi*Fbar/F)`` is always derived, never stored.
-    ``theta = gamma - gamma_tilde`` is reduced to (-pi, pi] on access.
+    The walk depends on the two coin phases only through their difference
+    theta, so one phase is stored: ``gamma`` holds theta, reduced to
+    (-pi, pi] on access as ``theta``.
     L is the system length entering the quasi-energy per length; j0 and E0
     are the momentum and energy units of the level ladder.
     """
@@ -145,7 +149,6 @@ class ModelParams:
     F: float
     Fbar: float
     gamma: float = 0.0
-    gamma_tilde: float = 0.0
     L: float = 1.0
     j0: float = 1.0
     E0: float = 1.0
@@ -153,12 +156,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         _require_finite("F", self.F)
         _require_finite("Fbar", self.Fbar)
-        _require_finite("phases", self.gamma, self.gamma_tilde)
-        if not math.isfinite(float(self.gamma) - float(self.gamma_tilde)):
-            raise ValueError(
-                f"theta = gamma - gamma_tilde overflows for gamma = {self.gamma!r}, "
-                f"gamma_tilde = {self.gamma_tilde!r}"
-            )
+        _require_finite("gamma", self.gamma)
         _require_finite("L", self.L)
         _require_finite("units", self.j0, self.E0)
         if self.F <= 0.0:
@@ -180,4 +178,4 @@ class ModelParams:
 
     @property
     def theta(self) -> float:
-        return reduce_angle(self.gamma - self.gamma_tilde)
+        return reduce_angle(self.gamma)

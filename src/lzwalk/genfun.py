@@ -98,25 +98,20 @@ __all__ = [
 class Series:
     """Truncated formal power series with complex128 coefficients.
 
-    Coefficient k is the z^k term; arithmetic follows truncated
-    Cauchy-product semantics on all of z, with no parity split, and never
-    reads beyond the order.  Binary operations between different orders
-    re-truncate to the smaller one.  Instances are immutable.
+    Coefficient k is the z^k term, and the order is the number of
+    coefficients given: a caller truncates or pads before it builds.
+    Arithmetic follows truncated Cauchy-product semantics on all of z, with
+    no parity split, and never reads beyond the order.  Binary operations
+    between different orders re-truncate to the smaller one.  Instances are
+    immutable.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs, order: int | None = None):
+    def __init__(self, coeffs):
         c = np.array(coeffs, dtype=np.complex128)
         if c.ndim != 1:
             raise ValueError(f"coefficients must be one-dimensional, got shape {c.shape}")
-        if order is not None:
-            if order < 1:
-                raise ValueError(f"order must be >= 1, got {order}")
-            if len(c) < order:
-                c = np.concatenate([c, np.zeros(order - len(c), dtype=np.complex128)])
-            else:
-                c = c[:order].copy()
         if len(c) < 1:
             raise ValueError("a series needs at least the constant term")
         if not np.all(np.isfinite(c.view(np.float64))):
@@ -303,7 +298,7 @@ def eta_series(coin: Coin, order: int) -> Series:
     eta[3] = 1.0
     for k in range(5, order, 2):
         eta[k] = s * eta[k - 2] + q * (eta[3 : k - 3 : 2] @ eta[k - 4 : 2 : -2])
-    return Series(eta, order)
+    return Series(eta[:order])
 
 
 def _eta_root(s: complex, z: complex, sqrt_disc: complex) -> complex:

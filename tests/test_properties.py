@@ -87,10 +87,7 @@ def test_edge_quantities_are_even_in_theta(point):
     p, _, gamma, gamma_tilde = point
     plus, minus = (
         edge_report(
-            ModelParams(
-                F=landau_zener_field(p, 1.0), Fbar=1.0,
-                gamma=sign * gamma, gamma_tilde=sign * gamma_tilde,
-            )
+            ModelParams(F=landau_zener_field(p, 1.0), Fbar=1.0, gamma=sign * (gamma - gamma_tilde))
         )
         for sign in (1.0, -1.0)
     )
