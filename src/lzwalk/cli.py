@@ -26,8 +26,12 @@ the series table, in ``_probability_rows``: the snapshot must sum to 1 by
 light-cone sites n = tau (mod 2), which zip into rows, and each row fills one
 %-template (``%d,%d,%.17g,%.17g`` in CSV, ``%d``/``%r`` cells in JSON).
 The sum check fails on NaN and inf, so these cells are always ints and
-finite floats.  The ``edge`` and ``sweep`` tables, whose cells can be
-None, booleans or non-finite, render cell by cell.
+finite floats.  The ``edge`` and ``sweep`` tables are row types of
+``edge``: an ``edge`` row is an ``edge.EdgeReport``, a ``sweep`` row is F
+and p followed by an ``edge.EdgePoint``, and each header is their field
+names, so each column is named once.  Their cells can be None, booleans or
+non-finite, and render cell by cell.  A ``verify --format json`` check is
+the fields of a ``verify.CheckResult``.
 
 Each mode loads only the engines it uses; the ``run_*`` functions import
 them when called.  At import this module loads ``coin``, ``edge`` and
@@ -70,7 +74,7 @@ from dataclasses import dataclass, fields
 from itertools import repeat
 
 from .coin import ModelParams, landau_zener_field, landau_zener_p
-from .edge import coin_pair, edge_point, edge_report
+from .edge import EdgePoint, EdgeReport, coin_pair, edge_point, edge_report
 from .errors import MAX_EVOLVE_STEPS, MAX_SWEEP_POINTS, MAX_TABLE_STEPS, TAU_CAP, TAU_MIN, ResourceLimitError
 
 __all__ = ["RunConfig", "main", "app", "parse_config_text"]
@@ -347,30 +351,13 @@ def run_series(cfg: RunConfig) -> tuple[list[str], Iterator[tuple]]:
     return list(_PROBABILITY_COLUMNS), _probability_rows(snapshots)
 
 
-# the J_direct, J_paper_form and E_direct cells of a point with no edge state
-_NO_OBSERVABLES = (None, None, None)
-
-_EDGE_COLUMNS = [
-    "F", "p", "theta", "r", "xi", "weight", "z_pole_sq_re", "z_pole_sq_im",
-    "quasi_energy", "p_c", "F_c", "J_direct", "J_paper_form", "E_direct",
-    "localized", "critical",
-]
-
-
-def run_edge(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def run_edge(cfg: RunConfig) -> tuple[list[str], list[EdgeReport]]:
     field = cfg.field if cfg.field is not None else landau_zener_field(cfg.p, cfg.fbar)
     params = ModelParams(F=field, Fbar=cfg.fbar, gamma=cfg.theta, L=cfg.L, j0=cfg.j0, E0=cfg.E0)
-    report = edge_report(params)
-    row = [
-        field, report.p, report.theta, report.r, report.xi, report.weight,
-        report.z_pole_sq.real, report.z_pole_sq.imag, report.quasi_energy,
-        report.p_c, report.F_c, *(report.observables or _NO_OBSERVABLES),
-        report.localized, report.critical,
-    ]
-    return list(_EDGE_COLUMNS), [row]
+    return list(EdgeReport._fields), [edge_report(params)]
 
 
-_SWEEP_COLUMNS = ["F", "p", "r", "xi", "weight", "J_direct", "J_paper_form", "E_direct", "localized"]
+_SWEEP_COLUMNS = ["F", "p", *EdgePoint._fields]
 
 
 def run_sweep(cfg: RunConfig) -> tuple[list[str], Iterator[list]]:
@@ -413,8 +400,7 @@ def _sweep_rows(cfg: RunConfig, grid: list[float]) -> Iterator[list]:
     theta, fbar, j0, E0 = cfg.theta, cfg.fbar, cfg.j0, cfg.E0
     for field in grid:
         p = landau_zener_p(field, fbar)
-        r, xi, weight, obs = edge_point(p, theta, j0, E0)
-        yield [field, p, r, xi, weight, *(obs or _NO_OBSERVABLES), obs is not None]
+        yield [field, p, *edge_point(p, theta, j0, E0)]
 
 
 def _cell(value) -> str:
@@ -504,19 +490,8 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
     results = run_all(tau_max=cfg.tau_max, unitarity_tol=cfg.unitarity_tol)
     ok = all(res.passed for res in results)
     if cfg.format == "json":
-        payload = {
-            "checks": [
-                {
-                    "name": res.name,
-                    "passed": res.passed,
-                    "residual": _json_value(res.residual),
-                    "tol": res.tol,
-                    "detail": res.detail,
-                }
-                for res in results
-            ],
-            "all_pass": ok,
-        }
+        checks = [{f.name: _json_value(getattr(res, f.name)) for f in fields(res)} for res in results]
+        payload = {"checks": checks, "all_pass": ok}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = "".join(res.line() + "\n" for res in results)

@@ -329,74 +329,76 @@ def _observables(p: float, theta: float, r: float, j0: float, E0: float) -> Edge
 
 
 class EdgePoint(NamedTuple):
-    """The edge state at one (p, theta): what a field sweep reports per point.
+    """The edge state at one (p, theta): the columns of a ``sweep`` row after
+    F and p.
 
-    xi and observables are None and weight is 0 outside the localized
-    regime, as in ``EdgeReport``.
+    xi and the observables are None, weight is 0 and localized is False
+    outside the localized regime, as in ``EdgeReport``.
     """
 
     r: float
     xi: float | None
     weight: float
-    observables: EdgeObservables | None
+    J_direct: float | None
+    J_paper_form: float | None
+    E_direct: float | None
+    localized: bool
 
 
 def edge_point(p: float, theta: float, j0: float = 1.0, E0: float = 1.0) -> EdgePoint:
     """Decay ratio, localization length, weight and observables at one point.
 
     Checks (p, theta) once and computes r once; every value equals the one
-    ``decay_ratio``, ``localization_length`` and ``observables`` return.
+    ``decay_ratio``, ``localization_length``, ``observables`` and
+    ``is_localized`` return.
     """
     theta = _check_p_theta(p, theta)
     r = _decay_ratio(p, theta)
     if r < 1.0 - CRITICAL_BAND:
-        return EdgePoint(r, _localization_length(r), 1.0 - r, _observables(p, theta, r, j0, E0))
-    return EdgePoint(r, None, 0.0, None)
+        return EdgePoint(r, _localization_length(r), 1.0 - r, *_observables(p, theta, r, j0, E0), True)
+    return EdgePoint(r, None, 0.0, None, None, None, False)
 
 
-@dataclass(frozen=True)
-class EdgeReport:
-    """Full analytic characterization of the edge state at one (p, theta).
+class EdgeReport(NamedTuple):
+    """Full analytic characterization of the edge state at one (p, theta):
+    the columns of the ``edge`` table, in print order.
 
-    xi, quasi_energy and observables are None outside the localized regime;
+    z_pole_sq_re and z_pole_sq_im are the parts of ``pole``.  xi,
+    quasi_energy and the observables are None outside the localized regime;
     weight is reported as 0 there.  critical flags |r - 1| within the
     suppression band.  The observables carry the units j0 and E0 of the
     parameter set.
     """
 
+    F: float
     p: float
     theta: float
     r: float
     xi: float | None
     weight: float
-    z_pole_sq: complex
+    z_pole_sq_re: float
+    z_pole_sq_im: float
     quasi_energy: float | None
     p_c: float
     F_c: float
+    J_direct: float | None
+    J_paper_form: float | None
+    E_direct: float | None
     localized: bool
     critical: bool
-    observables: EdgeObservables | None
 
 
 def edge_report(params: ModelParams) -> EdgeReport:
     """Assemble the edge-state report for a parameter set."""
     p, theta = params.p, params.theta  # edge_point checks them
-    r, xi, weight, obs = edge_point(p, theta, params.j0, params.E0)
-    p_c, F_c = thresholds(theta, params.Fbar)
-    localized = obs is not None
+    r, xi, weight, J_direct, J_paper_form, E_direct, localized = edge_point(p, theta, params.j0, params.E0)
+    z_pole_sq = pole(p, theta)
     return EdgeReport(
-        p=p,
-        theta=theta,
-        r=r,
-        xi=xi,
-        weight=weight,
-        z_pole_sq=pole(p, theta),
-        quasi_energy=quasi_energy(params) if localized else None,
-        p_c=p_c,
-        F_c=F_c,
-        localized=localized,
-        critical=abs(r - 1.0) <= CRITICAL_BAND,
-        observables=obs,
+        params.F, p, theta, r, xi, weight, z_pole_sq.real, z_pole_sq.imag,
+        quasi_energy(params) if localized else None,
+        *thresholds(theta, params.Fbar),
+        J_direct, J_paper_form, E_direct, localized,
+        abs(r - 1.0) <= CRITICAL_BAND,
     )
 
 

@@ -34,10 +34,10 @@ from lzwalk import (
 from lzwalk import cli
 from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, main, parse_config_text
 from lzwalk.coin import landau_zener_p, make_boundary_coin, make_bulk_coin, reduce_angle
-from lzwalk.edge import CRITICAL_BAND
+from lzwalk.edge import CRITICAL_BAND, EdgePoint, EdgeReport
 from lzwalk.genfun import MAX_TABLE_STEPS
 from lzwalk.pathsum import TAU_CAP
-from lzwalk.verify import TAU_MIN
+from lzwalk.verify import TAU_MIN, CheckResult
 from conftest import j_paper_exact
 
 THETA = math.pi / 4
@@ -531,10 +531,10 @@ def test_edge_row_equals_the_per_point_functions(flags):
         assert (rec["J_direct"], rec["J_paper_form"], rec["E_direct"]) == (
             obs.J_direct, obs.J_paper_form, obs.E_direct,
         )
-        assert report.observables == obs
+        assert (report.J_direct, report.J_paper_form, report.E_direct) == obs
     else:
         assert [rec[k] for k in ("xi", "quasi_energy", "J_direct", "J_paper_form", "E_direct")] == [None] * 5
-        assert report.observables is None
+        assert (report.J_direct, report.J_paper_form, report.E_direct) == (None, None, None)
         assert rec["weight"] == report.weight == 0.0
 
 
@@ -782,6 +782,31 @@ def test_json_delocalized_uses_null(capsys):
     payload = json.loads(out)
     assert payload["rows"][0]["xi"] is None
     assert payload["rows"][0]["weight"] == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_edge_and_sweep_columns_are_the_fields_of_their_row_types(capsys, fmt):
+    tables = [
+        (("edge", "--p", "0.2", "--theta", str(THETA)), list(EdgeReport._fields)),
+        (("edge", "--p", "0.8", "--theta", str(THETA)), list(EdgeReport._fields)),
+        (("sweep", "--fmin", "1", "--fmax", "6", "--points", "3"), ["F", "p", *EdgePoint._fields]),
+    ]
+    for args, columns in tables:
+        code, out, err = run_cli(capsys, *args, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert out.split("\n", 1)[0].split(",") == columns
+        else:
+            rows = json.loads(out)["rows"]
+            assert rows and all(list(row) == columns for row in rows)
+
+
+def test_verify_json_checks_hold_the_fields_of_check_result(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--tau-max", "4", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 14
+    assert all(list(chk) == [f.name for f in fields(CheckResult)] for chk in checks)
 
 
 def _reference_json(cfg, header, rows):

@@ -193,6 +193,12 @@ def test_localization_length_where_r_is_subnormal_or_zero():
     assert localization_length(5e-324, math.pi) == 0.0
 
 
+def test_localization_length_is_infinite_where_r_is_exactly_one():
+    # at p = p_c = 1/2, theta = pi/4 the rounded r is 1.0 itself, so ln r = 0
+    assert decay_ratio(0.5, THETA_REF) == 1.0
+    assert localization_length(0.5, THETA_REF) == math.inf
+
+
 def test_localization_length_small_field_scaling():
     # xi grows linearly with F once p = exp(-pi/F) is tiny
     fields = np.geomspace(1 / 20, 1 / 10, 10)
@@ -418,15 +424,15 @@ def test_edge_report_localized():
     assert rep.r == pytest.approx(R_REF, rel=1e-14)
     assert rep.xi == pytest.approx(XI_REF, rel=1e-13)
     assert rep.weight == pytest.approx(1.0 - R_REF, rel=1e-14)
-    assert abs(abs(rep.z_pole_sq) - 1.0) < 1e-12
+    assert abs(abs(complex(rep.z_pole_sq_re, rep.z_pole_sq_im)) - 1.0) < 1e-12
     assert rep.p_c == pytest.approx(0.5, abs=1e-15)
     assert rep.F_c == pytest.approx(F_C_REF, rel=1e-14)
     assert rep.quasi_energy == pytest.approx(
         params.F / (2 * math.pi) * ARG_Z2_REF, rel=1e-13
     )
-    assert rep.observables == observables(P_REF, THETA_REF)
+    assert (rep.J_direct, rep.J_paper_form, rep.E_direct) == observables(P_REF, THETA_REF)
     scaled = edge_report(ModelParams(F=landau_zener_field(P_REF, 1.0), Fbar=1.0, gamma=THETA_REF, j0=3.0, E0=0.5))
-    assert scaled.observables == observables(P_REF, THETA_REF, 3.0, 0.5)
+    assert (scaled.J_direct, scaled.J_paper_form, scaled.E_direct) == observables(P_REF, THETA_REF, 3.0, 0.5)
 
 
 def test_edge_report_delocalized():
@@ -436,7 +442,7 @@ def test_edge_report_delocalized():
     assert rep.weight == 0.0
     assert rep.xi is None
     assert rep.quasi_energy is None
-    assert rep.observables is None
+    assert (rep.J_direct, rep.J_paper_form, rep.E_direct) == (None, None, None)
     assert rep.r > 1.0
 
 
@@ -459,17 +465,17 @@ def test_edge_point_equals_the_per_point_functions(p, theta):
     if is_localized(p, theta):
         assert point == EdgePoint(
             decay_ratio(p, theta), localization_length(p, theta), 1.0 - point.r,
-            observables(p, theta, 3.0, 0.5),
+            *observables(p, theta, 3.0, 0.5), True,
         )
     else:
-        assert point == EdgePoint(decay_ratio(p, theta), None, 0.0, None)
+        assert point == EdgePoint(decay_ratio(p, theta), None, 0.0, None, None, None, False)
     # edge_report at the same point carries the same values, bit for bit
     params = ModelParams(F=landau_zener_field(p, 1.0), Fbar=1.0, gamma=theta, L=2.5, j0=3.0, E0=0.5)
     report = edge_report(params)
     point = edge_point(params.p, params.theta, 3.0, 0.5)
-    assert (report.r, report.xi, report.weight, report.observables) == point
-    assert report.z_pole_sq == pole(params.p, params.theta)
-    if point.observables is None:
+    assert tuple(getattr(report, name) for name in EdgePoint._fields) == point
+    assert complex(report.z_pole_sq_re, report.z_pole_sq_im) == pole(params.p, params.theta)
+    if not point.localized:
         assert report.quasi_energy is None
     else:
         assert report.quasi_energy == quasi_energy(params)

@@ -94,8 +94,9 @@ def test_edge_quantities_are_even_in_theta(point):
     assert minus.r == pytest.approx(plus.r, rel=1e-13)
     assert minus.weight == pytest.approx(plus.weight, rel=1e-13)
     assert minus.localized == plus.localized
-    assert abs(minus.z_pole_sq) == pytest.approx(abs(plus.z_pole_sq), abs=1e-13)
-    assert cmath.phase(minus.z_pole_sq) == pytest.approx(-cmath.phase(plus.z_pole_sq), abs=1e-13)
+    z2_plus, z2_minus = (complex(rep.z_pole_sq_re, rep.z_pole_sq_im) for rep in (plus, minus))
+    assert abs(z2_minus) == pytest.approx(abs(z2_plus), abs=1e-13)
+    assert cmath.phase(z2_minus) == pytest.approx(-cmath.phase(z2_plus), abs=1e-13)
     if plus.localized:
         assert minus.xi == pytest.approx(plus.xi, rel=1e-13)
         obs_plus, obs_minus = observables(p, plus.theta), observables(p, minus.theta)
