@@ -3,8 +3,10 @@
 The caps live here, next to the ``ResourceLimitError`` that enforces them,
 because every CLI mode validates against them and this module imports no
 numpy: ``edge``, a linear ``sweep`` and every usage error check them
-without loading an engine.  ``walk``, ``genfun``, ``pathsum`` and
-``verify`` import them from here, so each cap is defined once.
+without loading an engine.  ``walk``, ``genfun``, ``pathsum``, ``verify``
+and ``cli`` import them from here for their own use, and no module's
+``__all__`` lists them, so each cap is defined and listed here alone:
+import a cap from ``lzwalk.errors``.
 """
 
 # longest walk; larger requests raise ResourceLimitError before anything is

@@ -81,7 +81,6 @@ from .coin import Coin
 from .errors import MAX_TABLE_STEPS, ResourceLimitError, SingularityError
 
 __all__ = [
-    "MAX_TABLE_STEPS",
     "Series",
     "eta_series",
     "eta_eval",
@@ -120,12 +119,6 @@ class Series:
         self._c = c
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: complex, order: int) -> "Series":
-        c = np.zeros(order, dtype=np.complex128)
-        c[0] = value
-        return cls(c)
 
     @classmethod
     def monomial(cls, k: int, order: int) -> "Series":
@@ -202,7 +195,7 @@ class Series:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"series powers take nonnegative integers, got {exponent!r}")
-        result = Series.constant(1.0, self.order)
+        result = Series.monomial(0, self.order)
         base = self
         e = exponent
         while e:

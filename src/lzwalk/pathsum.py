@@ -23,7 +23,6 @@ from .coin import Coin
 from .errors import TAU_CAP, ResourceLimitError
 
 __all__ = [
-    "TAU_CAP",
     "DOWN",
     "UP",
     "UP_BOUNDARY",

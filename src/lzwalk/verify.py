@@ -19,7 +19,7 @@ from . import edge, genfun, pathsum, walk
 from .coin import UNITARITY_TOL, Coin, make_boundary_coin, make_bulk_coin
 from .errors import TAU_MIN
 
-__all__ = ["TAU_MIN", "CheckResult", "run_all"]
+__all__ = ["CheckResult", "run_all"]
 
 
 @dataclass(frozen=True)

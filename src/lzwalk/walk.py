@@ -97,7 +97,6 @@ from .coin import Coin
 from .errors import MAX_EVOLVE_STEPS, ResourceLimitError
 
 __all__ = [
-    "MAX_EVOLVE_STEPS",
     "WalkState",
     "initial_state",
     "step",

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import settings
 
-from lzwalk import make_boundary_coin, make_bulk_coin
+from lzwalk.coin import make_boundary_coin, make_bulk_coin
 
 # property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic

@@ -8,21 +8,10 @@ import math
 
 import numpy as np
 
-from lzwalk import (
-    decay_ratio,
-    evolve,
-    floquet_mode,
-    localization_length,
-    make_boundary_coin,
-    make_bulk_coin,
-    observables,
-    pqrs_residual,
-    thresholds,
-    trajectory,
-    transition_table,
-)
 from lzwalk.cli import main
-from lzwalk.walk import total_probability
+from lzwalk.coin import make_boundary_coin, make_bulk_coin
+from lzwalk.edge import decay_ratio, floquet_mode, localization_length, observables, thresholds
+from lzwalk.pathsum import pqrs_residual, transition_table
 from lzwalk.verify import (
     _worst,
     check_edge_mode,
@@ -32,6 +21,7 @@ from lzwalk.verify import (
     check_recursion_relation,
     check_three_way,
 )
+from lzwalk.walk import evolve, total_probability, trajectory
 
 P_GRID = (0.2, 0.5, 0.8)
 THETA_GRID = (math.pi / 6, math.pi / 4, math.pi / 3)

@@ -19,10 +19,13 @@ from hypothesis import given, settings, strategies as st
 import lzwalk.genfun
 import lzwalk.verify
 import lzwalk.walk
-from lzwalk import (
-    MAX_EVOLVE_STEPS,
-    ModelParams,
-    ResourceLimitError,
+from lzwalk import cli
+from lzwalk.cli import RunConfig, main, parse_config_text
+from lzwalk.coin import ModelParams, landau_zener_p, make_boundary_coin, make_bulk_coin, reduce_angle
+from lzwalk.edge import (
+    CRITICAL_BAND,
+    EdgePoint,
+    EdgeReport,
     decay_ratio,
     edge_report,
     is_localized,
@@ -31,13 +34,15 @@ from lzwalk import (
     pole,
     quasi_energy,
 )
-from lzwalk import cli
-from lzwalk.cli import MAX_SWEEP_POINTS, RunConfig, main, parse_config_text
-from lzwalk.coin import landau_zener_p, make_boundary_coin, make_bulk_coin, reduce_angle
-from lzwalk.edge import CRITICAL_BAND, EdgePoint, EdgeReport
-from lzwalk.genfun import MAX_TABLE_STEPS
-from lzwalk.pathsum import TAU_CAP
-from lzwalk.verify import TAU_MIN, CheckResult
+from lzwalk.errors import (
+    MAX_EVOLVE_STEPS,
+    MAX_SWEEP_POINTS,
+    MAX_TABLE_STEPS,
+    TAU_CAP,
+    TAU_MIN,
+    ResourceLimitError,
+)
+from lzwalk.verify import CheckResult
 from conftest import j_paper_exact
 
 THETA = math.pi / 4

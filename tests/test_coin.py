@@ -7,17 +7,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from lzwalk import (
+from lzwalk import cli, edge, verify
+from lzwalk.coin import (
+    UNITARITY_TOL,
     Coin,
     ModelParams,
+    landau_zener_field,
+    landau_zener_p,
     make_boundary_coin,
     make_bulk_coin,
     reduce_angle,
-    thresholds,
 )
-from lzwalk import cli, edge, verify
-from lzwalk.coin import UNITARITY_TOL, landau_zener_field, landau_zener_p
-
+from lzwalk.edge import thresholds
 from conftest import package_sites
 
 SQ2 = math.sqrt(0.5)

@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from lzwalk import (
-    DelocalizedError,
-    ModelParams,
+from lzwalk.coin import ModelParams, landau_zener_field
+from lzwalk.edge import (
+    CRITICAL_BAND,
     EdgePoint,
     decay_ratio,
     edge_point,
@@ -20,8 +20,7 @@ from lzwalk import (
     quasi_energy,
     thresholds,
 )
-from lzwalk.coin import landau_zener_field
-from lzwalk.edge import CRITICAL_BAND
+from lzwalk.errors import DelocalizedError
 from lzwalk.verify import check_edge_mode
 from conftest import P_REF, THETA_REF, j_paper_exact
 

@@ -6,23 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lzwalk import (
-    ResourceLimitError,
-    Series,
-    SingularityError,
-    absorbing_gf_series,
-    b_gf_closed_series,
-    bounded_gf_table,
-    initial_state,
-    lambda_plus_eval,
-    lambda_plus_series,
-    make_boundary_coin,
-    make_bulk_coin,
-    step,
-)
 from lzwalk.cli import _snapshot_times
+from lzwalk.coin import make_boundary_coin, make_bulk_coin
+from lzwalk.errors import MAX_TABLE_STEPS, ResourceLimitError, SingularityError
 from lzwalk.genfun import (
-    MAX_TABLE_STEPS,
+    Series,
     _absorbing,
     _baby_rows,
     _baby_steps,
@@ -30,10 +18,15 @@ from lzwalk.genfun import (
     _giant_rows,
     _odd_kernels,
     _site0,
+    absorbing_gf_series,
+    b_gf_closed_series,
     bounded_denominator,
+    bounded_gf_table,
     bounded_numerators,
     eta_eval,
     eta_series,
+    lambda_plus_eval,
+    lambda_plus_series,
     site_factor,
 )
 from lzwalk.verify import (
@@ -42,6 +35,7 @@ from lzwalk.verify import (
     check_pole_zero,
     three_way_residual,
 )
+from lzwalk.walk import initial_state, step
 from conftest import P_REF, THETA_REF, package_sites
 
 
@@ -55,7 +49,7 @@ def test_series_product_of_conjugate_binomials():
 
 
 def test_series_geometric_inverse():
-    one = Series.constant(1.0, 4)
+    one = Series.monomial(0, 4)
     geom = one / Series([1, -1, 0, 0])
     assert np.allclose(geom.coeffs, [1, 1, 1, 1], atol=0)
 
@@ -309,7 +303,7 @@ def test_table_matches_direct_series(request, coins, n_max, order):
     assert tab_L.shape == tab_R.shape == (n_max + 1, order)
     kernel_L, kernel_R = num_L / den, num_R / den
     ref = {n: (t ** (n - 1) * kernel_L, t ** (n - 1) * kernel_R) for n in range(1, n_max + 2)}
-    ref[0] = (1.0 + zs * (u.a * ref[1][0] + u.b * ref[1][1]), Series.constant(0.0, order))
+    ref[0] = (1.0 + zs * (u.a * ref[1][0] + u.b * ref[1][1]), Series(np.zeros(order)))
     for n in range(n_max + 1):
         np.testing.assert_allclose(tab_L[n], ref[n][0].coeffs, rtol=0, atol=1e-14)
         np.testing.assert_allclose(tab_R[n], ref[n][1].coeffs, rtol=0, atol=1e-14)

@@ -1,14 +1,16 @@
-"""The light CLI modes load no engine, and the package's lazy names resolve.
+"""The light CLI modes load no engine, and the package holds only its modules.
 
 ``edge``, a linear ``sweep``, ``--help`` and usage errors run on ``coin``,
-``edge``, ``errors`` and ``cli`` alone, so they start without numpy.  The
-engine modules and the names the package re-exports from them load on
-first access and are the very objects their modules define.
+``edge``, ``errors`` and ``cli`` alone, so they start without numpy.
+``import lzwalk`` loads no module of the package; each of the eight loads on
+first access as ``lzwalk.<module>``, and every name lives in the module that
+defines it, the caps in ``errors`` alone.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -49,29 +51,14 @@ for argv in calls:
 print(json.dumps({"codes": codes, "loaded": [m for m in engines if m in sys.modules]}))
 """
 
-# every name the package exported when it imported all engines eagerly,
-# by the module that defines it
-EXPORTED = {
-    "coin": ("Coin", "ModelParams", "make_boundary_coin", "make_bulk_coin", "reduce_angle"),
-    "edge": (
-        "EdgeObservables", "EdgePoint", "EdgeReport", "FloquetMode", "decay_ratio",
-        "edge_point", "edge_report", "floquet_mode", "is_localized",
-        "localization_length", "observables", "pole", "quasi_energy", "thresholds",
-    ),
-    "errors": ("DelocalizedError", "ResourceLimitError", "SingularityError"),
-    "genfun": (
-        "Series", "absorbing_gf_series", "b_gf_closed_series", "bounded_gf_table",
-        "lambda_plus_eval", "lambda_plus_series",
-    ),
-    "pathsum": (
-        "TAU_CAP", "enumerate_paths", "pqrs_coefficient_series", "pqrs_coefficients",
-        "pqrs_residual", "pqrs_row", "transition_amplitude", "transition_table",
-    ),
-    "walk": (
-        "MAX_EVOLVE_STEPS", "WalkState", "evolve", "initial_state", "norm", "norms",
-        "step", "trajectory",
-    ),
-}
+MODULES = ("cli", "coin", "edge", "errors", "genfun", "pathsum", "verify", "walk")
+
+# prints the package modules that a bare import loads, as JSON
+_BARE_IMPORT = """
+import json, sys
+import lzwalk
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("lzwalk."))))
+"""
 
 
 def test_light_modes_load_no_engine():
@@ -86,14 +73,34 @@ def test_light_modes_load_no_engine():
     assert result["loaded"] == []
 
 
-def test_exported_names_are_their_module_attributes():
-    names = set()
-    for module, exported in EXPORTED.items():
-        owner = importlib.import_module(f"lzwalk.{module}")
-        for name in exported:
-            assert getattr(lzwalk, name) is getattr(owner, name), (module, name)
-        names.update(exported)
-    assert sorted(lzwalk.__all__) == sorted(names)
-    assert names | set(EXPORTED) | {"verify"} <= set(dir(lzwalk))
-    assert lzwalk.walk.__name__ == "lzwalk.walk" and lzwalk.verify.__name__ == "lzwalk.verify"
-    assert not hasattr(lzwalk, "no_such_name")
+def test_the_package_resolves_its_modules_and_no_other_name():
+    assert MODULES == tuple(sorted(p.stem for p in (SRC / "lzwalk").glob("*.py") if not p.stem.startswith("__")))
+    for name in MODULES:
+        assert getattr(lzwalk, name) is sys.modules[f"lzwalk.{name}"]
+    assert set(MODULES) <= set(dir(lzwalk))
+    for name in ("trajectory", "Series", "MAX_EVOLVE_STEPS", "no_such_name"):
+        assert not hasattr(lzwalk, name), name
+
+
+def test_each_name_lives_in_the_module_that_defines_it():
+    errors = importlib.import_module("lzwalk.errors")
+    caps = {name for name, value in vars(errors).items() if name.isupper() and isinstance(value, int)}
+    assert caps == {"MAX_EVOLVE_STEPS", "MAX_TABLE_STEPS", "MAX_SWEEP_POINTS", "TAU_CAP", "TAU_MIN"}
+    for name in MODULES:
+        module = importlib.import_module(f"lzwalk.{name}")
+        exported = getattr(module, "__all__", ())
+        assert not caps & set(exported), name
+        for attr in exported:
+            value = getattr(module, attr)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == module.__name__, (name, attr)
+
+
+def test_a_bare_import_loads_no_module_of_the_package():
+    proc = subprocess.run(
+        [sys.executable, "-c", _BARE_IMPORT],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lzwalk import (
-    TAU_CAP,
-    ResourceLimitError,
+from lzwalk.coin import make_boundary_coin, make_bulk_coin
+from lzwalk.errors import TAU_CAP, ResourceLimitError
+from lzwalk.pathsum import (
     enumerate_paths,
-    make_boundary_coin,
-    make_bulk_coin,
     pqrs_coefficient_series,
     pqrs_coefficients,
     pqrs_residual,

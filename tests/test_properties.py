@@ -14,20 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lzwalk import (
-    ModelParams,
-    edge_report,
-    is_localized,
-    lambda_plus_eval,
-    make_boundary_coin,
-    make_bulk_coin,
-    norms,
-    observables,
-    trajectory,
-)
-from lzwalk.coin import landau_zener_field
-from lzwalk.walk import total_probability
+from lzwalk.coin import ModelParams, landau_zener_field, make_boundary_coin, make_bulk_coin
+from lzwalk.edge import edge_report, is_localized, observables
+from lzwalk.genfun import lambda_plus_eval
 from lzwalk.verify import check_edge_mode, three_way_residual
+from lzwalk.walk import norms, total_probability, trajectory
 
 PHASES = st.floats(-math.pi, math.pi)
 # 1e-6 <= |z| <= 1, the rim included

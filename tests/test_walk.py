@@ -10,22 +10,21 @@ import pytest
 
 import lzwalk.cli
 import lzwalk.walk
-from lzwalk import (
-    MAX_EVOLVE_STEPS,
-    ResourceLimitError,
-    decay_ratio,
+from lzwalk.coin import make_boundary_coin, make_bulk_coin
+from lzwalk.edge import coin_pair, decay_ratio
+from lzwalk.errors import MAX_EVOLVE_STEPS, ResourceLimitError
+from lzwalk.pathsum import transition_amplitude
+from lzwalk.walk import (
+    WalkState,
     evolve,
     initial_state,
-    make_boundary_coin,
-    make_bulk_coin,
     norm,
     norms,
+    probability,
     step,
+    total_probability,
     trajectory,
-    transition_amplitude,
 )
-from lzwalk.edge import coin_pair
-from lzwalk.walk import WalkState, probability, total_probability
 from conftest import P_REF, THETA_REF, package_sites
 
 
