@@ -10,7 +10,10 @@ them is a meaningful end-to-end check rather than a tautology.
 from __future__ import annotations
 
 import cmath
+import functools
+import inspect
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +39,33 @@ class CheckResult:
         return f"{status} {self.name} residual={self.residual:.3e} tol={self.tol:.1e}{extra}"
 
 
-def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(residual < tol), float(residual), tol, detail)
+def _check(name: str):
+    """Make a check body, which returns its residual and a detail line, into
+    the check that returns its ``CheckResult`` under name and its ``tol``.
+
+    An ``ArithmeticError`` or ``ValueError`` (a ``DelocalizedError`` among
+    them) raised in the body is the check's FAIL, with residual nan and the
+    exception's class and message as its detail, so one raising check costs
+    ``run_all`` none of the other lines.
+    """
+
+    def wrap(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            tol = bound.arguments["tol"]
+            try:
+                residual, detail = body(*args, **kwargs)
+            except (ArithmeticError, ValueError) as exc:
+                residual, detail = math.nan, f"{type(exc).__name__}: {exc}"
+            return CheckResult(name, bool(residual < tol), float(residual), tol, detail)
+
+        return check
+
+    return wrap
 
 
 def _worst(*residuals: float) -> float:
@@ -53,36 +81,51 @@ def _worst(*residuals: float) -> float:
     return max(residuals)
 
 
-def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = UNITARITY_TOL) -> CheckResult:
-    """Unitarity defect over random bulk and boundary coins."""
-    rng = np.random.default_rng(seed)
-    # one draw of the same doubles, in the same order, as a (p, beta, gamma,
-    # gamma~) draw per sample
-    draws = rng.uniform(
-        [1e-6, -math.pi, -math.pi, -math.pi], [1.0, math.pi, math.pi, math.pi], size=(samples, 4)
+def _draw(rng: random.Random, p_low: float, p_high: float) -> tuple[float, float, float, float]:
+    """One random (p, beta, gamma, gamma~): p in [p_low, p_high), each phase
+    in [-pi, pi), drawn in that order."""
+    uniform = rng.uniform
+    return (
+        uniform(p_low, p_high),
+        uniform(-math.pi, math.pi),
+        uniform(-math.pi, math.pi),
+        uniform(-math.pi, math.pi),
     )
+
+
+@_check("coin_unitarity")
+def check_coin_unitarity(samples: int = 1000, seed: int = 7, tol: float = UNITARITY_TOL):
+    """Unitarity defect over random bulk and boundary coins.
+
+    The parameters come from ``random.Random(seed)``, whose stream Python
+    keeps fixed for an int seed.
+    """
+    rng = random.Random(seed)
     worst = 0.0
-    for p, beta, gamma, gt in draws.tolist():
+    for _ in range(samples):
+        p, beta, gamma, gt = _draw(rng, 1e-6, 1.0)
         u = make_bulk_coin(p, beta, gamma)
         ub = make_boundary_coin(gt)
         worst = _worst(worst, u.unitarity_defect(), ub.unitarity_defect())
-    return _result("coin_unitarity", worst, tol, f"{samples} random parameter sets")
+    return worst, f"{samples} random parameter sets"
 
 
-def check_norm_drift(
-    sets: int = 5, steps: int = 300, seed: int = 11, tol: float = 1e-11
-) -> CheckResult:
-    """Norm conservation of the direct evolution for random parameters."""
-    rng = np.random.default_rng(seed)
+@_check("norm_drift")
+def check_norm_drift(sets: int = 5, steps: int = 300, seed: int = 11, tol: float = 1e-11):
+    """Norm conservation of the direct evolution for random parameters.
+
+    The parameters come from ``random.Random(seed)``, whose stream Python
+    keeps fixed for an int seed.
+    """
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(sets):
-        p = float(rng.uniform(0.05, 0.99))
-        beta, gamma, gt = (float(x) for x in rng.uniform(-math.pi, math.pi, size=3))
+        p, beta, gamma, gt = _draw(rng, 0.05, 0.99)
         u = make_bulk_coin(p, beta, gamma)
         ub = make_boundary_coin(gt)
         for total in walk.norms(u, ub, steps):
             worst = _worst(worst, abs(total - 1.0))
-    return _result("norm_drift", worst, tol, f"{sets} parameter sets x {steps} steps")
+    return worst, f"{sets} parameter sets x {steps} steps"
 
 
 def three_way_residual(
@@ -110,6 +153,7 @@ def three_way_residual(
     return _worst(*map(abs, np.concatenate(gaps).tolist()))
 
 
+@_check("three_way_equivalence")
 def check_three_way(
     p_values=(0.2, 0.5, 0.8),
     theta_values=(math.pi / 4,),
@@ -118,7 +162,7 @@ def check_three_way(
     tau_series: int = 30,
     n_series: int = 6,
     tol: float = 1e-10,
-) -> CheckResult:
+):
     """Walk amplitudes against path enumeration and series coefficients."""
     worst = _worst(
         *(
@@ -129,16 +173,17 @@ def check_three_way(
         )
     )
     grids = f"{len(p_values)}x{len(theta_values)}x{len(beta_values)} parameter sets"
-    return _result("three_way_equivalence", worst, tol, grids)
+    return worst, grids
 
 
+@_check("pqrs_span")
 def check_pqrs_structure(
     p: float = 0.2,
     theta: float = math.pi / 4,
     beta: float = 0.3,
     tau_max: int = 12,
     tol: float = 1e-12,
-) -> CheckResult:
+):
     """Path sums stay inside the Q~/R~ span for every site and step count."""
     u, ub = edge.coin_pair(p, theta, beta)
     table = pathsum.transition_table(tau_max, u, ub)
@@ -146,9 +191,10 @@ def check_pqrs_structure(
     for tau in range(1, tau_max + 1):
         for n in range(tau % 2, tau + 1, 2):
             worst = _worst(worst, pathsum.pqrs_residual(table[tau, n], ub))
-    return _result("pqrs_span", worst, tol, f"all n, 1 <= tau <= {tau_max}")
+    return worst, f"all n, 1 <= tau <= {tau_max}"
 
 
+@_check("coefficient_recursion")
 def check_recursion_relation(
     p: float = 0.2,
     theta: float = math.pi / 4,
@@ -156,7 +202,7 @@ def check_recursion_relation(
     order: int = 12,
     n_max: int = 4,
     tol: float = 1e-10,
-) -> CheckResult:
+):
     """Site recursion of the expansion coefficients, term by term in z.
 
     tilded(0->n) = [1 + c~ Br(0->0)] * d z * untilded(0->n-1) in both
@@ -183,24 +229,26 @@ def check_recursion_relation(
             rhs = np.convolve(factor, untilded)[:m]
             rhs = d * np.concatenate([[0.0], rhs[:-1]])
             worst = _worst(worst, float(np.max(np.abs(tilded - rhs))))
-    return _result("coefficient_recursion", worst, tol, f"n <= {n_max}, order {order}")
+    return worst, f"n <= {n_max}, order {order}"
 
 
+@_check("absorbing_return")
 def check_absorbing_gf(
     p: float = 0.2,
     theta: float = math.pi / 4,
     beta: float = 0.3,
     tau_max: int = 12,
     tol: float = 1e-10,
-) -> CheckResult:
+):
     """Absorbing-boundary return series against its path enumeration."""
     u, _ = edge.coin_pair(p, theta, beta)
     series = genfun.absorbing_gf_series(u, tau_max + 1)
     _, a_r = pathsum.pqrs_coefficient_series(0, tau_max, u, u, "absorbing")
     worst = float(np.max(np.abs(series.coeffs[1:] - a_r[1:])))
-    return _result("absorbing_return", worst, tol, f"tau <= {tau_max}")
+    return worst, f"tau <= {tau_max}"
 
 
+@_check("closed_coefficient_forms")
 def check_closed_forms(
     p: float = 0.2,
     theta: float = math.pi / 4,
@@ -208,7 +256,7 @@ def check_closed_forms(
     n_max: int = 4,
     tau_max: int = 12,
     tol: float = 1e-10,
-) -> CheckResult:
+):
     """Closed-form coefficient functions against untilded path sums."""
     u, _ = edge.coin_pair(p, theta, beta)
     table = pathsum.transition_table(tau_max, u, u)
@@ -222,33 +270,34 @@ def check_closed_forms(
             float(np.max(np.abs(bq_s.coeffs[lo:] - u_q[lo:]))),
             float(np.max(np.abs(br_s.coeffs[lo:] - u_r[lo:]))),
         )
-    return _result("closed_coefficient_forms", worst, tol, f"n <= {n_max}, tau <= {tau_max}")
+    return worst, f"n <= {n_max}, tau <= {tau_max}"
 
 
+@_check("series_parseval")
 def check_parseval(
     p: float = 0.2,
     theta: float = math.pi / 4,
     beta: float = 0.0,
     tau: int = 40,
     tol: float = 1e-10,
-) -> CheckResult:
+):
     """Series coefficients at fixed tau carry unit total probability."""
     u, ub = edge.coin_pair(p, theta, beta)
     col_L, col_R = genfun.bounded_gf_table(u, ub, tau, tau + 1, columns=[tau])
     total = walk.total_probability(col_L[:, 0], col_R[:, 0])
-    return _result("series_parseval", abs(total - 1.0), tol, f"tau = {tau}")
+    return abs(total - 1.0), f"tau = {tau}"
 
 
-def check_pole_zero(
-    p: float = 0.2, theta: float = math.pi / 4, tol: float = 1e-10
-) -> CheckResult:
+@_check("pole_denominator_zero")
+def check_pole_zero(p: float = 0.2, theta: float = math.pi / 4, tol: float = 1e-10):
     """The reported pole is a zero of the denominator on the physical branch."""
     u, ub = edge.coin_pair(p, theta)
     zp = cmath.sqrt(edge.pole(p, theta))
     h = genfun.bounded_denominator(u, ub, genfun.eta_eval(u, zp), zp)
-    return _result("pole_denominator_zero", abs(h), tol)
+    return abs(h), ""
 
 
+@_check("edge_mode_geometric")
 def check_edge_mode(
     points=(
         (0.2, math.pi / 4),  # 1 - r = 0.63
@@ -260,7 +309,7 @@ def check_edge_mode(
     ),
     n_max: int = 20,
     tol: float = 1.0,
-) -> CheckResult:
+):
     """Residue-extracted mode magnitudes against the geometric law.
 
     The residual is the worst ratio of the relative error of |phi_L(n)|^2
@@ -277,35 +326,34 @@ def check_edge_mode(
             # phi_R(0) = 0 is set, not computed
             rel_R = abs(prob_R * r / w - 1.0) if n else 0.0
             worst = _worst(worst, abs(prob_L / w - 1.0) / law, rel_R / law)
-    return _result("edge_mode_geometric", worst, tol, f"{len(points)} points, even n <= {n_max}")
+    return worst, f"{len(points)} points, even n <= {n_max}"
 
 
-def check_weight_identity(
-    p: float = 0.2, theta: float = math.pi / 4, tol: float = 1e-10
-) -> CheckResult:
+@_check("edge_weight")
+def check_weight_identity(p: float = 0.2, theta: float = math.pi / 4, tol: float = 1e-10):
     """Summed mode weight equals 1 - r to the machine tail."""
     r = edge.decay_ratio(p, theta)
     n_max = max(40, int(math.ceil(-30.0 * math.log(10.0) / math.log(r))))
     mode = edge.floquet_mode(p, theta, n_max)
     total = walk.total_probability(mode.phi_L, mode.phi_R)
-    return _result("edge_weight", abs(total - (1.0 - r)), tol, f"summed to n = {n_max}")
+    return abs(total - (1.0 - r)), f"summed to n = {n_max}"
 
 
+@_check("momentum_form_ratio")
 def check_observable_ratio(
     p_values=(0.05, 0.1, 0.2, 0.3, 0.4, 0.45),
     theta: float = math.pi / 4,
     tol: float = 1e-10,
-) -> CheckResult:
+):
     """The two momentum forms differ by exactly sqrt(1-p)."""
     worst = 0.0
     for p in p_values:
         obs = edge.observables(p, theta)
         worst = _worst(worst, abs(obs.J_paper_form / obs.J_direct - 1.0 / math.sqrt(1.0 - p)))
-    return _result(
-        "momentum_form_ratio", worst, tol, "J_paper_form/J_direct vs 1/sqrt(1-p)"
-    )
+    return worst, "J_paper_form/J_direct vs 1/sqrt(1-p)"
 
 
+@_check("edge_vs_simulation")
 def check_edge_vs_simulation(
     p: float = 0.2,
     theta: float = math.pi / 4,
@@ -313,7 +361,7 @@ def check_edge_vs_simulation(
     avg_start: int = 300,
     n_max: int = 6,
     tol: float = 0.03,
-) -> CheckResult:
+):
     """Residue-extracted mode weights against time-averaged site probabilities."""
     u, ub = edge.coin_pair(p, theta)
     times = [tau for tau in range(max(avg_start, 1), steps + 1) if tau % 2 == 0]
@@ -326,21 +374,17 @@ def check_edge_vs_simulation(
     worst = 0.0
     for n, expected in zip(mode.sites, mode.probabilities()):
         worst = _worst(worst, abs(averaged[n] - float(expected)) / float(expected))
-    return _result(
-        "edge_vs_simulation",
-        worst,
-        tol,
-        f"n <= {n_max}, even tau in [{avg_start}, {steps}], relative",
-    )
+    return worst, f"n <= {n_max}, even tau in [{avg_start}, {steps}], relative"
 
 
+@_check("quasi_energy_slope")
 def check_quasi_energy_slope(
     p: float = 0.2,
     theta: float = math.pi / 4,
     steps: int = 400,
     fit_start: int = 100,
     tol: float = 1e-3,
-) -> CheckResult:
+):
     """Phase slope of the simulated return amplitude against arg(z_pole^2)/2."""
     u, ub = edge.coin_pair(p, theta)
     taus = np.arange(fit_start, steps + 1, 2)
@@ -348,12 +392,7 @@ def check_quasi_energy_slope(
     phase = np.unwrap(np.angle(np.array(amps)))
     slope = float(np.polyfit(taus, phase, 1)[0])
     expected = cmath.phase(edge.pole(p, theta)) / 2.0
-    return _result(
-        "quasi_energy_slope",
-        abs(-slope - expected),
-        tol,
-        f"fit over even tau in [{fit_start}, {steps}]",
-    )
+    return abs(-slope - expected), f"fit over even tau in [{fit_start}, {steps}]"
 
 
 def run_all(tau_max: int, unitarity_tol: float) -> list[CheckResult]:
@@ -362,7 +401,9 @@ def run_all(tau_max: int, unitarity_tol: float) -> list[CheckResult]:
     tau_max must lie in [TAU_MIN, pathsum.TAU_CAP]: below TAU_MIN the
     recursion check has fewer orders than sites, above the cap the path
     enumeration refuses.  unitarity_tol is the tolerance of the norm-drift
-    check.  ``cli.RunConfig`` holds the defaults of both.
+    check.  ``cli.RunConfig`` holds the defaults of both.  A check that
+    raises an ``ArithmeticError`` or ``ValueError`` fails with residual nan
+    (``_check``), and the rest still run.
     """
     return [
         check_coin_unitarity(),

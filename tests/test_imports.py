@@ -2,6 +2,8 @@
 
 ``edge``, a linear ``sweep``, ``--help`` and usage errors run on ``coin``,
 ``edge``, ``errors`` and ``cli`` alone, so they start without numpy.
+``verify`` loads no ``numpy.random``: its random checks draw from the
+standard library's ``random``.
 ``import lzwalk`` loads no module of the package; each of the eight loads on
 first access as ``lzwalk.<module>``, and every name lives in the module that
 defines it, the caps in ``errors`` alone.
@@ -36,7 +38,7 @@ LIGHT_CALLS = [
 ]
 
 # runs the calls in one fresh interpreter and prints their exit codes and
-# the engines loaded afterwards, as JSON
+# which of the listed modules are loaded afterwards, as JSON
 _RUNNER = """
 import contextlib, io, json, sys
 calls, engines = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -51,6 +53,9 @@ for argv in calls:
 print(json.dumps({"codes": codes, "loaded": [m for m in engines if m in sys.modules]}))
 """
 
+# modules that importing numpy.random loads and no lzwalk mode needs
+RANDOM_MODULES = ("numpy.random", "secrets", "_hashlib")
+
 MODULES = ("cli", "coin", "edge", "errors", "genfun", "pathsum", "verify", "walk")
 
 # prints the package modules that a bare import loads, as JSON
@@ -61,16 +66,34 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("lzwalk."))))
 """
 
 
-def test_light_modes_load_no_engine():
+def _run_calls(calls, modules):
+    """The exit codes of the calls, run in one fresh interpreter, and which
+    of the modules it has loaded afterwards."""
     proc = subprocess.run(
-        [sys.executable, "-c", _RUNNER, json.dumps([argv for argv, _ in LIGHT_CALLS]), json.dumps(ENGINES)],
+        [sys.executable, "-c", _RUNNER, json.dumps(calls), json.dumps(modules)],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [code for _, code in LIGHT_CALLS]
-    assert result["loaded"] == []
+    return result["codes"], result["loaded"]
+
+
+def test_light_modes_load_no_engine():
+    codes, loaded = _run_calls([argv for argv, _ in LIGHT_CALLS], ENGINES)
+    assert codes == [code for _, code in LIGHT_CALLS]
+    assert loaded == []
+
+
+def test_verify_loads_no_numpy_random():
+    # its random parameter sets come from the standard library's random
+    assert _run_calls([["verify", "--tau-max", "4"]], RANDOM_MODULES) == ([0], [])
+
+
+def test_no_module_of_the_package_names_numpy_random():
+    for path in (SRC / "lzwalk").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "np.random" not in text and "numpy.random" not in text, path.name
 
 
 def test_the_package_resolves_its_modules_and_no_other_name():

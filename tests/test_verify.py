@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -139,8 +140,10 @@ def _scaled_j_paper(factor):
 
 # One defect planted at a time, and the checks that print FAIL for it in
 # ``lzwalk verify --tau-max 10``, which runs run_all(10, 1e-11).  Each
-# magnitude was fixed before the run.  No row fails coin_unitarity: a coin
-# off unitarity raises in Coin.__post_init__ before that check can see it.
+# magnitude was fixed before the run.  No row fails coin_unitarity by its
+# residual: a coin off unitarity raises ValueError in Coin.__post_init__
+# before that check can measure it, and a check that raises fails as the
+# RAISING rows below show.
 PLANTED = {
     "reflect-norm": (_scaled(walk, "_reflect", 1 + 1e-9), {"norm_drift", "three_way_equivalence"}),
     "reflect-phase": (_scaled(walk, "_reflect", cmath.exp(1e-6j)), {"three_way_equivalence"}),
@@ -196,30 +199,77 @@ def _scaled_bulk_p(factor):
     return edge, "make_bulk_coin", lambda p, beta, gamma: exact(p * factor, beta, gamma)
 
 
-# Planted defects that make a check raise: verify then prints no check line,
-# and the exit code follows the exception's class
+# Planted defects that make a check raise.  Each raising check prints its
+# FAIL line with residual nan and the exception's class and message, and the
+# other checks still run: (plant, the FAIL set, the checks that raised, the
+# detail that opens each of their lines)
 RAISING = {
     "decay-ratio-delocalizes": (
-        _scaled(edge, "_decay_ratio", 1 + 1e-7), 1,
-        "error: no normalizable edge state at p=0.49999995",
+        _scaled(edge, "_decay_ratio", 1 + 1e-7),
+        {"edge_mode_geometric", "edge_weight", "momentum_form_ratio"},
+        {"edge_mode_geometric"},
+        "DelocalizedError: no normalizable edge state at p=0.49999995",
     ),
     # floquet_mode finds its pole off the zero of the changed coins' h
     "boundary-phase": (
-        _shifted_boundary_phase(1e-6), 2,
-        "error: numerical self-check failed: pole location inconsistent",
+        _shifted_boundary_phase(1e-6),
+        {"pole_denominator_zero", "edge_mode_geometric", "edge_weight", "edge_vs_simulation"},
+        {"edge_mode_geometric", "edge_weight", "edge_vs_simulation"},
+        "ArithmeticError: pole location inconsistent",
     ),
     "bulk-p": (
-        _scaled_bulk_p(1 + 1e-6), 2,
-        "error: numerical self-check failed: pole location inconsistent",
+        _scaled_bulk_p(1 + 1e-6),
+        {"pole_denominator_zero", "edge_mode_geometric", "edge_weight", "edge_vs_simulation"},
+        {"edge_mode_geometric", "edge_weight", "edge_vs_simulation"},
+        "ArithmeticError: pole location inconsistent",
     ),
 }
 
 
-@pytest.mark.parametrize("plant, code, message", RAISING.values(), ids=RAISING)
-def test_a_planted_defect_that_raises_prints_one_error_line(monkeypatch, capsys, plant, code, message):
+@pytest.mark.parametrize("plant, fails, raised, detail", RAISING.values(), ids=RAISING)
+def test_a_check_that_raises_prints_its_fail_line_and_the_rest_run(
+    monkeypatch, capsys, plant, fails, raised, detail
+):
     monkeypatch.setattr(*plant)
-    assert cli.main(["verify", "--tau-max", "10"]) == code
+    code = cli.main(["verify", "--tau-max", "10"])
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
-    assert "Traceback" not in err
+    *lines, verdict = out.splitlines()
+    assert len(lines) == 14
+    assert {line.split()[1] for line in lines if line.startswith("FAIL ")} == fails
+    assert {line.split()[1] for line in lines if "residual=nan" in line} == raised
+    for line in lines:
+        if line.split()[1] in raised:
+            assert line.split(" (", 1)[1].startswith(detail), line
+    assert (code, verdict, err) == (2, "VERIFICATION FAILED", "")
+
+
+def _drawn_sets(monkeypatch, check, **kwargs):
+    """The (p, beta, gamma, gamma~) of each coin pair that ``check`` builds,
+    as the coin builders receive them."""
+    bulk, boundary = [], []
+    make_bulk, make_boundary = verify.make_bulk_coin, verify.make_boundary_coin
+    monkeypatch.setattr(verify, "make_bulk_coin", lambda *args: bulk.append(args) or make_bulk(*args))
+    monkeypatch.setattr(
+        verify, "make_boundary_coin", lambda *args: boundary.append(args) or make_boundary(*args)
+    )
+    assert check(**kwargs).passed
+    return [b + g for b, g in zip(bulk, boundary, strict=True)]
+
+
+# (check, its seed, the range of its p); every phase lies in [-pi, pi)
+RANDOM_CHECKS = {
+    "coin_unitarity": (verify.check_coin_unitarity, 7, (1e-6, 1.0)),
+    "norm_drift": (verify.check_norm_drift, 11, (0.05, 0.99)),
+}
+
+
+@pytest.mark.parametrize("check, seed, p_range", RANDOM_CHECKS.values(), ids=RANDOM_CHECKS)
+def test_random_checks_draw_p_beta_gamma_gamma_tilde_from_random_random(monkeypatch, check, seed, p_range):
+    drawn = _drawn_sets(monkeypatch, check)
+    rng = random.Random(seed)
+    assert drawn[0] == (rng.uniform(*p_range), *(rng.uniform(-math.pi, math.pi) for _ in range(3)))
+    assert len(set(drawn)) == len(drawn)
+    assert set(drawn).isdisjoint(_drawn_sets(monkeypatch, check, seed=seed + 1))
+    for p, *phases in drawn:
+        assert p_range[0] <= p < p_range[1]
+        assert all(-math.pi <= phase < math.pi for phase in phases)
